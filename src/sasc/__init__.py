@@ -65,6 +65,7 @@ from .smoothing import (
     CertificateInputs,
     ConstraintSample,
     ConstraintSampler,
+    RowBatch,
     RowConstraintSet,
     SmoothedTerm,
     feasibility_metric,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CompositeProblem, ConvergenceTrace, TraceRecord, _EvalSet
-from .errors import UnsupportedProblemError
+from .errors import DivergenceError, UnsupportedProblemError
 from .prox import Array
+from .smoothing import RowBatch, _batches
 
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
 
@@ -90,8 +91,23 @@ def _project_onto_constraint(z: Array, sample) -> Array:
         )
     val = float(sample.row @ z)
     target = float(np.asarray(sample.set_proj.project(val)))
-    nrm2 = float(sample.row @ sample.row)
-    return z - ((val - target) / nrm2) * sample.row
+    return _move_along_row(z, sample.row, val, target)
+
+
+def _move_along_row(z: Array, row: Array, val: float, target: float) -> Array:
+    """z shifted along ``row`` so that row^T z moves from ``val`` to ``target``."""
+    return z - ((val - target) / float(row @ row)) * row
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    """np.minimum(np.maximum(v, lo), hi) on Python floats, bit for bit.
+
+    Like numpy, each comparison keeps its first argument only when it wins
+    strictly or is NaN, which fixes the sign of a zero result. On scalars it
+    is several times faster than the two numpy calls.
+    """
+    v = v if v > lo or v != v else lo
+    return v if v < hi or v != v else hi
 
 
 def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
@@ -101,7 +117,10 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     constraint: z = prox applied to the full objective at fixed step mu
     (exact prox of f(., xi) when the problem provides one, else a gradient
     step, followed by prox of h), then x = projection of z onto the drawn
-    constraint set. The fixed step caps the attainable accuracy.
+    constraint set. The fixed step caps the attainable accuracy. Both
+    indices come from the solvers' shared stream (``smoothing._batches``);
+    for a row set the projection reads the drawn row in place, with no
+    sample objects.
     """
     mu = cfg.step
     rng_ss, val_ss = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -111,15 +130,23 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     x = np.zeros(problem.dim)
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
-    for t in range(1, cfg.iterations + 1):
-        xi_obj = problem.constraints.draw(rng)
-        xi_con = problem.constraints.draw(rng)
+    pairs = _batches(problem.constraints, rng, cfg.iterations, 2)
+    for t, pair in enumerate(pairs, start=1):
+        xi_obj = None if problem.f_deterministic else pair[0]
         if problem.prox_f is not None:
             z = problem.prox_f(x, xi_obj, mu)
         else:
             z = x - mu * problem.grad_f(x, xi_obj)
         z = problem.prox_h.evaluate(z, mu)
-        x = _project_onto_constraint(z, xi_con)
+        if isinstance(pair, RowBatch):
+            row = pair.owner.rows[pair.idx[1]]
+            val = float(row @ z)
+            target = _clip(val, float(pair.lo[1]), float(pair.hi[1]))
+            x = _move_along_row(z, row, val, target)
+        else:
+            x = _project_onto_constraint(z, pair[1])
+        if not np.isfinite(x).all():
+            raise DivergenceError(epoch=0, step=t)
         if t % cfg.checkpoint_every == 0 or t == cfg.iterations:
             trace.append(TraceRecord(
                 samples=t, epoch=0,

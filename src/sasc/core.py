@@ -29,6 +29,9 @@ from .smoothing import (
     CertificateInputs,
     ConstraintSample,
     ConstraintSampler,
+    RowBatch,
+    _batches,
+    _eval_samples,
     _mean_sq_distance,
     _objective_estimate,
 )
@@ -46,12 +49,13 @@ class CompositeProblem:
     """A composite objective with almost-sure scalar/linear inclusion constraints.
 
     ``grad_f(x, sample)`` and ``f_value(x, sample)`` take the drawn constraint
-    sample as the randomness carrier (``None`` is allowed when
-    ``f_deterministic``). ``norm_bound`` must dominate the operator norm of
-    every constraint the sampler can produce; ``mu`` is the restricted
-    strong-convexity modulus when available, ``lipschitz_grad`` the Lipschitz
-    constant of the averaged gradient (0 when the smooth part is absent or
-    linear). ``prox_f`` optionally provides an exact prox of f(., xi) for
+    sample as the randomness carrier. When ``f_deterministic`` they must
+    accept ``None``, which the row-batch step and ``run_spp`` then pass.
+    ``norm_bound`` must dominate the operator norm of every constraint the
+    sampler can produce; ``mu`` is the restricted strong-convexity modulus
+    when available, ``lipschitz_grad`` the Lipschitz constant of the
+    averaged gradient (0 when the smooth part is absent or linear).
+    ``prox_f`` optionally provides an exact prox of f(., xi) for
     proximal-point baselines; ``norm_22`` is a purely diagnostic field.
     """
 
@@ -231,30 +235,55 @@ def schedule_params(case: Case, s: int, cfg: SascConfig, norm_bound: float,
     return alpha_s, beta_s, m_s
 
 
-def sasc_inner_step(x: Array, sample: ConstraintSample, alpha_s: float,
-                    beta_s: float, problem: CompositeProblem) -> Array:
+def sasc_inner_step(x: Array, sample, alpha_s: float, beta_s: float,
+                    problem: CompositeProblem) -> Array:
     """One stochastic proximal-gradient step on the smoothed problem.
 
-    Forms z = A(xi) x, pulls the smoothed-penalty gradient (z - proj(z)) /
-    beta_s back through the adjoint, adds the stochastic objective gradient,
-    and applies prox of alpha_s * h.
+    ``sample`` is one ConstraintSample or a batch of them, such as the
+    RowBatch that ``RowConstraintSet.draw_batch`` returns. Forms z = A(xi) x,
+    pulls the smoothed-penalty gradient (z - proj(z)) / beta_s back through
+    the adjoint, adds the stochastic objective gradient, averages over the
+    batch, and applies prox of alpha_s * h.
     """
     if alpha_s <= 0 or beta_s <= 0:
         raise ValueError("sasc_inner_step: alpha_s and beta_s must be positive")
-    z = sample.apply(x)
-    g = (z - sample.set_proj.project(z)) / beta_s
-    d = problem.grad_f(x, sample) + sample.adjoint(g)
+    batch = [sample] if isinstance(sample, ConstraintSample) else sample
+    d = _direction(x, batch, beta_s, problem)
     return problem.prox_h.evaluate(x - alpha_s * d, alpha_s)
 
 
-def _batch_direction(x: Array, samples, beta_s: float,
-                     problem: CompositeProblem) -> Array:
-    d = np.zeros_like(x)
-    for sample in samples:
-        z = sample.apply(x)
-        g = (z - sample.set_proj.project(z)) / beta_s
-        d = d + problem.grad_f(x, sample) + sample.adjoint(g)
-    return d / len(samples)
+def _sample_direction(x: Array, sample: ConstraintSample, beta_s: float,
+                      problem: CompositeProblem) -> Array:
+    z = sample.apply(x)
+    g = (z - sample.set_proj.project(z)) / beta_s
+    return problem.grad_f(x, sample) + sample.adjoint(g)
+
+
+def _direction(x: Array, batch, beta_s: float,
+               problem: CompositeProblem) -> Array:
+    """Mean step direction over a batch; one vectorized step for row batches.
+
+    A RowBatch of B rows R = rows[J] with endpoints lo, hi gives
+    z = R x, g = (z - clip(z, lo, hi)) / (B beta_s) and d = grad_f + R^T g;
+    B = 1 reproduces the single-sample step bit for bit. Any other batch
+    sums the directions of its samples.
+    """
+    if not isinstance(batch, RowBatch):
+        d = _sample_direction(x, batch[0], beta_s, problem)
+        for sample in batch[1:]:
+            d = d + _sample_direction(x, sample, beta_s, problem)
+        return d / len(batch)
+    R = batch.owner.rows.take(batch.idx, axis=0)
+    z = R @ x
+    g = (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta_s * len(z))
+    if problem.f_deterministic:
+        gf = problem.grad_f(x, None)
+    else:
+        gf = problem.grad_f(x, batch[0])
+        for i in range(1, len(batch)):
+            gf = gf + problem.grad_f(x, batch[i])
+        gf = gf / len(batch)
+    return gf + g @ R
 
 
 class _EvalSet:
@@ -263,15 +292,10 @@ class _EvalSet:
     def __init__(self, problem: CompositeProblem, n_samples: int,
                  rng: np.random.Generator):
         self.problem = problem
-        sup = problem.constraints.support()
-        if sup is not None and n_samples >= len(sup):
-            self.samples, self.idx = list(sup), None
-        elif sup is not None:
-            self.idx = rng.integers(0, len(sup), size=n_samples)
-            self.samples = [sup[int(i)] for i in self.idx]
-        else:
-            self.samples = problem.constraints.draw_batch(rng, n_samples)
-            self.idx = None
+        self.samples, self.idx = _eval_samples(problem.constraints, n_samples, rng)
+        if not problem.f_deterministic:
+            # f_value reads every sample at each checkpoint: build them once
+            self.samples = list(self.samples)
 
     def feasibility(self, x: Array) -> float:
         return float(np.sqrt(_mean_sq_distance(
@@ -326,15 +350,11 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
         alpha_s, beta_s, m_s = schedule_params(
             cfg.case, s, cfg, problem.norm_bound, problem.mu)
         avg = np.zeros_like(x)
-        for k in range(m_s):
-            if cfg.minibatch == 1:
-                sample = problem.constraints.draw(rng)
-                x = sasc_inner_step(x, sample, alpha_s, beta_s, problem)
-            else:
-                batch = problem.constraints.draw_batch(rng, cfg.minibatch)
-                d = _batch_direction(x, batch, beta_s, problem)
-                x = problem.prox_h.evaluate(x - alpha_s * d, alpha_s)
-            if not np.all(np.isfinite(x)):
+        batches = _batches(problem.constraints, rng, m_s, cfg.minibatch)
+        for k, batch in enumerate(batches):
+            d = _direction(x, batch, beta_s, problem)
+            x = problem.prox_h.evaluate(x - alpha_s * d, alpha_s)
+            if not np.isfinite(x).all():
                 raise DivergenceError(epoch=s, step=k)
             avg += x
             seen += cfg.minibatch

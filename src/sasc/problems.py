@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CompositeProblem
-from .errors import NoConvergenceError, UnsupportedProblemError
+from .errors import DivergenceError, NoConvergenceError, UnsupportedProblemError
 from .prox import (
     Array,
     hyperplane_indicator_prox,
@@ -303,6 +303,7 @@ def reference_solution(problem: CompositeProblem, tolerance: float,
     population feasibility and the outer objective change both drop below
     ``tolerance``. Independent of the stochastic driver: separate loop, no
     shared schedule. Only small finite-support instances are accepted.
+    A non-finite objective raises DivergenceError naming the iteration.
     """
     sup = problem.constraints.support()
     if sup is None:
@@ -348,6 +349,8 @@ def reference_solution(problem: CompositeProblem, tolerance: float,
                     f"reference solver hit the {max_iterations} iteration cap")
             msd, _ = msd_and_penalty_grad(x, beta)
             phi = _full_objective(problem, sup, x) + msd / (2.0 * beta)
+            if not np.isfinite(phi):
+                raise DivergenceError(epoch=0, step=iters)
             if prev_phi - phi <= inner_tol:
                 break
             prev_phi = phi

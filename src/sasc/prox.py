@@ -26,6 +26,15 @@ def soft_threshold(z: Array, tau: float) -> Array:
         raise ValueError("soft_threshold: input has non-finite components")
     if tau <= 0:
         raise ValueError(f"soft_threshold: tau must be positive, got {tau}")
+    return _shrink(z, tau)
+
+
+def _shrink(z: Array, tau: float) -> Array:
+    """soft_threshold without its checks, for the solvers' per-step prox.
+
+    A non-finite component of z stays non-finite, so the solvers' own
+    per-step finiteness check still catches it.
+    """
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
 
 
@@ -151,8 +160,15 @@ def l1_prox(weight: float = 1.0) -> ProxHandle:
     """phi = weight * ||.||_1: prox is soft thresholding."""
     if weight <= 0:
         raise ValueError(f"l1_prox: weight must be positive, got {weight}")
+
+    def evaluate(z, step):
+        # no finiteness scan: the solvers check every iterate themselves
+        if step <= 0:
+            raise ValueError(f"l1_prox: step must be positive, got {step}")
+        return _shrink(np.asarray(z, dtype=float), step * weight)
+
     return ProxHandle(
-        evaluate=lambda z, step: soft_threshold(z, step * weight),
+        evaluate=evaluate,
         objective_value=lambda x: weight * float(np.sum(np.abs(x))),
     )
 

@@ -9,8 +9,9 @@ residual checks that certify the gap/feasibility translation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -67,7 +68,8 @@ class ConstraintSampler:
     def draw(self, rng: np.random.Generator) -> ConstraintSample:
         raise NotImplementedError
 
-    def draw_batch(self, rng: np.random.Generator, k: int) -> list[ConstraintSample]:
+    def draw_batch(self, rng: np.random.Generator, k: int) -> Sequence[ConstraintSample]:
+        """k draws in stream order; consumes ``rng`` exactly as k ``draw`` calls."""
         return [self.draw(rng) for _ in range(k)]
 
     def support(self) -> Optional[Sequence[ConstraintSample]]:
@@ -79,11 +81,42 @@ class ConstraintSampler:
         return None
 
 
+class RowBatch(Sequence):
+    """Rows ``idx`` of a RowConstraintSet, as a lazy sequence of samples.
+
+    ``lo`` and ``hi`` hold the endpoints of the selected rows. Indexing with
+    an int builds that one ConstraintSample on demand; a slice or an index
+    array gives another RowBatch over the same set. The solvers read
+    ``owner.rows[idx]``, ``lo`` and ``hi`` directly and never build samples.
+    """
+
+    __slots__ = ("owner", "idx", "lo", "hi")
+
+    def __init__(self, owner: "RowConstraintSet", idx: Array,
+                 lo: Optional[Array] = None, hi: Optional[Array] = None):
+        self.owner = owner
+        self.idx = idx
+        self.lo = owner.lo[idx] if lo is None else lo
+        self.hi = owner.hi[idx] if hi is None else hi
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return self.owner.sample(int(self.idx[i]))
+        if isinstance(i, slice):
+            return RowBatch(self.owner, self.idx[i], self.lo[i], self.hi[i])
+        return RowBatch(self.owner, self.idx[i])
+
+
 class RowConstraintSet(ConstraintSampler):
     """Finite uniform family of scalar constraints rows[i]^T x in [lo_i, hi_i].
 
     Points are boxes with lo = hi and half-lines have hi = +inf, so one pair
     of endpoint arrays covers every set shape used by the bundled problems.
+    Only the ``rows``, ``lo`` and ``hi`` arrays are stored: ``sample``,
+    ``draw`` and the batches build ConstraintSample objects on demand.
     """
 
     def __init__(self, rows: Array, lo: Array, hi: Array):
@@ -96,26 +129,28 @@ class RowConstraintSet(ConstraintSampler):
         self.hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
         if np.any(self.lo > self.hi):
             raise ValueError("RowConstraintSet: lo exceeds hi for some row")
-        self._samples = [
-            ConstraintSample(rows[i], BoxSet(self.lo[i], self.hi[i]), i)
-            for i in range(n)
-        ]
 
     def __len__(self) -> int:
         return self.rows.shape[0]
 
     def sample(self, i: int) -> ConstraintSample:
-        return self._samples[i]
+        i = range(len(self))[i]
+        return ConstraintSample(self.rows[i], BoxSet(self.lo[i], self.hi[i]), i)
 
     def draw(self, rng: np.random.Generator) -> ConstraintSample:
-        return self._samples[int(rng.integers(len(self)))]
+        return self.sample(int(rng.integers(len(self))))
 
-    def draw_batch(self, rng: np.random.Generator, k: int) -> list[ConstraintSample]:
-        idx = rng.integers(0, len(self), size=k)
-        return [self._samples[int(i)] for i in idx]
+    def draw_batch(self, rng: np.random.Generator, k: int) -> RowBatch:
+        """k uniform row indices as a lazy RowBatch.
 
-    def support(self) -> Sequence[ConstraintSample]:
-        return self._samples
+        One ``rng.integers(0, n, size=k)`` call consumes the generator
+        exactly as k ``draw`` calls do, state afterwards included.
+        """
+        return RowBatch(self, rng.integers(0, len(self), size=k))
+
+    def support(self) -> RowBatch:
+        """Every row once, in order, as a lazy RowBatch."""
+        return RowBatch(self, np.arange(len(self)), self.lo, self.hi)
 
     def distances(self, x: Array, indices: Optional[Array] = None) -> Array:
         if indices is None:
@@ -152,6 +187,33 @@ class RowConstraintSet(ConstraintSampler):
                     "normalized: zero row with 0 outside its target set"
                 )
         return RowConstraintSet(rows / nrm[:, None], lo / nrm, hi / nrm)
+
+
+# Most constraint indices drawn from a row set's stream at once: one
+# generator call per chunk, and memory that does not grow with the run.
+_CHUNK = 4096
+
+
+def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
+             steps: int, per_step: int):
+    """Yield ``steps`` batches of ``per_step`` draws each, in stream order.
+
+    The first batch is drawn alone. When it is a RowBatch, the rest come
+    from chunks of at most ``_CHUNK`` indices, sliced into per-step
+    RowBatches; a chunk consumes ``rng`` exactly as its per-step draws
+    would. Any other sampler is drawn one step at a time, so nothing is
+    drawn ahead of the step that uses it.
+    """
+    steps_per_draw = 1
+    k = 0
+    while k < steps:
+        n = min(steps_per_draw, steps - k)
+        chunk = sampler.draw_batch(rng, n * per_step)
+        if isinstance(chunk, RowBatch):
+            steps_per_draw = max(1, _CHUNK // per_step)
+        for j in range(0, n * per_step, per_step):
+            yield chunk[j:j + per_step]
+        k += n
 
 
 def moreau_grad(z, inner, beta: float):
@@ -218,8 +280,9 @@ class CertificateInputs:
             raise ValueError("CertificateInputs: sigma_f must be >= 0")
 
 
-def _eval_samples(sampler: ConstraintSampler, n_samples: int, seed: int):
-    """Pick the evaluation set: full support when it fits, else seeded draws.
+def _eval_samples(sampler: ConstraintSampler, n_samples: int,
+                  rng: np.random.Generator):
+    """Pick the evaluation set: full support when it fits, else draws from ``rng``.
 
     Returns (samples, indices); indices is an int array usable with the
     sampler's vectorized ``distances`` hook (None means the whole support).
@@ -230,10 +293,11 @@ def _eval_samples(sampler: ConstraintSampler, n_samples: int, seed: int):
     if sup is not None and len(sup) == 0:
         raise ValueError("sampler has empty support")
     if sup is not None and n_samples >= len(sup):
-        return list(sup), None
-    rng = np.random.default_rng(seed)
+        return sup, None
     if sup is not None:
         idx = rng.integers(0, len(sup), size=n_samples)
+        if isinstance(sup, RowBatch):
+            return sup[idx], idx
         return [sup[int(i)] for i in idx], idx
     return sampler.draw_batch(rng, n_samples), None
 
@@ -253,7 +317,8 @@ def feasibility_metric(x: Array, sampler: ConstraintSampler,
     Exact over the population when the sampler has finite support and
     n_samples covers it; otherwise a seeded Monte-Carlo estimate.
     """
-    samples, idx = _eval_samples(sampler, n_samples, seed)
+    samples, idx = _eval_samples(sampler, n_samples,
+                                 np.random.default_rng(seed))
     return float(np.sqrt(_mean_sq_distance(x, sampler, samples, idx)))
 
 
@@ -275,7 +340,8 @@ def smoothed_gap(x: Array, beta: float, problem, cert: CertificateInputs,
     """
     if beta <= 0:
         raise ValueError(f"smoothed_gap: beta must be positive, got {beta}")
-    samples, idx = _eval_samples(problem.constraints, n_samples, seed)
+    samples, idx = _eval_samples(problem.constraints, n_samples,
+                                 np.random.default_rng(seed))
     gap = _objective_estimate(x, problem, samples) - cert.p_star
     msd = _mean_sq_distance(x, problem.constraints, samples, idx)
     return gap + msd / (2.0 * beta)
@@ -295,7 +361,8 @@ def saddle_point_residuals(x: Array, beta: float, problem, cert: CertificateInpu
     """
     if beta <= 0:
         raise ValueError(f"saddle_point_residuals: beta must be positive, got {beta}")
-    samples, idx = _eval_samples(problem.constraints, n_samples, seed)
+    samples, idx = _eval_samples(problem.constraints, n_samples,
+                                 np.random.default_rng(seed))
     gap = _objective_estimate(x, problem, samples) - cert.p_star
     msd = _mean_sq_distance(x, problem.constraints, samples, idx)
     s_beta = gap + msd / (2.0 * beta)

@@ -1,23 +1,29 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sasc.baselines import (
     BaselineConfig,
+    _clip,
     _project_onto_constraint,
     run_pegasos,
     run_projected_sgd,
     run_spp,
 )
 from sasc.core import CompositeProblem
-from sasc.errors import UnsupportedProblemError
+from sasc.errors import DivergenceError, UnsupportedProblemError
 from sasc.prox import interval, l1_prox, singleton, zero_prox
 from sasc.problems import (
     LabeledSparseDataset,
     gen_basis_pursuit,
     gen_separable_svm,
+    gen_synthetic_returns,
     make_bp_least_squares_problem,
     make_bp_problem,
+    make_portfolio_problem,
 )
 from sasc.smoothing import ConstraintSample, RowConstraintSet
 
@@ -156,6 +162,72 @@ class TestSpp:
             # plateau: the last stretch no longer improves materially
             assert fe[-3] / fe[-1] < 2.0
         assert finals[1e-4] < finals[1e-2]
+
+
+def _per_sample_spp(problem, cfg):
+    """run_spp's final iterate from two draws and one projection per iteration."""
+    rng_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.default_rng(rng_ss)
+    x = np.zeros(problem.dim)
+    for _ in range(cfg.iterations):
+        xi_obj = problem.constraints.draw(rng)
+        xi_con = problem.constraints.draw(rng)
+        if problem.prox_f is not None:
+            z = problem.prox_f(x, xi_obj, cfg.step)
+        else:
+            z = x - cfg.step * problem.grad_f(x, xi_obj)
+        z = problem.prox_h.evaluate(z, cfg.step)
+        x = _project_onto_constraint(z, xi_con)
+    return x
+
+
+class TestSppIndexStream:
+    # 5000 iterations draw 10,000 indices: three chunks of the stream
+    @pytest.mark.parametrize("build,step", [
+        (lambda: make_bp_problem(gen_basis_pursuit(20, 500, 3, 0.9, seed=4)),
+         1e-3),
+        (lambda: make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3),
+                                        0.2), 1e-2),
+        (lambda: make_bp_least_squares_problem(
+            gen_basis_pursuit(8, 40, 2, 0.5, seed=1)), 0.1),
+    ], ids=["bp", "portfolio", "least-squares"])
+    def test_bit_identical_to_per_sample_loop(self, build, step):
+        problem = build()
+        cfg = BaselineConfig("spp", step=step, iterations=5000, seed=7,
+                             checkpoint_every=5000, eval_samples=1)
+        x, _ = run_spp(problem, cfg)
+        assert x.tobytes() == _per_sample_spp(problem, cfg).tobytes()
+
+    def test_divergence_names_its_step(self):
+        # an ascent direction grows x by 11x per iteration until it overflows
+        prob = _unconstrained_problem(2, lambda x, xi=None: -10.0 * x - 1.0,
+                                      lambda x, xi=None: 0.0,
+                                      prox_h=l1_prox(1e-9))
+        cfg = BaselineConfig("spp", step=1.0, iterations=1000, seed=0,
+                             checkpoint_every=1000, eval_samples=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run_spp(prob, cfg)
+            expected = _per_sample_steps_to_overflow(prob, cfg)
+        assert (err.value.epoch, err.value.step) == (0, expected)
+
+    def test_clip_matches_numpy_bit_for_bit(self):
+        values = [-0.0, 0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+        for v, lo, hi in itertools.product(values, repeat=3):
+            expected = np.minimum(np.maximum(v, np.float64(lo)), np.float64(hi))
+            assert np.float64(_clip(v, lo, hi)).tobytes() == expected.tobytes()
+
+
+def _per_sample_steps_to_overflow(problem, cfg):
+    """First iteration of the per-sample loop whose iterate is non-finite."""
+    x = np.zeros(problem.dim)
+    for t in range(1, cfg.iterations + 1):
+        z = problem.prox_h.evaluate(x - cfg.step * problem.grad_f(x, None),
+                                    cfg.step)
+        x = _project_onto_constraint(z, problem.constraints.sample(0))
+        if not np.all(np.isfinite(x)):
+            return t
+    raise AssertionError("the loop never overflowed")
 
 
 class TestPegasos:

@@ -18,8 +18,17 @@ from sasc.core import (
     schedule_params,
 )
 from sasc.errors import ConfigurationError, DivergenceError
+from sasc.problems import (
+    gen_basis_pursuit,
+    gen_separable_svm,
+    gen_synthetic_returns,
+    make_bp_least_squares_problem,
+    make_bp_problem,
+    make_portfolio_problem,
+    make_svm_problem,
+)
 from sasc.prox import l1_prox, zero_prox
-from sasc.smoothing import CertificateInputs, RowConstraintSet
+from sasc.smoothing import CertificateInputs, ConstraintSampler, RowConstraintSet
 
 
 def _cfg(alpha0, omega, m0, **kw):
@@ -257,6 +266,123 @@ class TestRunSasc:
         x3, t3 = run_sasc(problem, batched)
         assert_allclose(x3, x1, atol=1e-15)
         assert t3.records[-1].samples == 3 * t1.records[-1].samples
+
+
+def _per_sample_run(problem, cfg):
+    """run_sasc's x_bar from one draw + sasc_inner_step per sample."""
+    train_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.default_rng(train_ss)
+    x = np.zeros(problem.dim)
+    for s in range(cfg.planned_epochs()):
+        alpha, beta, m = schedule_params(cfg.case, s, cfg, problem.norm_bound,
+                                         problem.mu)
+        avg = np.zeros_like(x)
+        for _ in range(m):
+            samples = [problem.constraints.draw(rng)
+                       for _ in range(cfg.minibatch)]
+            x = sasc_inner_step(x, samples[0] if len(samples) == 1 else samples,
+                                alpha, beta, problem)
+            avg += x
+        x_bar = avg / m
+        if cfg.case is Case.RESTRICTED_STRONGLY_CONVEX:
+            x = x_bar.copy()
+    return x_bar
+
+
+def _small_bp():
+    inst = gen_basis_pursuit(20, 500, 3, 0.9, seed=4)
+    cfg = SascConfig(alpha0=0.01, omega=1.5, m0=3000, epochs=2, seed=6,
+                     checkpoint_every=10 ** 6, eval_samples=1)
+    return make_bp_problem(inst), cfg
+
+
+def _small_svm():
+    problem = make_svm_problem(gen_separable_svm(10, 300, 0.5, seed=2))
+    cfg = SascConfig(alpha0=0.5, omega=1.5, m0=3000, epochs=2, seed=2,
+                     case=Case.RESTRICTED_STRONGLY_CONVEX,
+                     checkpoint_every=10 ** 6, eval_samples=1)
+    return problem, cfg
+
+
+class TestRowKernel:
+    # the second epoch (4500 steps) crosses a 4096-index chunk boundary
+    @pytest.mark.parametrize("build", [_small_bp, _small_svm],
+                             ids=["bp", "svm"])
+    def test_single_sample_run_is_bit_identical_to_per_sample_steps(self, build):
+        problem, cfg = build()
+        x_bar, _ = run_sasc(problem, cfg)
+        assert x_bar.tobytes() == _per_sample_run(problem, cfg).tobytes()
+
+    def test_minibatch_run_matches_per_sample_steps(self):
+        problem = make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3),
+                                         0.2)
+        cfg = SascConfig(alpha0=1.0, omega=1.5, m0=2, epochs=12, seed=3,
+                         minibatch=16, checkpoint_every=10 ** 6,
+                         eval_samples=1)
+        x_bar, _ = run_sasc(problem, cfg)
+        assert_allclose(x_bar, _per_sample_run(problem, cfg), rtol=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3), 0.2),
+        lambda: make_bp_least_squares_problem(
+            gen_basis_pursuit(8, 40, 2, 0.5, seed=1)),
+    ], ids=["deterministic-f", "per-sample-f"])
+    def test_batch_step_averages_its_samples(self, build):
+        problem = build()
+        rng = np.random.default_rng(8)
+        batch = problem.constraints.draw_batch(rng, 16)
+        x = rng.standard_normal(problem.dim)
+        assert_allclose(sasc_inner_step(x, batch, 0.3, 0.7, problem),
+                        sasc_inner_step(x, list(batch), 0.3, 0.7, problem),
+                        rtol=1e-12)
+
+    def test_other_samplers_take_the_per_sample_path(self):
+        # a sampler that is not a row set hands out plain samples: run_sasc
+        # draws them one step at a time and steps through them one by one,
+        # on the same index stream
+        problem, cfg = _small_bp()
+        rows = problem.constraints
+        sizes = []
+
+        class PlainSampler(ConstraintSampler):
+            def draw(self, rng):
+                return rows.draw(rng)
+
+            def draw_batch(self, rng, k):
+                sizes.append(k)
+                return super().draw_batch(rng, k)
+
+        plain = dataclasses.replace(problem, constraints=PlainSampler())
+        x_rows, _ = run_sasc(problem, dataclasses.replace(cfg, m0=500))
+        x_plain, trace = run_sasc(plain, dataclasses.replace(cfg, m0=500))
+        assert x_rows.tobytes() == x_plain.tobytes()
+        # one draw per step, after the single held-out draw of the eval set
+        assert sizes == [1] * (1 + trace.records[-1].samples)
+
+    def test_each_index_is_drawn_once_in_chunks(self):
+        problem, _ = _small_bp()
+        sizes = []
+        draw_batch = problem.constraints.draw_batch
+
+        class Counting(ConstraintSampler):
+            def draw_batch(self, rng, k):
+                sizes.append(k)
+                return draw_batch(rng, k)
+
+            def support(self):
+                return problem.constraints.support()
+
+            def distances(self, x, indices=None):
+                return problem.constraints.distances(x, indices)
+
+        counted = dataclasses.replace(problem, constraints=Counting())
+        cfg = SascConfig(alpha0=0.01, omega=2.0, m0=700, epochs=3, seed=1,
+                         minibatch=3, checkpoint_every=10 ** 6, eval_samples=1)
+        _, trace = run_sasc(counted, cfg)
+        # epochs of 700, 1400 and 2800 steps: each opens with one step, then
+        # chunks of at most 1365 steps of 3
+        assert sizes == [3, 2097, 3, 4095, 102, 3, 4095, 4095, 207]
+        assert sum(sizes) == trace.records[-1].samples
 
 
 def _sym_case1(alpha0, m0, omega, nb, y, sf, r0):

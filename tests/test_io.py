@@ -324,11 +324,19 @@ class TestCli:
         assert np.all((errs >= 0) & (errs <= 1))
 
     def test_module_entry_point(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
+
+        import sasc
+        # the child imports the same package as this test, installed or not
+        pkg_root = str(Path(sasc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "sasc", "check", "--case", "1",
              "--smax", "10", "--residual-draws", "20"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "minimum slack overall" in proc.stdout

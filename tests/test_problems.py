@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 from sasc.core import Case, SascConfig
-from sasc.errors import NoConvergenceError, UnsupportedProblemError
+from sasc.errors import (
+    DivergenceError,
+    NoConvergenceError,
+    UnsupportedProblemError,
+)
 from sasc.problems import (
     LabeledSparseDataset,
     ar1_covariance,
@@ -305,6 +311,14 @@ class TestReferenceSolution:
         problem, _ = make_min_norm_hyperplane_problem()
         with pytest.raises(NoConvergenceError):
             reference_solution(problem, 1e-12, max_iterations=10)
+
+    def test_non_finite_objective_stops_at_once(self):
+        problem, _ = make_min_norm_hyperplane_problem()
+        broken = dataclasses.replace(
+            problem, grad_f=lambda x, xi=None: np.full_like(x, np.nan))
+        with pytest.raises(DivergenceError) as err:
+            reference_solution(broken, 1e-8)
+        assert err.value.step == 1
 
 
 class TestSyntheticReturns:

@@ -201,6 +201,14 @@ class TestProxHandles:
                 lambda x: 2.0 * np.abs(x) + (x - z) ** 2 / (2 * step), -6, 6)
             assert abs(out - xg) <= 1e-3
 
+    def test_l1_prox_checks_its_step_but_not_its_input(self):
+        h = l1_prox(2.0)
+        with pytest.raises(ValueError):
+            h.evaluate(np.array([1.0]), 0.0)
+        # the solvers check every iterate, so non-finite input passes through
+        out = h.evaluate(np.array([np.nan, np.inf, 3.0]), 0.5)
+        assert np.isnan(out[0]) and out[1] == np.inf and out[2] == 2.0
+
     def test_linear_prox_closed_form_and_grid_2d(self):
         c = np.array([0.5, -1.0])
         h = linear_prox(c)

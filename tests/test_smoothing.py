@@ -8,6 +8,7 @@ from sasc.prox import BoxSet, halfspace, interval, l1_prox, singleton, zero_prox
 from sasc.smoothing import (
     CertificateInputs,
     ConstraintSample,
+    RowBatch,
     RowConstraintSet,
     SmoothedTerm,
     feasibility_metric,
@@ -350,3 +351,64 @@ class TestRowConstraintSet:
         d_vec = s.distances(x, idx)
         d_ref = [s.sample(i).set_proj.distance(s.sample(i).apply(x)) for i in idx]
         assert_allclose(d_vec, d_ref, atol=1e-14)
+
+
+def _random_rows(n, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d))
+    lo = rng.standard_normal(n)
+    return RowConstraintSet(rows, lo, lo + rng.uniform(0.0, 1.0, n))
+
+
+class TestIndexStream:
+    # chunk sizes that straddle the 4096-index chunks of the solvers
+    CHUNKS = (4096, 1, 903, 4096, 2)
+
+    @pytest.mark.parametrize("n", [1, 7, 20_000])
+    def test_chunked_draw_batch_matches_scalar_draws(self, n):
+        s = _random_rows(n)
+        r_chunk, r_scalar = np.random.default_rng(5), np.random.default_rng(5)
+        idx = np.concatenate([s.draw_batch(r_chunk, k).idx for k in self.CHUNKS])
+        scalar = [s.draw(r_scalar).index for _ in range(sum(self.CHUNKS))]
+        assert idx.tolist() == scalar
+        assert r_chunk.bit_generator.state == r_scalar.bit_generator.state
+
+    def test_chunked_integers_match_scalar_integers_beyond_32_bits(self):
+        # the same generator calls as draw / draw_batch, for a row count
+        # whose indices no longer fit in 32 bits
+        n = 2 ** 33
+        r_chunk, r_scalar = np.random.default_rng(5), np.random.default_rng(5)
+        chunked = np.concatenate([r_chunk.integers(0, n, size=k)
+                                  for k in self.CHUNKS])
+        scalar = [int(r_scalar.integers(n)) for _ in range(sum(self.CHUNKS))]
+        assert chunked.tolist() == scalar
+        assert r_chunk.bit_generator.state == r_scalar.bit_generator.state
+
+    def test_batch_is_a_lazy_sequence_of_samples(self):
+        s = _random_rows(9)
+        batch = s.draw_batch(np.random.default_rng(1), 6)
+        assert isinstance(batch, RowBatch) and len(batch) == 6
+        assert_allclose(batch.lo, s.lo[batch.idx])
+        assert_allclose(batch.hi, s.hi[batch.idx])
+        samples = list(batch)
+        assert [x.index for x in samples] == batch.idx.tolist()
+        for sample, i in zip(samples, batch.idx):
+            assert isinstance(sample, ConstraintSample)
+            assert np.array_equal(sample.row, s.rows[i])
+            assert sample.set_proj == BoxSet(s.lo[i], s.hi[i])
+        tail = batch[2:5]
+        assert isinstance(tail, RowBatch)
+        assert tail.idx.tolist() == batch.idx[2:5].tolist()
+        assert_allclose(tail.lo, s.lo[tail.idx])
+        assert batch[-1].index == batch.idx[-1]
+        picked = batch[np.array([4, 0])]
+        assert picked.idx.tolist() == [batch.idx[4], batch.idx[0]]
+
+    def test_support_is_every_row_in_order(self):
+        s = _random_rows(5)
+        sup = s.support()
+        assert isinstance(sup, RowBatch)
+        assert [x.index for x in sup] == list(range(5))
+        assert s.sample(-1).index == 4
+        with pytest.raises(IndexError):
+            s.sample(5)
