@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .core import CompositeProblem, ConvergenceTrace, TraceRecord, _EvalSet
 from .errors import DivergenceError, UnsupportedProblemError
 from .prox import Array
-from .smoothing import RowBatch, _batches
+from .smoothing import _CHUNK, RowBatch, _batches
 
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
 
@@ -166,7 +167,9 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
     x <- (1 - eta_t lam) x + eta_t 1[b <a, x> < 1] b a. The trace records the
     0/1 error on ``eval_dataset`` (the training set when omitted) in the
     feasibility column and the regularized hinge objective in the objective
-    column.
+    column. Row indices are drawn in chunks of at most ``smoothing._CHUNK``,
+    one generator call each, which consumes ``rng`` exactly as one scalar
+    draw per step; each step reads its row as a slice of the CSR arrays.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -180,11 +183,16 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
     n = len(dataset)
+    ptr, indices, data = dataset.indptr.tolist(), dataset.indices, dataset.data
+    signs = labels.tolist()
+    draws = chain.from_iterable(
+        rng.integers(0, n, size=min(_CHUNK, iterations - start)).tolist()
+        for start in range(0, iterations, _CHUNK))
     eta = 1.0 / lam
-    for t in range(1, iterations + 1):
-        i = int(rng.integers(n))
-        idx, vals = dataset.index_lists[i], dataset.value_lists[i]
-        b = labels[i]
+    for t, i in enumerate(draws, start=1):
+        p, q = ptr[i], ptr[i + 1]
+        idx, vals = indices[p:q], data[p:q]
+        b = signs[i]
         margin = b * float(vals @ x[idx])
         eta = 1.0 / (lam * t)
         x *= 1.0 - eta * lam

@@ -321,24 +321,21 @@ def _cmd_portfolio(o: dict) -> int:
     return 0
 
 
-def _restrict_dim(dataset: LabeledSparseDataset, dim: int) -> LabeledSparseDataset:
-    idx_lists, val_lists = [], []
-    for idx, vals in zip(dataset.index_lists, dataset.value_lists):
-        keep = idx < dim
-        idx_lists.append(idx[keep])
-        val_lists.append(vals[keep])
-    return LabeledSparseDataset(idx_lists, val_lists, dataset.labels, dim)
+def _with_dim(dataset: LabeledSparseDataset, dim: int) -> LabeledSparseDataset:
+    """The dataset in dimension ``dim``: entries in columns >= dim dropped."""
+    keep = dataset.indices < dim
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return LabeledSparseDataset(kept_before[dataset.indptr],
+                                dataset.indices[keep], dataset.data[keep],
+                                dataset.labels, dim)
 
 
 def _cmd_svm(o: dict) -> int:
     dataset = parse_libsvm(o["data"])
     holdout = None
     if o["test"]:
-        holdout = parse_libsvm(o["test"])
-        if holdout.dim > dataset.dim:
-            holdout = _restrict_dim(holdout, dataset.dim)
-        else:
-            holdout.dim = dataset.dim
+        # widened or cut to the training dimension, through the constructor
+        holdout = _with_dim(parse_libsvm(o["test"]), dataset.dim)
     n = len(dataset)
     budget = _resolve_budget(o, n)
     iterations = (o["iterations"] if o.get("iterations") is not None

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CompositeProblem
-from .errors import DivergenceError, NoConvergenceError, UnsupportedProblemError
+from .errors import (
+    DegenerateConstraintError,
+    DivergenceError,
+    NoConvergenceError,
+    UnsupportedProblemError,
+)
 from .prox import (
     Array,
     hyperplane_indicator_prox,
@@ -23,53 +28,104 @@ from .prox import (
 )
 from .smoothing import CertificateInputs, RowConstraintSet
 
+# Entries per block when make_svm_problem computes its row norms.
+_NORM_BLOCK_ENTRIES = 1 << 20
+
 
 @dataclass
 class LabeledSparseDataset:
-    """Sparse rows with +-1 labels; indices are 0-based and strictly ascending."""
+    """Sparse rows with +-1 labels, stored as CSR arrays.
 
-    index_lists: list
-    value_lists: list
+    Row i holds the 0-based, strictly ascending column indices
+    ``indices[indptr[i]:indptr[i + 1]]`` and the values at the same
+    positions of ``data``. The arrays are checked once, here.
+    """
+
+    indptr: Array
+    indices: Array
+    data: Array
     labels: Array
     dim: int
 
     def __post_init__(self):
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices)
+        if self.indices.size and self.indices.dtype.kind not in "iu":
+            raise ValueError("sparse indices must be integers")
+        self.indices = self.indices.astype(np.int64, copy=False)
+        self.data = np.asarray(self.data, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
-        if not (len(self.index_lists) == len(self.value_lists) == len(self.labels)):
+        n, nnz = len(self.labels), len(self.indices)
+        if self.indptr.shape != (n + 1,):
             raise ValueError("rows and labels must have equal length")
-        for idx in self.index_lists:
-            if len(idx) and (idx[-1] >= self.dim or idx[0] < 0):
-                raise ValueError("sparse index out of range")
-            if len(idx) > 1 and np.any(np.diff(idx) <= 0):
-                raise ValueError("sparse indices must be strictly ascending")
+        if (self.indptr[0] != 0 or self.indptr[-1] != nnz
+                or len(self.data) != nnz or np.any(np.diff(self.indptr) < 0)):
+            raise ValueError(
+                "indptr must rise from 0 to the number of stored entries")
+        if nnz and (self.indices.min() < 0 or self.indices.max() >= self.dim):
+            raise ValueError("sparse index out of range")
+        entry_rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        same_row = entry_rows[1:] == entry_rows[:-1]
+        if np.any(np.diff(self.indices)[same_row] <= 0):
+            raise ValueError("sparse indices must be strictly ascending")
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    def row_dot(self, i: int, x: Array) -> float:
-        idx, vals = self.index_lists[i], self.value_lists[i]
-        return float(vals @ x[idx]) if len(idx) else 0.0
+    def row(self, i: int):
+        """(indices, values) of row i, as views into the CSR arrays."""
+        i = range(len(self))[i]
+        p, q = self.indptr[i], self.indptr[i + 1]
+        return self.indices[p:q], self.data[p:q]
 
     def margins(self, x: Array) -> Array:
-        return np.array(
-            [self.labels[i] * self.row_dot(i, x) for i in range(len(self))]
-        )
+        """labels[i] * <row i, x> for every row; an empty row gives 0."""
+        # np.add.reduceat would give an empty row the entry at its start
+        # instead of 0, so only the rows that hold entries are summed
+        filled = self.indptr[:-1] < self.indptr[1:]
+        sums = np.zeros(len(self))
+        sums[filled] = np.add.reduceat(self.data * x[self.indices],
+                                       self.indptr[:-1][filled])
+        return self.labels * sums
 
     def to_dense(self) -> Array:
         dense = np.zeros((len(self), self.dim))
-        for i, (idx, vals) in enumerate(zip(self.index_lists, self.value_lists)):
-            dense[i, idx] = vals
+        dense[np.repeat(np.arange(len(self)), np.diff(self.indptr)),
+              self.indices] = self.data
         return dense
 
     @staticmethod
-    def from_dense(rows: Array, labels: Array) -> "LabeledSparseDataset":
-        rows = np.asarray(rows, dtype=float)
-        idx = np.arange(rows.shape[1])
+    def from_rows(index_lists, value_lists, labels: Array,
+                  dim: int) -> "LabeledSparseDataset":
+        """Dataset from per-row index and value sequences."""
+        if len(index_lists) != len(value_lists):
+            raise ValueError("rows and labels must have equal length")
+        lengths = [len(idx) for idx in index_lists]
+        if lengths != [len(vals) for vals in value_lists]:
+            raise ValueError("every row needs as many values as indices")
+        # empty rows add nothing, so an empty float list cannot turn the
+        # concatenated indices into floats
+        filled = [np.asarray(idx) for idx in index_lists if len(idx)]
         return LabeledSparseDataset(
-            index_lists=[idx.copy() for _ in range(rows.shape[0])],
-            value_lists=[rows[i].copy() for i in range(rows.shape[0])],
+            indptr=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+            indices=np.concatenate(filled) if filled else np.empty(0, np.int64),
+            data=np.concatenate([np.asarray(vals, dtype=float)
+                                 for vals in value_lists] or [np.empty(0)]),
+            labels=labels,
+            dim=dim,
+        )
+
+    @staticmethod
+    def from_dense(rows: Array, labels: Array) -> "LabeledSparseDataset":
+        """Every entry stored, explicit zeros included."""
+        rows = np.array(rows, dtype=float)
+        n, d = rows.shape
+        return LabeledSparseDataset(
+            indptr=np.arange(n + 1) * d,
+            indices=np.tile(np.arange(d), n),
+            data=rows.ravel(),
             labels=np.asarray(labels, dtype=float),
-            dim=rows.shape[1],
+            dim=d,
         )
 
 
@@ -211,8 +267,20 @@ def make_svm_problem(dataset: LabeledSparseDataset) -> CompositeProblem:
     if len(dataset) * dataset.dim > 50_000_000:
         raise UnsupportedProblemError(
             "dataset too large to densify; slice it to desk scale first")
-    rows = labels[:, None] * dataset.to_dense()
-    constraints = RowConstraintSet.normalized(rows, 1.0, np.inf)
+    # One dense buffer, scaled in place: b_i a_i / ||a_i||, as
+    # RowConstraintSet.normalized computes it. A row's norm does not depend
+    # on the blocking, and the blocks bound the temporary of the squares.
+    rows = dataset.to_dense()
+    rows *= labels[:, None]
+    nrm = np.empty(len(rows))
+    block = max(1, _NORM_BLOCK_ENTRIES // max(dataset.dim, 1))
+    for s in range(0, len(rows), block):
+        nrm[s:s + block] = np.linalg.norm(rows[s:s + block], axis=1)
+    if np.any(nrm == 0.0):
+        raise DegenerateConstraintError(
+            "make_svm_problem: zero row, no margin constraint can hold")
+    rows /= nrm[:, None]
+    constraints = RowConstraintSet(rows, 1.0 / nrm, np.inf)
     return CompositeProblem(
         dim=dataset.dim,
         grad_f=lambda x, xi=None: x,

@@ -6,6 +6,7 @@ emitted file reproduces the trace bit-exactly.
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -25,9 +26,12 @@ def parse_libsvm(path, dim: Optional[int] = None) -> LabeledSparseDataset:
     """Read `label idx:val idx:val ...` lines (1-based, strictly ascending).
 
     Blank lines and lines starting with '#' are skipped; the dimension is the
-    largest index seen unless overridden.
+    largest index seen unless overridden. Each line is checked as it is read,
+    so a ParseError names the first faulty line, and its entries go into the
+    CSR buffers with one append.
     """
-    index_lists, value_lists, labels = [], [], []
+    indptr, indices = array("q", [0]), array("q")
+    data, labels = array("d"), array("d")
     max_idx = 0
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -59,15 +63,19 @@ def parse_libsvm(path, dim: Optional[int] = None) -> LabeledSparseDataset:
                 idx.append(j - 1)
                 vals.append(v)
             max_idx = max(max_idx, prev)
-            index_lists.append(np.array(idx, dtype=int))
-            value_lists.append(np.array(vals, dtype=float))
+            indices.extend(idx)
+            data.extend(vals)
+            indptr.append(len(indices))
             labels.append(label)
     if dim is None:
         dim = max_idx
     elif dim < max_idx:
         raise ValueError(f"dim override {dim} below largest index {max_idx}")
-    return LabeledSparseDataset(index_lists=index_lists, value_lists=value_lists,
-                                labels=np.array(labels), dim=dim)
+    return LabeledSparseDataset(
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        indices=np.frombuffer(indices, dtype=np.int64),
+        data=np.frombuffer(data, dtype=float),
+        labels=np.frombuffer(labels, dtype=float), dim=dim)
 
 
 def serialize_libsvm(dataset: LabeledSparseDataset, path) -> None:
@@ -75,7 +83,7 @@ def serialize_libsvm(dataset: LabeledSparseDataset, path) -> None:
     with open(path, "w") as fh:
         for i in range(len(dataset)):
             parts = [_fmt(dataset.labels[i])]
-            idx, vals = dataset.index_lists[i], dataset.value_lists[i]
+            idx, vals = dataset.row(i)
             parts.extend(f"{j + 1}:{_fmt(v)}" for j, v in zip(idx, vals))
             fh.write(" ".join(parts) + "\n")
 

@@ -382,15 +382,16 @@ def test_c10_io_round_trip_and_cli(tmp_path):
         idx_lists.append(np.sort(rng.choice(64, size=k, replace=False)))
         val_lists.append(rng.standard_normal(k))
         labels.append(float(rng.choice([-1.0, 1.0])))
-    ds = LabeledSparseDataset(idx_lists, val_lists, np.array(labels), dim=64)
+    ds = LabeledSparseDataset.from_rows(idx_lists, val_lists, np.array(labels),
+                                        dim=64)
     path = tmp_path / "fixture.libsvm"
     serialize_libsvm(ds, path)
     back = parse_libsvm(path, dim=64)
     rt_ok = (np.array_equal(back.labels, ds.labels)
-             and all(np.array_equal(a, b) for a, b in
-                     zip(back.index_lists, ds.index_lists))
-             and all(np.array_equal(a, b) for a, b in
-                     zip(back.value_lists, ds.value_lists)))
+             and all(np.array_equal(back.row(i)[0], ds.row(i)[0])
+                     for i in range(len(ds)))
+             and all(np.array_equal(back.row(i)[1], ds.row(i)[1])
+                     for i in range(len(ds))))
 
     # end-to-end CLI smoke for every subcommand
     svm_data = tmp_path / "svm.libsvm"

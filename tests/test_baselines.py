@@ -232,7 +232,7 @@ def _per_sample_steps_to_overflow(problem, cfg):
 
 class TestPegasos:
     def _single_row(self, a, label):
-        return LabeledSparseDataset(
+        return LabeledSparseDataset.from_rows(
             index_lists=[np.arange(len(a))],
             value_lists=[np.asarray(a, dtype=float)],
             labels=np.array([label]), dim=len(a))
@@ -270,7 +270,7 @@ class TestPegasos:
             assert np.linalg.norm(x) <= 1.0 / np.sqrt(lam) + 1e-9
 
     def test_invalid_labels_rejected(self):
-        ds = LabeledSparseDataset(
+        ds = LabeledSparseDataset.from_rows(
             index_lists=[np.array([0])], value_lists=[np.array([1.0])],
             labels=np.array([2.0]), dim=1)
         with pytest.raises(ValueError, match="labels"):
@@ -283,6 +283,51 @@ class TestPegasos:
                                eval_dataset=test, checkpoint_every=500)
         errs = trace.column("feasibility")
         assert np.all((errs >= 0) & (errs <= 1))
+
+    @staticmethod
+    def _reference(rows, labels, lam, iterations, seed, holdout, every):
+        """One scalar draw per step on per-row arrays: the update as written."""
+        rng = np.random.default_rng(seed)
+        x = np.zeros(holdout.dim)
+        errs = []
+        for t in range(1, iterations + 1):
+            i = int(rng.integers(len(rows)))
+            idx, vals = rows[i]
+            b = labels[i]
+            margin = b * float(vals @ x[idx])
+            eta = 1.0 / (lam * t)
+            x *= 1.0 - eta * lam
+            if margin < 1.0:
+                x[idx] += (eta * b) * vals
+            if t % every == 0 or t == iterations:
+                m = []
+                for j in range(len(holdout)):
+                    k, v = holdout.row(j)
+                    m.append(holdout.labels[j] * float(v @ x[k]))
+                errs.append(float(np.mean(np.array(m) <= 0.0)))
+        return x, errs
+
+    @pytest.mark.parametrize("sparsify", [False, True])
+    def test_bit_identical_to_scalar_draw_loop(self, sparsify):
+        # 10,000 steps cross the 4,096-index chunk boundary twice
+        train = gen_separable_svm(12, 300, margin=0.3, seed=21)
+        test = gen_separable_svm(12, 200, margin=0.3, seed=22)
+        if sparsify:
+            # rows of varying length, some of them empty
+            dense = train.to_dense()
+            keep = np.abs(dense) > 1.0
+            train = LabeledSparseDataset.from_rows(
+                [np.flatnonzero(k) for k in keep],
+                [r[k] for r, k in zip(dense, keep)], train.labels, 12)
+            assert np.any(np.diff(train.indptr) == 0)
+        rows = [tuple(a.copy() for a in train.row(i)) for i in range(len(train))]
+        lam = 1.0 / len(train)
+        x_ref, errs_ref = self._reference(rows, train.labels, lam, 10_000, 23,
+                                          test, 500)
+        x, trace = run_pegasos(train, lam, 10_000, seed=23, eval_dataset=test,
+                               checkpoint_every=500)
+        assert np.array_equal(x, x_ref)
+        assert trace.column("feasibility").tolist() == errs_ref
 
 
 class TestBaselineConfig:

@@ -25,12 +25,27 @@ class TestParseLibsvm:
         assert len(ds) == 3
         assert ds.dim == 7
         assert_allclose(ds.labels, [-1.0, 1.0, 1.0])
-        assert list(ds.index_lists[0]) == [2, 6]  # 0-based internally
-        assert_allclose(ds.value_lists[0], [0.5, 1.2])
-        assert len(ds.index_lists[1]) == 0  # all-zero sample
+        assert list(ds.row(0)[0]) == [2, 6]  # 0-based internally
+        assert_allclose(ds.row(0)[1], [0.5, 1.2])
+        assert len(ds.row(1)[0]) == 0  # all-zero sample
         dense = ds.to_dense()
         assert dense[0, 2] == 0.5 and dense[0, 6] == 1.2
         assert dense[2, 0] == 2.5
+
+    def test_basic_lines_csr_arrays(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("-1 3:0.5 7:1.2\n+1\n# comment\n\n1 1:2.5\n")
+        ds = parse_libsvm(p)
+        assert ds.indptr.tolist() == [0, 2, 2, 3]
+        assert ds.indices.tolist() == [2, 6, 0]
+        assert ds.data.tolist() == [0.5, 1.2, 2.5]
+
+    def test_first_faulty_line_reported(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("1 1:1\n1 3:1 2:1\n1 1:1\nx 1:1\n")
+        with pytest.raises(ParseError, match="non-ascending") as err:
+            parse_libsvm(p)
+        assert err.value.line == 2
 
     def test_non_ascending_reports_line(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -80,16 +95,16 @@ class TestParseLibsvm:
             idx_lists.append(idx.astype(int))
             val_lists.append(rng.standard_normal(k))
             labels.append(float(rng.choice([-1.0, 1.0])))
-        ds = LabeledSparseDataset(idx_lists, val_lists, np.array(labels),
-                                  dim=50)
+        ds = LabeledSparseDataset.from_rows(idx_lists, val_lists,
+                                            np.array(labels), dim=50)
         p = tmp_path / "rt.txt"
         serialize_libsvm(ds, p)
         back = parse_libsvm(p, dim=50)
         assert np.array_equal(back.labels, ds.labels)
-        for a, b in zip(back.index_lists, ds.index_lists):
-            assert np.array_equal(a, b)
-        for a, b in zip(back.value_lists, ds.value_lists):
-            assert np.array_equal(a, b)  # 17 significant digits round-trip
+        for i in range(len(ds)):
+            assert np.array_equal(back.row(i)[0], ds.row(i)[0])
+            # 17 significant digits round-trip
+            assert np.array_equal(back.row(i)[1], ds.row(i)[1])
 
 
 class TestTraceCsv:
@@ -322,6 +337,22 @@ class TestCli:
         assert rc == 0
         errs = read_trace_csv(out).column("feasibility")
         assert np.all((errs >= 0) & (errs <= 1))
+
+    def test_holdout_dimension_cut_and_widened(self):
+        from sasc.cli import _with_dim
+        ds = LabeledSparseDataset.from_rows(
+            [[0, 4, 8], [], [9]], [[1.0, 2.0, 3.0], [], [4.0]],
+            [1.0, -1.0, 1.0], dim=10)
+        cut = _with_dim(ds, 5)
+        assert cut.dim == 5
+        assert cut.indptr.tolist() == [0, 2, 2, 2]
+        assert cut.indices.tolist() == [0, 4]
+        assert cut.data.tolist() == [1.0, 2.0]
+        wide = _with_dim(ds, 12)
+        assert wide.dim == 12
+        assert np.array_equal(wide.indptr, ds.indptr)
+        assert np.array_equal(wide.indices, ds.indices)
+        assert np.array_equal(wide.data, ds.data)
 
     def test_module_entry_point(self):
         import os

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 from conftest import bp_dual_certificate
 from sasc.core import Case, SascConfig
 from sasc.errors import (
+    DegenerateConstraintError,
     DivergenceError,
     NoConvergenceError,
     UnsupportedProblemError,
@@ -26,6 +27,7 @@ from sasc.problems import (
     reference_solution,
 )
 from sasc.smoothing import (
+    RowConstraintSet,
     feasibility_metric,
     moreau_grad,
     saddle_point_residuals,
@@ -221,7 +223,7 @@ class TestSvmProblem:
                    case=Case.RESTRICTED_STRONGLY_CONVEX).validate(prob)
 
     def test_invalid_labels(self):
-        ds = LabeledSparseDataset(
+        ds = LabeledSparseDataset.from_rows(
             index_lists=[np.array([0])], value_lists=[np.array([1.0])],
             labels=np.array([0.5]), dim=1)
         with pytest.raises(ValueError, match="labels"):
@@ -240,17 +242,39 @@ class TestSvmProblem:
         x_ref, _ = reference_solution(small_prob, 1e-6)
         assert np.all(small.margins(x_ref) >= 1.0 - 1e-4)
 
+    def test_rows_match_normalized_dense_rows(self):
+        rng = np.random.default_rng(16)
+        idx_lists, val_lists = [], []
+        for _ in range(120):
+            k = int(rng.integers(1, 9))
+            idx_lists.append(np.sort(rng.choice(40, size=k, replace=False)))
+            val_lists.append(rng.standard_normal(k))
+        labels = np.where(rng.standard_normal(120) > 0, 1.0, -1.0)
+        ds = LabeledSparseDataset.from_rows(idx_lists, val_lists, labels, 40)
+        got = make_svm_problem(ds).constraints
+        want = RowConstraintSet.normalized(labels[:, None] * ds.to_dense(),
+                                           1.0, np.inf)
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.lo, want.lo)
+        assert np.array_equal(got.hi, want.hi)
+
+    def test_zero_row_rejected(self):
+        ds = LabeledSparseDataset.from_rows([[0], [], [1]], [[1.0], [], [2.0]],
+                                            [1.0, -1.0, 1.0], dim=2)
+        with pytest.raises(DegenerateConstraintError):
+            make_svm_problem(ds)
+
 
 class TestDataset:
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):
-            LabeledSparseDataset(index_lists=[np.array([3, 1])],
-                                 value_lists=[np.array([1.0, 2.0])],
-                                 labels=np.array([1.0]), dim=5)
+            LabeledSparseDataset.from_rows(index_lists=[np.array([3, 1])],
+                                           value_lists=[np.array([1.0, 2.0])],
+                                           labels=np.array([1.0]), dim=5)
         with pytest.raises(ValueError, match="range"):
-            LabeledSparseDataset(index_lists=[np.array([7])],
-                                 value_lists=[np.array([1.0])],
-                                 labels=np.array([1.0]), dim=5)
+            LabeledSparseDataset.from_rows(index_lists=[np.array([7])],
+                                           value_lists=[np.array([1.0])],
+                                           labels=np.array([1.0]), dim=5)
 
     def test_dense_round_trip(self):
         rng = np.random.default_rng(15)
@@ -259,6 +283,99 @@ class TestDataset:
         ds = LabeledSparseDataset.from_dense(rows, labels)
         assert np.array_equal(ds.to_dense(), rows)
         assert_allclose(ds.margins(np.ones(4)), labels * rows.sum(axis=1))
+
+    def test_csr_validation(self):
+        def make(indptr, indices, data, labels=(1.0, -1.0), dim=5):
+            return LabeledSparseDataset(np.array(indptr), np.array(indices),
+                                        np.array(data, dtype=float),
+                                        np.array(labels), dim)
+
+        make([0, 1, 2], [3, 1], [1.0, 2.0])  # a new row may start lower
+        with pytest.raises(ValueError, match="equal length"):
+            make([0, 2], [3, 4], [1.0, 2.0])
+        with pytest.raises(ValueError, match="indptr"):
+            make([0, 1, 3], [3, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="indptr"):
+            make([0, 2, 1], [3], [1.0])
+        with pytest.raises(ValueError, match="indptr"):
+            make([0, 1, 2], [3, 1], [1.0])
+        with pytest.raises(ValueError, match="range"):
+            make([0, 1, 2], [-1, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="range"):
+            make([0, 1, 2], [3, 5], [1.0, 2.0])
+        with pytest.raises(ValueError, match="ascending"):
+            make([0, 0, 2], [1, 1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="integers"):
+            make([0, 1, 2], [3.0, 1.0], [1.0, 2.0])
+
+    def test_from_rows_and_row_views(self):
+        ds = LabeledSparseDataset.from_rows(
+            [[1, 4], [], [0]], [[0.5, -2.0], [], [3.0]], [1.0, -1.0, 1.0], 6)
+        assert ds.indptr.tolist() == [0, 2, 2, 3]
+        assert ds.indices.tolist() == [1, 4, 0]
+        assert ds.data.tolist() == [0.5, -2.0, 3.0]
+        idx, vals = ds.row(0)
+        assert idx.tolist() == [1, 4] and vals.tolist() == [0.5, -2.0]
+        assert np.shares_memory(idx, ds.indices)
+        assert np.shares_memory(vals, ds.data)
+        assert len(ds.row(1)[0]) == 0
+        assert ds.row(-1)[1].tolist() == [3.0]
+        with pytest.raises(IndexError):
+            ds.row(3)
+        with pytest.raises(ValueError, match="as many values"):
+            LabeledSparseDataset.from_rows([[0, 1]], [[1.0]], [1.0], 2)
+
+    def test_from_dense_keeps_explicit_zeros(self):
+        rows = np.array([[0.0, 2.0], [0.0, 0.0]])
+        ds = LabeledSparseDataset.from_dense(rows, [1.0, -1.0])
+        assert ds.indptr.tolist() == [0, 2, 4]
+        assert ds.indices.tolist() == [0, 1, 0, 1]
+        assert ds.data.tolist() == [0.0, 2.0, 0.0, 0.0]
+
+
+def _margins_reference(ds, x):
+    """The per-row loop: labels[i] * <row i, x>, one dot product per row."""
+    out = []
+    for i in range(len(ds)):
+        idx, vals = ds.row(i)
+        out.append(ds.labels[i] * float(vals @ x[idx]))
+    return np.array(out)
+
+
+class TestMargins:
+    def _check(self, ds, x):
+        got, want = ds.margins(x), _margins_reference(ds, x)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(np.sign(got), np.sign(want))
+
+    def test_random_rows_with_empty_rows_and_unused_columns(self):
+        rng = np.random.default_rng(17)
+        idx_lists, val_lists = [], []
+        for _ in range(400):
+            k = 0 if rng.random() < 0.25 else int(rng.integers(1, 30))
+            # columns 150..199 are never used
+            idx_lists.append(np.sort(rng.choice(150, size=k, replace=False)))
+            val_lists.append(rng.standard_normal(k))
+        labels = np.where(rng.standard_normal(400) > 0, 1.0, -1.0)
+        ds = LabeledSparseDataset.from_rows(idx_lists, val_lists, labels, 200)
+        empty = np.diff(ds.indptr) == 0
+        assert np.any(empty)
+        for _ in range(5):
+            self._check(ds, rng.standard_normal(200))
+        assert np.all(ds.margins(np.ones(200))[empty] == 0.0)
+
+    def test_trailing_empty_rows(self):
+        ds = LabeledSparseDataset.from_rows([[2], [0, 1], [], []],
+                                            [[2.0], [1.0, -1.0], [], []],
+                                            [1.0, -1.0, 1.0, -1.0], 3)
+        self._check(ds, np.array([0.5, 2.0, -1.0]))
+        assert ds.margins(np.ones(3))[2:].tolist() == [0.0, 0.0]
+
+    def test_all_rows_empty(self):
+        ds = LabeledSparseDataset.from_rows([[], [], []], [[], [], []],
+                                            [1.0, -1.0, 1.0], 4)
+        assert ds.margins(np.arange(4.0)).tolist() == [0.0, 0.0, 0.0]
+        self._check(ds, np.arange(4.0))
 
 
 class TestGradientConsistency:
