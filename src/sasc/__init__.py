@@ -48,7 +48,6 @@ from .prox import (
     CustomSet,
     ProxHandle,
     SetProjector,
-    full_space,
     halfspace,
     hyperplane_indicator_prox,
     interval,

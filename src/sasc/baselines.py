@@ -1,20 +1,21 @@
 """Comparator solvers: projected stochastic gradient, stochastic proximal
 point with alternating projections, and the classic subgradient SVM solver.
 
-All three share the trace/checkpoint machinery of the main driver and are
-deterministic under a fixed seed.
+All three share the trace/checkpoint machinery of the main driver
+(``core._Recorder``) and are deterministic under a fixed seed. Projected SGD
+and the proximal-point method also measure on the driver's kind of held-out
+set (``smoothing._EvalSet``), split from the seed the same way.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .core import CompositeProblem, ConvergenceTrace, TraceRecord, _EvalSet
-from .errors import DivergenceError, UnsupportedProblemError
+from .core import CompositeProblem, _Recorder, _seeded_run
+from .errors import ConfigurationError, DivergenceError, UnsupportedProblemError
 from .prox import Array
 from .smoothing import _CHUNK, RowBatch, _batches
 
@@ -39,11 +40,15 @@ class BaselineConfig:
 
     def __post_init__(self):
         if self.method not in _BASELINE_METHODS:
-            raise ValueError(f"unknown baseline method {self.method!r}")
+            raise ConfigurationError(f"unknown baseline method {self.method!r}")
         if self.step <= 0:
-            raise ValueError("step must be positive")
+            raise ConfigurationError("step must be positive")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ConfigurationError("iterations must be >= 1")
+        if self.checkpoint_every < 1:
+            raise ConfigurationError("checkpoint_every must be >= 1")
+        if self.eval_samples < 1:
+            raise ConfigurationError("eval_samples must be >= 1")
 
 
 def run_projected_sgd(problem: CompositeProblem, cfg: BaselineConfig):
@@ -58,30 +63,19 @@ def run_projected_sgd(problem: CompositeProblem, cfg: BaselineConfig):
             "projected SGD needs h to be zero or an indicator of a "
             "projectable set"
         )
-    rng_ss, val_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng = np.random.default_rng(rng_ss)
-    eval_set = _EvalSet(problem, cfg.eval_samples, np.random.default_rng(val_ss))
-
+    rng, rec = _seeded_run(problem, cfg.seed, cfg.eval_samples,
+                           cfg.checkpoint_every)
     x = np.zeros(problem.dim)
     avg = np.zeros_like(x)
-    trace = ConvergenceTrace()
-    t0 = time.perf_counter()
-    eta = cfg.step
-    for t in range(1, cfg.iterations + 1):
-        sample = problem.constraints.draw(rng)
+    draws = _batches(problem.constraints, rng, cfg.iterations, 1)
+    for t, batch in enumerate(draws, start=1):
         eta = cfg.step / np.sqrt(t)
-        x = problem.prox_h.evaluate(x - eta * problem.grad_f(x, sample), eta)
+        x = problem.prox_h.evaluate(x - eta * problem.grad_f(x, batch[0]), eta)
         avg += x
-        if t % cfg.checkpoint_every == 0 or t == cfg.iterations:
-            xb = avg / t
-            trace.append(TraceRecord(
-                samples=t, epoch=0,
-                objective=eval_set.objective(xb),
-                feasibility=eval_set.feasibility(xb),
-                beta=0.0, alpha=float(eta), dist_to_ref=None,
-                wall_time=time.perf_counter() - t0,
-            ))
-    return avg / cfg.iterations, trace
+        if t >= rec.due:
+            rec.record(avg / t, t, 0, float(eta))
+    x_bar = avg / cfg.iterations
+    return x_bar, rec.finish(x_bar, cfg.iterations, 0, float(eta))
 
 
 def _project_onto_constraint(z: Array, sample) -> Array:
@@ -124,13 +118,9 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     sample objects.
     """
     mu = cfg.step
-    rng_ss, val_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng = np.random.default_rng(rng_ss)
-    eval_set = _EvalSet(problem, cfg.eval_samples, np.random.default_rng(val_ss))
-
+    rng, rec = _seeded_run(problem, cfg.seed, cfg.eval_samples,
+                           cfg.checkpoint_every)
     x = np.zeros(problem.dim)
-    trace = ConvergenceTrace()
-    t0 = time.perf_counter()
     pairs = _batches(problem.constraints, rng, cfg.iterations, 2)
     for t, pair in enumerate(pairs, start=1):
         xi_obj = None if problem.f_deterministic else pair[0]
@@ -148,15 +138,9 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
             x = _project_onto_constraint(z, pair[1])
         if not np.isfinite(x).all():
             raise DivergenceError(epoch=0, step=t)
-        if t % cfg.checkpoint_every == 0 or t == cfg.iterations:
-            trace.append(TraceRecord(
-                samples=t, epoch=0,
-                objective=eval_set.objective(x),
-                feasibility=eval_set.feasibility(x),
-                beta=0.0, alpha=mu, dist_to_ref=None,
-                wall_time=time.perf_counter() - t0,
-            ))
-    return x, trace
+        if t >= rec.due:
+            rec.record(x, t, 0, mu)
+    return x, rec.finish(x, cfg.iterations, 0, mu)
 
 
 def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
@@ -172,16 +156,24 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
     draw per step; each step reads its row as a slice of the CSR arrays.
     """
     if lam <= 0:
-        raise ValueError("lam must be positive")
+        raise ConfigurationError("lam must be positive")
+    if iterations < 1:
+        raise ConfigurationError("iterations must be >= 1")
+    if checkpoint_every < 1:
+        raise ConfigurationError("checkpoint_every must be >= 1")
     labels = np.asarray(dataset.labels, dtype=float)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must lie in {-1, +1}")
     holdout = dataset if eval_dataset is None else eval_dataset
 
+    def evaluate(x):
+        margins = holdout.margins(x)
+        hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
+        return 0.5 * lam * float(x @ x) + hinge, float(np.mean(margins <= 0.0))
+
     rng = np.random.default_rng(seed)
     x = np.zeros(dataset.dim)
-    trace = ConvergenceTrace()
-    t0 = time.perf_counter()
+    rec = _Recorder(checkpoint_every, evaluate)
     n = len(dataset)
     ptr, indices, data = dataset.indptr.tolist(), dataset.indices, dataset.data
     signs = labels.tolist()
@@ -198,14 +190,6 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
         x *= 1.0 - eta * lam
         if margin < 1.0:
             x[idx] += (eta * b) * vals
-        if t % checkpoint_every == 0 or t == iterations:
-            margins = holdout.margins(x)
-            err = float(np.mean(margins <= 0.0))
-            hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
-            obj = 0.5 * lam * float(x @ x) + hinge
-            trace.append(TraceRecord(
-                samples=t, epoch=0, objective=obj, feasibility=err,
-                beta=0.0, alpha=eta, dist_to_ref=None,
-                wall_time=time.perf_counter() - t0,
-            ))
-    return x, trace
+        if t >= rec.due:
+            rec.record(x, t, 0, eta)
+    return x, rec.finish(x, iterations, 0, eta)

@@ -10,6 +10,7 @@ precedence. Exit codes: 0 success, 1 usage error, 2 solver/data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from importlib import resources
@@ -19,6 +20,7 @@ import numpy as np
 from .baselines import BaselineConfig, run_pegasos, run_projected_sgd, run_spp
 from .core import (
     Case,
+    ConvergenceTrace,
     SascConfig,
     bound_curves,
     constants_case1,
@@ -44,7 +46,6 @@ from .trace_io import (
     parse_libsvm,
     read_returns_csv,
     write_trace_csv,
-    zero_wall_times,
 )
 
 
@@ -248,7 +249,8 @@ def _resolve_budget(o: dict, n: int) -> dict:
 
 def _emit(trace, o: dict) -> None:
     if o.get("no_timing"):
-        trace = zero_wall_times(trace)
+        trace = ConvergenceTrace([dataclasses.replace(r, wall_time=0.0)
+                                  for r in trace.records])
     write_trace_csv(trace, o["out"])
     last = trace.records[-1]
     print(f"wrote {o['out']}: {len(trace.records)} checkpoints, "

@@ -31,9 +31,7 @@ from .smoothing import (
     ConstraintSampler,
     RowBatch,
     _batches,
-    _eval_samples,
-    _mean_sq_distance,
-    _objective_estimate,
+    _EvalSet,
 )
 
 
@@ -50,13 +48,14 @@ class CompositeProblem:
 
     ``grad_f(x, sample)`` and ``f_value(x, sample)`` take the drawn constraint
     sample as the randomness carrier. When ``f_deterministic`` they must
-    accept ``None``, which the row-batch step and ``run_spp`` then pass.
+    accept ``None``, which the row-batch step, ``run_spp`` and the held-out
+    evaluation then pass.
     ``norm_bound`` must dominate the operator norm of every constraint the
     sampler can produce; ``mu`` is the restricted strong-convexity modulus
     when available, ``lipschitz_grad`` the Lipschitz constant of the
     averaged gradient (0 when the smooth part is absent or linear).
-    ``prox_f`` optionally provides an exact prox of f(., xi) for
-    proximal-point baselines; ``norm_22`` is a purely diagnostic field.
+    ``prox_f`` optionally provides an exact prox of f(., xi) for the
+    proximal-point baseline, which falls back to a gradient step without it.
     """
 
     dim: int
@@ -69,7 +68,6 @@ class CompositeProblem:
     lipschitz_grad: float = 0.0
     f_deterministic: bool = False
     prox_f: Optional[Callable] = None
-    norm_22: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -206,27 +204,17 @@ class ConvergenceTrace:
         return np.array([np.nan if v is None else v for v in vals], dtype=float)
 
 
-def schedule_params(case: Case, s: int, cfg: SascConfig, norm_bound: float,
-                    mu: Optional[float] = None):
+def schedule_params(case: Case, s: int, cfg: SascConfig, norm_bound: float):
     """Epoch-s parameters (alpha_s, beta_s, m_s) for the given regime.
 
     General convex: alpha_s = alpha0 omega^{-s/2}; restricted strongly
-    convex: alpha_s = alpha0 omega^{-s} (requires mu and m0 >= omega/(mu
-    alpha0)). Both use beta_s = 4 alpha_s norm_bound^2 and m_s = floor(m0
-    omega^s).
+    convex: alpha_s = alpha0 omega^{-s} (its precondition m0 >= omega/(mu
+    alpha0) is checked by ``SascConfig.validate``). Both use
+    beta_s = 4 alpha_s norm_bound^2 and m_s = floor(m0 omega^s).
     """
     if s < 0:
         raise ValueError(f"epoch index must be >= 0, got {s}")
     if case is Case.RESTRICTED_STRONGLY_CONVEX:
-        if mu is None:
-            raise ConfigurationError(
-                "restricted_strongly_convex schedule needs mu"
-            )
-        needed = cfg.omega / (mu * cfg.alpha0)
-        if cfg.m0 < needed * (1 - 1e-12):
-            raise ConfigurationError(
-                f"m0 = {cfg.m0} must be >= omega/(mu alpha0) = {needed}"
-            )
         alpha_s = cfg.alpha0 * cfg.omega ** (-float(s))
     else:
         alpha_s = cfg.alpha0 * cfg.omega ** (-0.5 * s)
@@ -286,23 +274,55 @@ def _direction(x: Array, batch, beta_s: float,
     return gf + g @ R
 
 
-class _EvalSet:
-    """Held-out seeded sample set used for every checkpoint of one run."""
+class _Recorder:
+    """The trace of one run, shared by the solver and its baselines.
 
-    def __init__(self, problem: CompositeProblem, n_samples: int,
-                 rng: np.random.Generator):
-        self.problem = problem
-        self.samples, self.idx = _eval_samples(problem.constraints, n_samples, rng)
-        if not problem.f_deterministic:
-            # f_value reads every sample at each checkpoint: build them once
-            self.samples = list(self.samples)
+    A checkpoint is due once the sample count reaches or passes ``due``, the
+    next multiple of ``every``, so the per-step test is one integer
+    comparison. ``finish`` records the run's last sample once if it fell
+    between checkpoints. ``evaluate(x)`` returns (objective, feasibility);
+    the wall time is read after it, from the recorder's creation.
+    """
 
-    def feasibility(self, x: Array) -> float:
-        return float(np.sqrt(_mean_sq_distance(
-            x, self.problem.constraints, self.samples, self.idx)))
+    def __init__(self, every: int, evaluate: Callable[[Array], tuple],
+                 x_ref: Optional[Array] = None):
+        self.trace = ConvergenceTrace()
+        self.every = every
+        self.due = every
+        self.evaluate = evaluate
+        self.x_ref = x_ref
+        self.t0 = time.perf_counter()
 
-    def objective(self, x: Array) -> float:
-        return _objective_estimate(x, self.problem, self.samples)
+    def record(self, x: Array, samples: int, epoch: int, alpha: float,
+               beta: float = 0.0) -> None:
+        objective, feasibility = self.evaluate(x)
+        dist = None if self.x_ref is None else float(np.linalg.norm(x - self.x_ref))
+        self.trace.append(TraceRecord(
+            samples=samples, epoch=epoch, objective=objective,
+            feasibility=feasibility, beta=beta, alpha=alpha, dist_to_ref=dist,
+            wall_time=time.perf_counter() - self.t0))
+        self.due = (samples // self.every + 1) * self.every
+
+    def finish(self, x: Array, samples: int, epoch: int, alpha: float,
+               beta: float = 0.0) -> ConvergenceTrace:
+        records = self.trace.records
+        if not records or records[-1].samples < samples:
+            self.record(x, samples, epoch, alpha, beta)
+        return self.trace
+
+
+def _seeded_run(problem: CompositeProblem, seed: int, eval_samples: int,
+                checkpoint_every: int, x_ref: Optional[Array] = None):
+    """The training generator and the recorder of a seeded run.
+
+    The seed is split in two: one child drives training, the other picks the
+    held-out set, so measurement never perturbs the training stream.
+    """
+    train_ss, val_ss = np.random.SeedSequence(seed).spawn(2)
+    held_out = _EvalSet(problem.constraints, eval_samples,
+                        np.random.default_rng(val_ss), problem)
+    return (np.random.default_rng(train_ss),
+            _Recorder(checkpoint_every, held_out.evaluate, x_ref))
 
 
 def run_sasc(problem: CompositeProblem, cfg: SascConfig,
@@ -320,35 +340,16 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
     (problem data, cfg, seed).
     """
     cfg.validate(problem)
-    train_ss, val_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng = np.random.default_rng(train_ss)
-    eval_set = _EvalSet(problem, cfg.eval_samples, np.random.default_rng(val_ss))
-
     x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
-    x_ref = None if cert is None else cert.x_star
-
-    trace = ConvergenceTrace()
-    t0 = time.perf_counter()
+    rng, rec = _seeded_run(problem, cfg.seed, cfg.eval_samples,
+                           cfg.checkpoint_every,
+                           None if cert is None else cert.x_star)
     seen = 0
-    last_cp = 0
-    n_epochs = cfg.planned_epochs()
-    x_bar = x.copy()
-
-    def record(xb: Array, s: int, alpha_s: float, beta_s: float) -> None:
-        dist = None if x_ref is None else float(np.linalg.norm(xb - x_ref))
-        trace.append(TraceRecord(
-            samples=seen, epoch=s,
-            objective=eval_set.objective(xb),
-            feasibility=eval_set.feasibility(xb),
-            beta=beta_s, alpha=alpha_s, dist_to_ref=dist,
-            wall_time=time.perf_counter() - t0,
-        ))
-
-    for s in range(n_epochs):
+    for s in range(cfg.planned_epochs()):
         alpha_s, beta_s, m_s = schedule_params(
-            cfg.case, s, cfg, problem.norm_bound, problem.mu)
+            cfg.case, s, cfg, problem.norm_bound)
         avg = np.zeros_like(x)
         batches = _batches(problem.constraints, rng, m_s, cfg.minibatch)
         for k, batch in enumerate(batches):
@@ -362,19 +363,14 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
                 callback(ScheduleState(
                     s=s, k=k + 1, alpha_s=alpha_s, beta_s=beta_s, m_s=m_s,
                     x=x.copy(), running_avg=avg / (k + 1), samples_seen=seen))
-            cp = seen // cfg.checkpoint_every
-            if cp > last_cp:
-                last_cp = cp
-                record(avg / (k + 1), s, alpha_s, beta_s)
+            if seen >= rec.due:
+                rec.record(avg / (k + 1), seen, s, alpha_s, beta_s)
         x_bar = avg / m_s
         if cfg.case is Case.RESTRICTED_STRONGLY_CONVEX:
             x = x_bar.copy()
         # general convex: continue from the last inner iterate (x unchanged)
-        last_alpha, last_beta, last_epoch = alpha_s, beta_s, s
-
-    if not trace.records or trace.records[-1].samples < seen:
-        record(x_bar, last_epoch, last_alpha, last_beta)
-    return x_bar, trace
+    # validate() guarantees one epoch at least, so the last epoch's values exist
+    return x_bar, rec.finish(x_bar, seen, s, alpha_s, beta_s)
 
 
 class Case1Constants(NamedTuple):
@@ -517,10 +513,8 @@ def schedule_inequalities_check(case: Case, cfg: SascConfig, norm_bound: float,
     sum_a2m = 0.0      # sum_{l<s} alpha_l^2 m_l
     t_bam = 0.0        # sum_{l<s} c^{s-l} beta_l alpha_l m_l
     t_a2m = 0.0        # sum_{l<s} c^{s-l} alpha_l^2 m_l
-    # mu only gates schedule_params validation; pass a value satisfying it
-    mu_ok = w / (a0 * m0) if case is Case.RESTRICTED_STRONGLY_CONVEX else None
     for s in range(s_max + 1):
-        alpha, beta, m = schedule_params(case, s, cfg, norm_bound, mu_ok)
+        alpha, beta, m = schedule_params(case, s, cfg, norm_bound)
         M = cum_M + m
         logfac = math.log(M / m0) / math.log(w)
         if case is Case.GENERAL_CONVEX:

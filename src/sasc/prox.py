@@ -127,11 +127,6 @@ def halfspace(lo) -> BoxSet:
     return BoxSet(lo, np.inf)
 
 
-def full_space() -> BoxSet:
-    """The whole space (distance 0 everywhere)."""
-    return BoxSet(-np.inf, np.inf)
-
-
 @dataclass(frozen=True)
 class ProxHandle:
     """A proximable function phi: its prox map and its value.

@@ -280,34 +280,61 @@ class CertificateInputs:
             raise ValueError("CertificateInputs: sigma_f must be >= 0")
 
 
-def _eval_samples(sampler: ConstraintSampler, n_samples: int,
-                  rng: np.random.Generator):
-    """Pick the evaluation set: full support when it fits, else draws from ``rng``.
+class _EvalSet:
+    """Held-out seeded sample set: every checkpoint of a run is measured on it.
 
-    Returns (samples, indices); indices is an int array usable with the
-    sampler's vectorized ``distances`` hook (None means the whole support).
+    It is the whole support when ``n_samples`` covers it, else ``n_samples``
+    draws from ``rng``. ``problem`` supplies ``f_value`` and ``prox_h`` for
+    the objective; the feasibility metric needs only the sampler.
+    Distances go through the sampler's vectorized ``distances`` hook, with a
+    per-sample fallback when it returns None.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    sup = sampler.support()
-    if sup is not None and len(sup) == 0:
-        raise ValueError("sampler has empty support")
-    if sup is not None and n_samples >= len(sup):
-        return sup, None
-    if sup is not None:
-        idx = rng.integers(0, len(sup), size=n_samples)
-        if isinstance(sup, RowBatch):
-            return sup[idx], idx
-        return [sup[int(i)] for i in idx], idx
-    return sampler.draw_batch(rng, n_samples), None
 
+    def __init__(self, sampler: ConstraintSampler, n_samples: int,
+                 rng: np.random.Generator, problem=None):
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+        self.sampler = sampler
+        self.problem = problem
+        self.idx = None     # indices into the support; None means all of it
+        sup = sampler.support()
+        if sup is not None and len(sup) == 0:
+            raise ValueError("sampler has empty support")
+        if sup is None:
+            self.samples = sampler.draw_batch(rng, n_samples)
+        elif n_samples >= len(sup):
+            self.samples = sup
+        else:
+            self.idx = rng.integers(0, len(sup), size=n_samples)
+            self.samples = (sup[self.idx] if isinstance(sup, RowBatch)
+                            else [sup[int(i)] for i in self.idx])
+        if problem is not None and not getattr(problem, "f_deterministic", False):
+            # f_value reads every sample at each checkpoint: build them once
+            self.samples = list(self.samples)
 
-def _mean_sq_distance(x: Array, sampler: ConstraintSampler, samples, indices) -> float:
-    vectorized = getattr(sampler, "distances", None)
-    d = vectorized(x, indices) if vectorized is not None else None
-    if d is None:
-        d = np.array([s.set_proj.distance(s.apply(x)) for s in samples])
-    return float(np.mean(d ** 2))
+    def mean_sq_distance(self, x: Array) -> float:
+        vectorized = getattr(self.sampler, "distances", None)
+        d = vectorized(x, self.idx) if vectorized is not None else None
+        if d is None:
+            d = np.array([s.set_proj.distance(s.apply(x)) for s in self.samples])
+        return float(np.mean(d ** 2))
+
+    def feasibility(self, x: Array) -> float:
+        """Root-mean-square constraint distance over the set."""
+        return float(np.sqrt(self.mean_sq_distance(x)))
+
+    def objective(self, x: Array) -> float:
+        """P(x) = E[f(x, xi)] + h(x) estimated over the set."""
+        p = self.problem
+        if getattr(p, "f_deterministic", False):
+            fbar = float(p.f_value(x, None))
+        else:
+            fbar = float(np.mean([p.f_value(x, s) for s in self.samples]))
+        return fbar + float(p.prox_h.objective_value(x))
+
+    def evaluate(self, x: Array) -> tuple[float, float]:
+        """(objective, feasibility): one checkpoint's measurement."""
+        return self.objective(x), self.feasibility(x)
 
 
 def feasibility_metric(x: Array, sampler: ConstraintSampler,
@@ -317,18 +344,7 @@ def feasibility_metric(x: Array, sampler: ConstraintSampler,
     Exact over the population when the sampler has finite support and
     n_samples covers it; otherwise a seeded Monte-Carlo estimate.
     """
-    samples, idx = _eval_samples(sampler, n_samples,
-                                 np.random.default_rng(seed))
-    return float(np.sqrt(_mean_sq_distance(x, sampler, samples, idx)))
-
-
-def _objective_estimate(x: Array, problem, samples) -> float:
-    """P(x) = E[f(x, xi)] + h(x) estimated on the given sample set."""
-    if getattr(problem, "f_deterministic", False):
-        fbar = float(problem.f_value(x, None))
-    else:
-        fbar = float(np.mean([problem.f_value(x, s) for s in samples]))
-    return fbar + float(problem.prox_h.objective_value(x))
+    return _EvalSet(sampler, n_samples, np.random.default_rng(seed)).feasibility(x)
 
 
 def smoothed_gap(x: Array, beta: float, problem, cert: CertificateInputs,
@@ -340,10 +356,10 @@ def smoothed_gap(x: Array, beta: float, problem, cert: CertificateInputs,
     """
     if beta <= 0:
         raise ValueError(f"smoothed_gap: beta must be positive, got {beta}")
-    samples, idx = _eval_samples(problem.constraints, n_samples,
-                                 np.random.default_rng(seed))
-    gap = _objective_estimate(x, problem, samples) - cert.p_star
-    msd = _mean_sq_distance(x, problem.constraints, samples, idx)
+    held_out = _EvalSet(problem.constraints, n_samples,
+                        np.random.default_rng(seed), problem)
+    gap = held_out.objective(x) - cert.p_star
+    msd = held_out.mean_sq_distance(x)
     return gap + msd / (2.0 * beta)
 
 
@@ -361,10 +377,10 @@ def saddle_point_residuals(x: Array, beta: float, problem, cert: CertificateInpu
     """
     if beta <= 0:
         raise ValueError(f"saddle_point_residuals: beta must be positive, got {beta}")
-    samples, idx = _eval_samples(problem.constraints, n_samples,
-                                 np.random.default_rng(seed))
-    gap = _objective_estimate(x, problem, samples) - cert.p_star
-    msd = _mean_sq_distance(x, problem.constraints, samples, idx)
+    held_out = _EvalSet(problem.constraints, n_samples,
+                        np.random.default_rng(seed), problem)
+    gap = held_out.objective(x) - cert.p_star
+    msd = held_out.mean_sq_distance(x)
     s_beta = gap + msd / (2.0 * beta)
     y2 = cert.y_star_norm ** 2
     r1 = s_beta + 0.5 * beta * y2

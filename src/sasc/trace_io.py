@@ -180,13 +180,3 @@ def load_config_file(path) -> dict:
             out[key] = value.strip()
     return out
 
-
-def zero_wall_times(trace: ConvergenceTrace) -> ConvergenceTrace:
-    """Copy of the trace with the wall_time column zeroed (byte-exact reruns)."""
-    out = ConvergenceTrace()
-    for r in trace.records:
-        out.append(TraceRecord(
-            samples=r.samples, epoch=r.epoch, objective=r.objective,
-            feasibility=r.feasibility, beta=r.beta, alpha=r.alpha,
-            dist_to_ref=r.dist_to_ref, wall_time=0.0))
-    return out

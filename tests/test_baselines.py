@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -13,8 +14,8 @@ from sasc.baselines import (
     run_projected_sgd,
     run_spp,
 )
-from sasc.core import CompositeProblem
-from sasc.errors import DivergenceError, UnsupportedProblemError
+from sasc.core import CompositeProblem, SascConfig, run_sasc
+from sasc.errors import ConfigurationError, DivergenceError, UnsupportedProblemError
 from sasc.prox import interval, l1_prox, singleton, zero_prox
 from sasc.problems import (
     LabeledSparseDataset,
@@ -67,6 +68,22 @@ class TestProjectedSgd:
                             checkpoint_every=20_000, eval_samples=50)
         x_bar, _ = run_projected_sgd(prob, cfg)
         assert np.count_nonzero(np.abs(x_bar) > 1e-8) >= 25  # >> 3 nonzeros
+
+    def test_bit_identical_to_per_draw_loop(self):
+        # 5000 steps cross the first 4096-index chunk of the stream
+        problem = make_bp_least_squares_problem(
+            gen_basis_pursuit(8, 40, 2, 0.5, seed=1))
+        cfg = BaselineConfig("sgd", step=0.1, iterations=5000, seed=7,
+                             checkpoint_every=5000, eval_samples=1)
+        x_bar, _ = run_projected_sgd(problem, cfg)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[0])
+        x, avg = np.zeros(problem.dim), np.zeros(problem.dim)
+        for t in range(1, cfg.iterations + 1):
+            eta = cfg.step / np.sqrt(t)
+            g = problem.grad_f(x, problem.constraints.draw(rng))
+            x = problem.prox_h.evaluate(x - eta * g, eta)
+            avg += x
+        assert x_bar.tobytes() == (avg / cfg.iterations).tobytes()
 
     def test_rejects_non_projectable_h(self):
         prob = _unconstrained_problem(2, lambda x, xi=None: np.zeros(2),
@@ -338,6 +355,10 @@ class TestBaselineConfig:
             BaselineConfig("sgd", step=0.0, iterations=1)
         with pytest.raises(ValueError):
             BaselineConfig("sgd", step=1.0, iterations=0)
+        with pytest.raises(ConfigurationError, match="checkpoint_every"):
+            BaselineConfig("spp", step=1.0, iterations=1, checkpoint_every=0)
+        with pytest.raises(ConfigurationError, match="eval_samples"):
+            BaselineConfig("spp", step=1.0, iterations=1, eval_samples=0)
 
     def test_determinism(self):
         inst = gen_basis_pursuit(10, 100, 2, 0.5, seed=0)
@@ -349,3 +370,46 @@ class TestBaselineConfig:
         assert np.array_equal(x1, x2)
         assert [r.feasibility for r in t1.records] == \
                [r.feasibility for r in t2.records]
+
+
+def _bp_instance():
+    return gen_basis_pursuit(10, 100, 2, 0.5, seed=0)
+
+
+def _sasc_minibatch_3():
+    cfg = SascConfig(alpha0=0.1, omega=2.0, m0=4, epochs=2, minibatch=3,
+                     checkpoint_every=10, eval_samples=20)
+    return run_sasc(make_bp_problem(_bp_instance()), cfg)[1]
+
+
+def _baseline_trace(method, iterations):
+    cfg = BaselineConfig(method, step=1e-3, iterations=iterations,
+                         checkpoint_every=10, eval_samples=20)
+    if method == "spp":
+        return run_spp(make_bp_problem(_bp_instance()), cfg)[1]
+    if method == "sgd":
+        return run_projected_sgd(
+            make_bp_least_squares_problem(_bp_instance()), cfg)[1]
+    return run_pegasos(gen_separable_svm(4, 60, margin=1.0, seed=5), 0.1,
+                       iterations, checkpoint_every=10)[1]
+
+
+class TestCheckpointRule:
+    """One rule for the solver and its baselines: a record once the sample
+    count reaches or passes each multiple of checkpoint_every, and the last
+    sample once if it fell between two multiples."""
+
+    @pytest.mark.parametrize("run,expected", [
+        # batches of 3 cross the multiples; two epochs of 4 and 8 steps
+        pytest.param(_sasc_minibatch_3, [12, 21, 30, 36], id="sasc-minibatch-3"),
+    ] + [
+        pytest.param(functools.partial(_baseline_trace, method, n), expected,
+                     id=f"{method}-{n}")
+        for method in ("spp", "sgd", "pegasos")
+        for n, expected in ((25, [10, 20, 25]), (30, [10, 20, 30]))
+    ])
+    def test_samples_column(self, run, expected):
+        trace = run()
+        assert [r.samples for r in trace.records] == expected
+        wall = trace.column("wall_time")
+        assert wall[0] >= 0.0 and np.all(np.diff(wall) >= 0.0)

@@ -62,17 +62,18 @@ class TestScheduleParams:
 
     def test_case2_decay(self):
         a, b, m = schedule_params(Case.RESTRICTED_STRONGLY_CONVEX, 2,
-                                  _cfg(0.5, 2.0, 4), 1.0, mu=1.0)
+                                  _cfg(0.5, 2.0, 4), 1.0)
         assert_allclose([a, b], [0.125, 0.5])
         assert m == 16
 
     def test_case2_requires_mu_and_m0(self):
+        rsc = Case.RESTRICTED_STRONGLY_CONVEX
         with pytest.raises(ConfigurationError, match="mu"):
-            schedule_params(Case.RESTRICTED_STRONGLY_CONVEX, 0,
-                            _cfg(0.5, 2.0, 4), 1.0)
+            _cfg(0.5, 2.0, 4, case=rsc).validate(
+                _single_constraint_problem([1.0], 1.0))
         with pytest.raises(ConfigurationError, match="m0"):
-            schedule_params(Case.RESTRICTED_STRONGLY_CONVEX, 0,
-                            _cfg(0.5, 2.0, 2), 1.0, mu=1.0)
+            _cfg(0.5, 2.0, 2, case=rsc).validate(
+                _single_constraint_problem([1.0], 1.0, mu=1.0))
 
     def test_negative_epoch(self):
         with pytest.raises(ValueError):
@@ -80,10 +81,9 @@ class TestScheduleParams:
 
     def test_beta_alpha_ratio_exact(self):
         for nb in (0.5, 1.0, 2.0):
-            for case, mu in ((Case.GENERAL_CONVEX, None),
-                             (Case.RESTRICTED_STRONGLY_CONVEX, 1.0)):
+            for case in (Case.GENERAL_CONVEX, Case.RESTRICTED_STRONGLY_CONVEX):
                 for s in range(25):
-                    a, b, _ = schedule_params(case, s, _cfg(0.7, 1.7, 3), nb, mu)
+                    a, b, _ = schedule_params(case, s, _cfg(0.7, 1.7, 3), nb)
                     assert b == 4.0 * a * nb ** 2
 
 
@@ -161,7 +161,7 @@ class TestRunSasc:
                        else last.running_avg)
             alpha1, beta1, _ = schedule_params(
                 case, 1, dataclasses.replace(cfg, case=case),
-                problem.norm_bound, problem.mu)
+                problem.norm_bound)
             z = float(a @ restart)
             expected = restart - alpha1 * (restart + a * (z - 1.0) / beta1)
             assert_allclose(first_next.x, expected, atol=1e-14)
@@ -274,8 +274,7 @@ def _per_sample_run(problem, cfg):
     rng = np.random.default_rng(train_ss)
     x = np.zeros(problem.dim)
     for s in range(cfg.planned_epochs()):
-        alpha, beta, m = schedule_params(cfg.case, s, cfg, problem.norm_bound,
-                                         problem.mu)
+        alpha, beta, m = schedule_params(cfg.case, s, cfg, problem.norm_bound)
         avg = np.zeros_like(x)
         for _ in range(m):
             samples = [problem.constraints.draw(rng)

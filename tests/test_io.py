@@ -292,6 +292,29 @@ class TestCli:
     def test_usage_error_on_bad_flag(self):
         assert cli_main(["bp", "--not-a-flag", "1", "--out", "x.csv"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["bp", "--solver", "spp", "--checkpoint-every", "0"],
+        ["bp", "--solver", "sgd", "--checkpoint-every", "0"],
+        ["bp", "--solver", "spp", "--validation-samples", "0"],
+        ["bp", "--solver", "spp", "--mu", "0"],
+        ["svm", "--solver", "pegasos", "--checkpoint-every", "0"],
+        ["svm", "--solver", "pegasos", "--iterations", "0"],
+        ["svm", "--solver", "pegasos", "--lambda", "0"],
+    ], ids=["spp-checkpoint-every", "sgd-checkpoint-every",
+            "spp-validation-samples", "spp-mu", "pegasos-checkpoint-every",
+            "pegasos-iterations", "pegasos-lambda"])
+    def test_invalid_baseline_setting_is_usage_error(self, argv, tmp_path,
+                                                     capsys):
+        data = tmp_path / "train.libsvm"
+        data.write_text("+1 1:1.0\n-1 1:-1.0\n")
+        inputs = (["--data", str(data)] if argv[0] == "svm" else
+                  ["--d", "8", "--n", "200", "--sparsity", "2",
+                   "--budget", "400"])
+        out = tmp_path / "o.csv"
+        assert cli_main(argv + inputs + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
     def test_solver_error_exit_code(self, tmp_path):
         # unreadable data file: a runtime (not usage) failure
         rc = cli_main(["svm", "--data", str(tmp_path / "missing.libsvm"),
