@@ -70,7 +70,7 @@ def run_projected_sgd(problem: CompositeProblem, cfg: BaselineConfig):
     draws = _batches(problem.constraints, rng, cfg.iterations, 1)
     for t, batch in enumerate(draws, start=1):
         eta = cfg.step / np.sqrt(t)
-        x = problem.prox_h.evaluate(x - eta * problem.grad_f(x, batch[0]), eta)
+        x = problem.prox_h.evaluate(x - eta * problem.grad_f(x, batch), eta)
         avg += x
         if t >= rec.due:
             rec.record(avg / t, t, 0, float(eta))
@@ -110,12 +110,12 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
 
     Each iteration draws one realization for the objective and one for the
     constraint: z = prox applied to the full objective at fixed step mu
-    (exact prox of f(., xi) when the problem provides one, else a gradient
-    step, followed by prox of h), then x = projection of z onto the drawn
-    constraint set. The fixed step caps the attainable accuracy. Both
-    indices come from the solvers' shared stream (``smoothing._batches``);
-    for a row set the projection reads the drawn row in place, with no
-    sample objects.
+    (the problem's exact ``prox_f`` when it has one, else a gradient step on
+    the first draw as a batch of one, followed by prox of h), then
+    x = projection of z onto the second draw's constraint set. The fixed
+    step caps the attainable accuracy. Both indices come from the solvers'
+    shared stream (``smoothing._batches``); for a row set the projection
+    reads the drawn row in place, with no sample objects.
     """
     mu = cfg.step
     rng, rec = _seeded_run(problem, cfg.seed, cfg.eval_samples,
@@ -123,11 +123,10 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     x = np.zeros(problem.dim)
     pairs = _batches(problem.constraints, rng, cfg.iterations, 2)
     for t, pair in enumerate(pairs, start=1):
-        xi_obj = None if problem.f_deterministic else pair[0]
         if problem.prox_f is not None:
-            z = problem.prox_f(x, xi_obj, mu)
+            z = problem.prox_f(x, mu)
         else:
-            z = x - mu * problem.grad_f(x, xi_obj)
+            z = x - mu * problem.grad_f(x, pair[:1])
         z = problem.prox_h.evaluate(z, mu)
         if isinstance(pair, RowBatch):
             row = pair.owner.rows[pair.idx[1]]

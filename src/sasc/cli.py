@@ -247,6 +247,18 @@ def _resolve_budget(o: dict, n: int) -> dict:
     return {"epochs": None, "sample_budget": budget}
 
 
+def _check_solver_settings(o: dict) -> None:
+    """Reject counts below 1 and settings the chosen solver never reads."""
+    for flag, dest in (("--minibatch", "minibatch"),
+                       ("--validation-samples", "validation_samples")):
+        if o[dest] < 1:
+            raise UsageError(f"{flag} must be >= 1, got {o[dest]}")
+    if o["solver"] != "sasc" and o["epochs"] is not None:
+        raise UsageError(f"--epochs applies to --solver sasc, not {o['solver']}")
+    if o["solver"] == "sasc" and o.get("iterations") is not None:
+        raise UsageError("--iterations applies to --solver pegasos, not sasc")
+
+
 def _emit(trace, o: dict) -> None:
     if o.get("no_timing"):
         trace = ConvergenceTrace([dataclasses.replace(r, wall_time=0.0)
@@ -450,6 +462,8 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         opts = _merge_options(ns.cmd, ns)
+        if "solver" in opts:
+            _check_solver_settings(opts)
         return _HANDLERS[ns.cmd](opts)
     except (UsageError, ConfigurationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

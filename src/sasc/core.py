@@ -46,16 +46,19 @@ class Case(Enum):
 class CompositeProblem:
     """A composite objective with almost-sure scalar/linear inclusion constraints.
 
-    ``grad_f(x, sample)`` and ``f_value(x, sample)`` take the drawn constraint
-    sample as the randomness carrier. When ``f_deterministic`` they must
-    accept ``None``, which the row-batch step, ``run_spp`` and the held-out
-    evaluation then pass.
+    One draw xi drives both f and the constraint, so ``grad_f(x, batch)``
+    and ``f_value(x, batch)`` receive the batch the solver drew and return
+    the mean over it: a ``RowBatch`` for a ``RowConstraintSet``, else the
+    sequence of ``ConstraintSample`` that the sampler's ``draw_batch``
+    returned. A single draw is a batch of one, the held-out evaluation
+    passes its whole set, and a deterministic f ignores the argument.
     ``norm_bound`` must dominate the operator norm of every constraint the
     sampler can produce; ``mu`` is the restricted strong-convexity modulus
     when available, ``lipschitz_grad`` the Lipschitz constant of the
     averaged gradient (0 when the smooth part is absent or linear).
-    ``prox_f`` optionally provides an exact prox of f(., xi) for the
-    proximal-point baseline, which falls back to a gradient step without it.
+    ``prox_f(x, step)`` optionally provides an exact prox of step * f for
+    the proximal-point baseline, which falls back to a gradient step on a
+    batch of one without it.
     """
 
     dim: int
@@ -66,7 +69,6 @@ class CompositeProblem:
     norm_bound: float
     mu: Optional[float] = None
     lipschitz_grad: float = 0.0
-    f_deterministic: bool = False
     prox_f: Optional[Callable] = None
 
     def __post_init__(self):
@@ -230,8 +232,8 @@ def sasc_inner_step(x: Array, sample, alpha_s: float, beta_s: float,
     ``sample`` is one ConstraintSample or a batch of them, such as the
     RowBatch that ``RowConstraintSet.draw_batch`` returns. Forms z = A(xi) x,
     pulls the smoothed-penalty gradient (z - proj(z)) / beta_s back through
-    the adjoint, adds the stochastic objective gradient, averages over the
-    batch, and applies prox of alpha_s * h.
+    the adjoint, averages it over the batch, adds the objective gradient
+    over the same batch, and applies prox of alpha_s * h.
     """
     if alpha_s <= 0 or beta_s <= 0:
         raise ValueError("sasc_inner_step: alpha_s and beta_s must be positive")
@@ -240,38 +242,26 @@ def sasc_inner_step(x: Array, sample, alpha_s: float, beta_s: float,
     return problem.prox_h.evaluate(x - alpha_s * d, alpha_s)
 
 
-def _sample_direction(x: Array, sample: ConstraintSample, beta_s: float,
-                      problem: CompositeProblem) -> Array:
-    z = sample.apply(x)
-    g = (z - sample.set_proj.project(z)) / beta_s
-    return problem.grad_f(x, sample) + sample.adjoint(g)
-
-
 def _direction(x: Array, batch, beta_s: float,
                problem: CompositeProblem) -> Array:
     """Mean step direction over a batch; one vectorized step for row batches.
 
     A RowBatch of B rows R = rows[J] with endpoints lo, hi gives
-    z = R x, g = (z - clip(z, lo, hi)) / (B beta_s) and d = grad_f + R^T g;
-    B = 1 reproduces the single-sample step bit for bit. Any other batch
-    sums the directions of its samples.
+    z = R x, g = (z - clip(z, lo, hi)) / (B beta_s) and
+    d = grad_f(x, batch) + R^T g; B = 1 reproduces the single-sample step
+    bit for bit. Any other batch sums the penalty gradients of its samples.
     """
     if not isinstance(batch, RowBatch):
-        d = _sample_direction(x, batch[0], beta_s, problem)
-        for sample in batch[1:]:
-            d = d + _sample_direction(x, sample, beta_s, problem)
-        return d / len(batch)
+        penalty = None
+        for sample in batch:
+            z = sample.apply(x)
+            g = sample.adjoint((z - sample.set_proj.project(z)) / beta_s)
+            penalty = g if penalty is None else penalty + g
+        return problem.grad_f(x, batch) + penalty / len(batch)
     R = batch.owner.rows.take(batch.idx, axis=0)
     z = R @ x
     g = (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta_s * len(z))
-    if problem.f_deterministic:
-        gf = problem.grad_f(x, None)
-    else:
-        gf = problem.grad_f(x, batch[0])
-        for i in range(1, len(batch)):
-            gf = gf + problem.grad_f(x, batch[i])
-        gf = gf / len(batch)
-    return gf + g @ R
+    return problem.grad_f(x, batch) + g @ R
 
 
 class _Recorder:

@@ -10,7 +10,12 @@ class DegenerateConstraintError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """A solver configuration violates a precondition of the method."""
+    """A solver configuration or a problem parameter is out of its range.
+
+    Raised for settings a caller chose, such as a step size, a sample
+    budget, or a problem builder's sparsity, correlation, deviation bound or
+    margin; input data of the wrong shape raises a plain ValueError instead.
+    """
 
 
 class UnsupportedProblemError(ValueError):

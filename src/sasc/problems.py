@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem
+from .core import CompositeProblem, _direction
 from .errors import (
+    ConfigurationError,
     DegenerateConstraintError,
     DivergenceError,
     NoConvergenceError,
@@ -26,7 +27,7 @@ from .prox import (
     l1_prox,
     zero_prox,
 )
-from .smoothing import CertificateInputs, RowConstraintSet
+from .smoothing import CertificateInputs, RowConstraintSet, _EvalSet
 
 # Entries per block when make_svm_problem computes its row norms.
 _NORM_BLOCK_ENTRIES = 1 << 20
@@ -156,11 +157,11 @@ def gen_basis_pursuit(d: int, n: int, sparsity: int, rho: float,
     planted vector solves the system exactly.
     """
     if not (0 < sparsity <= d):
-        raise ValueError(f"sparsity must lie in 1..d, got {sparsity}")
+        raise ConfigurationError(f"sparsity must lie in 1..d, got {sparsity}")
     if not (0 <= rho < 1):
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+        raise ConfigurationError(f"rho must lie in [0, 1), got {rho}")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigurationError("n must be >= 1")
     rng = np.random.default_rng(seed)
     try:
         chol = np.linalg.cholesky(ar1_covariance(d, rho))
@@ -191,15 +192,14 @@ def make_bp_problem(instance: BasisPursuitInstance) -> CompositeProblem:
     h = l1_prox(1.0)
     return CompositeProblem(
         dim=instance.rows.shape[1],
-        grad_f=lambda x, xi=None: 0.0,
-        f_value=lambda x, xi=None: 0.0,
+        grad_f=lambda x, batch: 0.0,
+        f_value=lambda x, batch: 0.0,
         prox_h=h,
         constraints=RowConstraintSet(instance.rows, instance.targets,
                                      instance.targets),
         norm_bound=1.0,
         lipschitz_grad=0.0,
-        f_deterministic=True,
-        prox_f=lambda x, xi, step: x,
+        prox_f=lambda x, step: x,
     )
 
 
@@ -208,16 +208,18 @@ def make_bp_least_squares_problem(instance: BasisPursuitInstance
     """min (1/2) E (a^T x - b)^2, unconstrained.
 
     The plain-SGD comparator: a different problem from the l1 formulation,
-    whose minimizers are generally non-sparse.
+    whose minimizers are generally non-sparse. Gradient and value are means
+    over the rows of the RowBatch drawn from its constraint set.
     """
     rows, b = instance.rows, instance.targets
 
-    def grad(x, xi):
-        r = xi.row
-        return r * (float(r @ x) - b[xi.index])
+    def grad(x, batch):
+        R = rows[batch.idx]
+        return (R @ x - b[batch.idx]) @ R / len(R)
 
-    def value(x, xi):
-        return 0.5 * (float(xi.row @ x) - b[xi.index]) ** 2
+    def value(x, batch):
+        r = rows[batch.idx] @ x - b[batch.idx]
+        return float(np.mean(0.5 * r ** 2))
 
     return CompositeProblem(
         dim=rows.shape[1],
@@ -241,21 +243,20 @@ def make_portfolio_problem(returns: Array, epsilon: float) -> CompositeProblem:
     if returns.ndim != 2 or returns.shape[0] < 2:
         raise ValueError("returns must be an (n, d) matrix with n >= 2")
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise ConfigurationError("epsilon must be positive")
     n, d = returns.shape
     a_avg = returns.mean(axis=0)
     constraints = RowConstraintSet.normalized(
         returns - a_avg, -epsilon, epsilon, drop_zero_rows=True)
     return CompositeProblem(
         dim=d,
-        grad_f=lambda x, xi=None: -a_avg,
-        f_value=lambda x, xi=None: -float(a_avg @ x),
+        grad_f=lambda x, batch: -a_avg,
+        f_value=lambda x, batch: -float(a_avg @ x),
         prox_h=hyperplane_indicator_prox(np.ones(d), 1.0),
         constraints=constraints,
         norm_bound=1.0,
         lipschitz_grad=0.0,
-        f_deterministic=True,
-        prox_f=lambda x, xi, step: x + step * a_avg,
+        prox_f=lambda x, step: x + step * a_avg,
     )
 
 
@@ -283,15 +284,14 @@ def make_svm_problem(dataset: LabeledSparseDataset) -> CompositeProblem:
     constraints = RowConstraintSet(rows, 1.0 / nrm, np.inf)
     return CompositeProblem(
         dim=dataset.dim,
-        grad_f=lambda x, xi=None: x,
-        f_value=lambda x, xi=None: 0.5 * float(x @ x),
+        grad_f=lambda x, batch: x,
+        f_value=lambda x, batch: 0.5 * float(x @ x),
         prox_h=zero_prox(),
         constraints=constraints,
         norm_bound=1.0,
         mu=1.0,
         lipschitz_grad=1.0,
-        f_deterministic=True,
-        prox_f=lambda x, xi, step: x / (1.0 + step),
+        prox_f=lambda x, step: x / (1.0 + step),
     )
 
 
@@ -308,15 +308,14 @@ def make_min_norm_hyperplane_problem(dim: int = 2):
     x_star = row[0].copy()
     problem = CompositeProblem(
         dim=dim,
-        grad_f=lambda x, xi=None: x,
-        f_value=lambda x, xi=None: 0.5 * float(x @ x),
+        grad_f=lambda x, batch: x,
+        f_value=lambda x, batch: 0.5 * float(x @ x),
         prox_h=zero_prox(),
         constraints=RowConstraintSet(row, np.array([1.0]), np.array([1.0])),
         norm_bound=1.0,
         mu=1.0,
         lipschitz_grad=1.0,
-        f_deterministic=True,
-        prox_f=lambda x, xi, step: x / (1.0 + step),
+        prox_f=lambda x, step: x / (1.0 + step),
     )
     cert = CertificateInputs(x_star=x_star, p_star=0.5, y_star_norm=1.0,
                              sigma_f=0.0)
@@ -327,7 +326,7 @@ def gen_separable_svm(d: int, n: int, margin: float, seed: int
                       ) -> LabeledSparseDataset:
     """Linearly separable toy set: points shifted along a planted separator."""
     if margin <= 0:
-        raise ValueError("margin must be positive")
+        raise ConfigurationError("margin must be positive")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
@@ -345,23 +344,6 @@ def gen_synthetic_returns(n: int, d: int, seed: int) -> Array:
     return 1.0 + drift + 0.01 * rng.standard_normal((n, d))
 
 
-def _full_objective(problem: CompositeProblem, support, x: Array) -> float:
-    if problem.f_deterministic:
-        f = float(problem.f_value(x, None))
-    else:
-        f = float(np.mean([problem.f_value(x, s) for s in support]))
-    return f + float(problem.prox_h.objective_value(x))
-
-
-def _full_grad_f(problem: CompositeProblem, support, x: Array):
-    if problem.f_deterministic:
-        return problem.grad_f(x, None)
-    g = np.zeros_like(x)
-    for s in support:
-        g = g + problem.grad_f(x, s)
-    return g / len(support)
-
-
 def reference_solution(problem: CompositeProblem, tolerance: float,
                        max_iterations: int = 10_000_000):
     """Deterministic ground truth by full-batch smoothed-penalty descent.
@@ -369,9 +351,12 @@ def reference_solution(problem: CompositeProblem, tolerance: float,
     Runs exact proximal-gradient steps on the population smoothed objective,
     halving the smoothness parameter whenever the decrease stalls, until the
     population feasibility and the outer objective change both drop below
-    ``tolerance``. Independent of the stochastic driver: separate loop, no
-    shared schedule. Only small finite-support instances are accepted.
-    A non-finite objective raises DivergenceError naming the iteration.
+    ``tolerance``. Each step is ``run_sasc``'s own step kernel on the whole
+    support taken as one batch, and the objective and feasibility come from
+    one held-out set over the whole support; the loop and its smoothness
+    schedule are separate from ``run_sasc``'s. Only small finite-support
+    instances are accepted. A non-finite objective raises DivergenceError
+    naming the iteration.
     """
     sup = problem.constraints.support()
     if sup is None:
@@ -381,24 +366,8 @@ def reference_solution(problem: CompositeProblem, tolerance: float,
         raise UnsupportedProblemError(
             f"reference oracle is capped at n <= 200, d <= 50 "
             f"(got n = {n}, d = {problem.dim})")
-    sampler = problem.constraints
     max_norm_sq = max(s.norm() for s in sup) ** 2
-
-    def msd_and_penalty_grad(x, beta):
-        d = sampler.distances(x)
-        if d is not None and isinstance(sampler, RowConstraintSet):
-            z = sampler.rows @ x
-            r = z - np.minimum(np.maximum(z, sampler.lo), sampler.hi)
-            return float(np.mean(d ** 2)), sampler.rows.T @ r / (n * beta)
-        g = np.zeros(problem.dim)
-        sq = 0.0
-        for s in sup:
-            z = s.apply(x)
-            r = z - s.set_proj.project(z)
-            sq += float(np.sum(np.atleast_1d(r) ** 2))
-            g = g + s.adjoint(r)
-        return sq / n, g / (n * beta)
-
+    population = _EvalSet(problem.constraints, n, None, problem)
     x = np.zeros(problem.dim)
     beta = 1.0
     inner_tol = max(tolerance * 1e-2, 1e-15)
@@ -408,21 +377,20 @@ def reference_solution(problem: CompositeProblem, tolerance: float,
         alpha = 1.0 / (problem.lipschitz_grad + max_norm_sq / beta)
         prev_phi = np.inf
         while True:
-            msd, pen_grad = msd_and_penalty_grad(x, beta)
-            grad = _full_grad_f(problem, sup, x) + pen_grad
+            grad = _direction(x, sup, beta, problem)
             x = problem.prox_h.evaluate(x - alpha * grad, alpha)
             iters += 1
             if iters >= max_iterations:
                 raise NoConvergenceError(
                     f"reference solver hit the {max_iterations} iteration cap")
-            msd, _ = msd_and_penalty_grad(x, beta)
-            phi = _full_objective(problem, sup, x) + msd / (2.0 * beta)
+            msd = population.mean_sq_distance(x)
+            phi = population.objective(x) + msd / (2.0 * beta)
             if not np.isfinite(phi):
                 raise DivergenceError(epoch=0, step=iters)
             if prev_phi - phi <= inner_tol:
                 break
             prev_phi = phi
-        p_now = _full_objective(problem, sup, x)
+        p_now = population.objective(x)
         if np.sqrt(msd) <= tolerance and abs(prev_outer - p_now) <= tolerance:
             return x, p_now
         prev_outer = p_now

@@ -284,8 +284,9 @@ class _EvalSet:
     """Held-out seeded sample set: every checkpoint of a run is measured on it.
 
     It is the whole support when ``n_samples`` covers it, else ``n_samples``
-    draws from ``rng``. ``problem`` supplies ``f_value`` and ``prox_h`` for
-    the objective; the feasibility metric needs only the sampler.
+    draws from ``rng`` (which is read only then). ``problem`` supplies
+    ``f_value``, called once on the whole set, and ``prox_h`` for the
+    objective; the feasibility metric needs only the sampler.
     Distances go through the sampler's vectorized ``distances`` hook, with a
     per-sample fallback when it returns None.
     """
@@ -308,9 +309,6 @@ class _EvalSet:
             self.idx = rng.integers(0, len(sup), size=n_samples)
             self.samples = (sup[self.idx] if isinstance(sup, RowBatch)
                             else [sup[int(i)] for i in self.idx])
-        if problem is not None and not getattr(problem, "f_deterministic", False):
-            # f_value reads every sample at each checkpoint: build them once
-            self.samples = list(self.samples)
 
     def mean_sq_distance(self, x: Array) -> float:
         vectorized = getattr(self.sampler, "distances", None)
@@ -326,11 +324,8 @@ class _EvalSet:
     def objective(self, x: Array) -> float:
         """P(x) = E[f(x, xi)] + h(x) estimated over the set."""
         p = self.problem
-        if getattr(p, "f_deterministic", False):
-            fbar = float(p.f_value(x, None))
-        else:
-            fbar = float(np.mean([p.f_value(x, s) for s in self.samples]))
-        return fbar + float(p.prox_h.objective_value(x))
+        return (float(p.f_value(x, self.samples))
+                + float(p.prox_h.objective_value(x)))
 
     def evaluate(self, x: Array) -> tuple[float, float]:
         """(objective, feasibility): one checkpoint's measurement."""

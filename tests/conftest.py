@@ -35,3 +35,18 @@ def loglog_slope(samples, values, m_min=1000):
     values = np.asarray(values, dtype=float)
     keep = (samples >= m_min) & (values > 0)
     return float(np.polyfit(np.log(samples[keep]), np.log(values[keep]), 1)[0])
+
+
+def least_squares_grad_one(instance):
+    """Gradient of (1/2)(a_i^T x - b_i)^2 on one drawn ConstraintSample.
+
+    The per-sample formula r (r^T x - b_i), written out as the reference
+    that the least-squares problem's batch gradient must reproduce.
+    """
+    b = instance.targets
+
+    def grad(x, sample):
+        r = sample.row
+        return r * (float(r @ x) - b[sample.index])
+
+    return grad

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import least_squares_grad_one
 from sasc.baselines import (
     BaselineConfig,
     _clip,
@@ -37,7 +38,7 @@ def _unconstrained_problem(dim, grad, fval, prox_h=None, prox_f=None):
         dim=dim, grad_f=grad, f_value=fval,
         prox_h=prox_h or zero_prox(),
         constraints=RowConstraintSet(rows, -np.inf, np.inf),
-        norm_bound=1.0, f_deterministic=True, prox_f=prox_f)
+        norm_bound=1.0, prox_f=prox_f)
 
 
 class TestProjectedSgd:
@@ -71,8 +72,9 @@ class TestProjectedSgd:
 
     def test_bit_identical_to_per_draw_loop(self):
         # 5000 steps cross the first 4096-index chunk of the stream
-        problem = make_bp_least_squares_problem(
-            gen_basis_pursuit(8, 40, 2, 0.5, seed=1))
+        inst = gen_basis_pursuit(8, 40, 2, 0.5, seed=1)
+        problem = make_bp_least_squares_problem(inst)
+        grad_one = least_squares_grad_one(inst)
         cfg = BaselineConfig("sgd", step=0.1, iterations=5000, seed=7,
                              checkpoint_every=5000, eval_samples=1)
         x_bar, _ = run_projected_sgd(problem, cfg)
@@ -80,7 +82,7 @@ class TestProjectedSgd:
         x, avg = np.zeros(problem.dim), np.zeros(problem.dim)
         for t in range(1, cfg.iterations + 1):
             eta = cfg.step / np.sqrt(t)
-            g = problem.grad_f(x, problem.constraints.draw(rng))
+            g = grad_one(x, problem.constraints.draw(rng))
             x = problem.prox_h.evaluate(x - eta * g, eta)
             avg += x
         assert x_bar.tobytes() == (avg / cfg.iterations).tobytes()
@@ -103,8 +105,7 @@ class TestSpp:
             f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
             constraints=RowConstraintSet(inst_rows, np.array([1.0]),
                                          np.array([1.0])),
-            norm_bound=1.0, f_deterministic=True,
-            prox_f=lambda x, xi, step: x)
+            norm_bound=1.0, prox_f=lambda x, step: x)
         cfg = BaselineConfig("spp", step=1e-3, iterations=1, seed=0,
                             checkpoint_every=1, eval_samples=1)
         x, _ = run_spp(prob, cfg)
@@ -132,8 +133,7 @@ class TestSpp:
             f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
             constraints=RowConstraintSet(rows, np.array([0.5]),
                                          np.array([0.5])),
-            norm_bound=1.0, f_deterministic=True,
-            prox_f=lambda x, xi, step: x)
+            norm_bound=1.0, prox_f=lambda x, step: x)
         cfg = BaselineConfig("spp", step=1e-2, iterations=20, seed=0,
                             checkpoint_every=20, eval_samples=1)
         x, trace = run_spp(prob, cfg)
@@ -158,7 +158,7 @@ class TestSpp:
         prob = CompositeProblem(
             dim=2, grad_f=lambda x, xi=None: 0.0,
             f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
-            constraints=MatrixSampler(), norm_bound=1.0, f_deterministic=True)
+            constraints=MatrixSampler(), norm_bound=1.0)
         cfg = BaselineConfig("spp", step=1e-2, iterations=1, seed=0)
         with pytest.raises(UnsupportedProblemError):
             run_spp(prob, cfg)
@@ -181,8 +181,17 @@ class TestSpp:
         assert finals[1e-4] < finals[1e-2]
 
 
-def _per_sample_spp(problem, cfg):
-    """run_spp's final iterate from two draws and one projection per iteration."""
+def _least_squares(inst):
+    """The least-squares problem and its gradient on one drawn sample."""
+    return make_bp_least_squares_problem(inst), least_squares_grad_one(inst)
+
+
+def _per_sample_spp(problem, cfg, grad_one):
+    """run_spp's final iterate from two draws and one projection per iteration.
+
+    ``grad_one(x, sample)`` is the gradient of f on one drawn sample, used
+    when the problem has no ``prox_f``.
+    """
     rng_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
     rng = np.random.default_rng(rng_ss)
     x = np.zeros(problem.dim)
@@ -190,9 +199,9 @@ def _per_sample_spp(problem, cfg):
         xi_obj = problem.constraints.draw(rng)
         xi_con = problem.constraints.draw(rng)
         if problem.prox_f is not None:
-            z = problem.prox_f(x, xi_obj, cfg.step)
+            z = problem.prox_f(x, cfg.step)
         else:
-            z = x - cfg.step * problem.grad_f(x, xi_obj)
+            z = x - cfg.step * grad_one(x, xi_obj)
         z = problem.prox_h.evaluate(z, cfg.step)
         x = _project_onto_constraint(z, xi_con)
     return x
@@ -201,19 +210,19 @@ def _per_sample_spp(problem, cfg):
 class TestSppIndexStream:
     # 5000 iterations draw 10,000 indices: three chunks of the stream
     @pytest.mark.parametrize("build,step", [
-        (lambda: make_bp_problem(gen_basis_pursuit(20, 500, 3, 0.9, seed=4)),
-         1e-3),
-        (lambda: make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3),
-                                        0.2), 1e-2),
-        (lambda: make_bp_least_squares_problem(
-            gen_basis_pursuit(8, 40, 2, 0.5, seed=1)), 0.1),
+        (lambda: (make_bp_problem(gen_basis_pursuit(20, 500, 3, 0.9, seed=4)),
+                  None), 1e-3),
+        (lambda: (make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3),
+                                         0.2), None), 1e-2),
+        (lambda: _least_squares(gen_basis_pursuit(8, 40, 2, 0.5, seed=1)),
+         0.1),
     ], ids=["bp", "portfolio", "least-squares"])
     def test_bit_identical_to_per_sample_loop(self, build, step):
-        problem = build()
+        problem, grad_one = build()
         cfg = BaselineConfig("spp", step=step, iterations=5000, seed=7,
                              checkpoint_every=5000, eval_samples=1)
         x, _ = run_spp(problem, cfg)
-        assert x.tobytes() == _per_sample_spp(problem, cfg).tobytes()
+        assert x.tobytes() == _per_sample_spp(problem, cfg, grad_one).tobytes()
 
     def test_divergence_names_its_step(self):
         # an ascent direction grows x by 11x per iteration until it overflows
@@ -245,6 +254,40 @@ def _per_sample_steps_to_overflow(problem, cfg):
         if not np.all(np.isfinite(x)):
             return t
     raise AssertionError("the loop never overflowed")
+
+
+def _sasc_config(**kw):
+    return SascConfig(alpha0=0.01, omega=2.0, m0=2, epochs=4, seed=0,
+                      checkpoint_every=5, eval_samples=10, **kw)
+
+
+def _spp_config(step):
+    return BaselineConfig("spp", step=step, iterations=50, seed=0,
+                          checkpoint_every=10, eval_samples=10)
+
+
+class TestRowProblemsBuildNoSamples:
+    # checkpoints on, so the held-out evaluation runs too
+    @pytest.mark.parametrize("run", [
+        lambda inst: run_sasc(make_bp_problem(inst), _sasc_config()),
+        lambda inst: run_sasc(make_bp_least_squares_problem(inst),
+                              _sasc_config(minibatch=3)),
+        lambda inst: run_spp(make_bp_problem(inst), _spp_config(1e-3)),
+        lambda inst: run_spp(make_bp_least_squares_problem(inst),
+                             _spp_config(0.1)),
+        lambda inst: run_projected_sgd(
+            make_bp_least_squares_problem(inst),
+            BaselineConfig("sgd", step=0.1, iterations=50, seed=0,
+                           checkpoint_every=10, eval_samples=10)),
+    ], ids=["sasc-bp", "sasc-least-squares", "spp-bp", "spp-least-squares",
+            "sgd-least-squares"])
+    def test_no_constraint_sample_is_built(self, run, monkeypatch):
+        def refuse(self, i):
+            raise AssertionError(f"ConstraintSample {i} built")
+
+        monkeypatch.setattr(RowConstraintSet, "sample", refuse)
+        _, trace = run(gen_basis_pursuit(8, 40, 2, 0.5, seed=1))
+        assert len(trace.records) > 1
 
 
 class TestPegasos:

@@ -5,6 +5,7 @@ import pytest
 import sympy
 from numpy.testing import assert_allclose
 
+from conftest import least_squares_grad_one
 from sasc.core import (
     Case,
     CompositeProblem,
@@ -47,7 +48,7 @@ def _single_constraint_problem(a, target, grad=None, fval=None, L=0.0, mu=None,
         constraints=RowConstraintSet(a[None, :], np.array([target]),
                                      np.array([target])),
         norm_bound=float(np.linalg.norm(a)),
-        mu=mu, lipschitz_grad=L, f_deterministic=True)
+        mu=mu, lipschitz_grad=L)
 
 
 class TestScheduleParams:
@@ -206,8 +207,7 @@ class TestRunSasc:
         prob = CompositeProblem(
             dim=6, grad_f=lambda x, xi=None: 0.0,
             f_value=lambda x, xi=None: 0.0, prox_h=l1_prox(),
-            constraints=RowConstraintSet(rows, b, b), norm_bound=1.0,
-            f_deterministic=True)
+            constraints=RowConstraintSet(rows, b, b), norm_bound=1.0)
         cfg = SascConfig(alpha0=0.01, omega=2.0, m0=2, epochs=8, seed=9,
                          checkpoint_every=7, eval_samples=11)
         x1, t1 = run_sasc(prob, cfg)
@@ -303,6 +303,21 @@ def _small_svm():
     return problem, cfg
 
 
+def _same_f(problem):
+    return problem, problem
+
+
+def _least_squares_per_sample_f(inst):
+    """The least-squares problem, and a copy whose grad_f averages the
+    one-sample formula over a list of samples."""
+    problem = make_bp_least_squares_problem(inst)
+    grad_one = least_squares_grad_one(inst)
+    per_sample = dataclasses.replace(
+        problem, grad_f=lambda x, samples: np.mean(
+            [grad_one(x, s) for s in samples], axis=0))
+    return problem, per_sample
+
+
 class TestRowKernel:
     # the second epoch (4500 steps) crosses a 4096-index chunk boundary
     @pytest.mark.parametrize("build", [_small_bp, _small_svm],
@@ -322,17 +337,20 @@ class TestRowKernel:
         assert_allclose(x_bar, _per_sample_run(problem, cfg), rtol=1e-12)
 
     @pytest.mark.parametrize("build", [
-        lambda: make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3), 0.2),
-        lambda: make_bp_least_squares_problem(
+        lambda: _same_f(make_portfolio_problem(
+            gen_synthetic_returns(60, 8, seed=3), 0.2)),
+        lambda: _least_squares_per_sample_f(
             gen_basis_pursuit(8, 40, 2, 0.5, seed=1)),
     ], ids=["deterministic-f", "per-sample-f"])
     def test_batch_step_averages_its_samples(self, build):
-        problem = build()
+        # ``per_sample`` steps through the batch's samples one by one, with
+        # f's gradient averaged over their per-sample formulas
+        problem, per_sample = build()
         rng = np.random.default_rng(8)
         batch = problem.constraints.draw_batch(rng, 16)
         x = rng.standard_normal(problem.dim)
         assert_allclose(sasc_inner_step(x, batch, 0.3, 0.7, problem),
-                        sasc_inner_step(x, list(batch), 0.3, 0.7, problem),
+                        sasc_inner_step(x, list(batch), 0.3, 0.7, per_sample),
                         rtol=1e-12)
 
     def test_other_samplers_take_the_per_sample_path(self):

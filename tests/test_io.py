@@ -300,18 +300,31 @@ class TestCli:
         ["svm", "--solver", "pegasos", "--checkpoint-every", "0"],
         ["svm", "--solver", "pegasos", "--iterations", "0"],
         ["svm", "--solver", "pegasos", "--lambda", "0"],
+        ["bp", "--solver", "spp", "--epochs", "3"],
+        ["bp", "--solver", "sgd", "--epochs", "3"],
+        ["svm", "--solver", "pegasos", "--epochs", "3"],
+        ["svm", "--solver", "sasc", "--iterations", "5", "--budget", "100"],
+        ["bp", "--solver", "spp", "--minibatch", "0"],
+        ["svm", "--solver", "pegasos", "--validation-samples", "0"],
+        ["portfolio", "--epsilon", "0", "--budget", "100"],
+        ["bp", "--d", "0"],
     ], ids=["spp-checkpoint-every", "sgd-checkpoint-every",
             "spp-validation-samples", "spp-mu", "pegasos-checkpoint-every",
-            "pegasos-iterations", "pegasos-lambda"])
+            "pegasos-iterations", "pegasos-lambda", "spp-epochs",
+            "sgd-epochs", "pegasos-epochs", "sasc-iterations",
+            "spp-minibatch", "pegasos-validation-samples",
+            "portfolio-epsilon", "bp-dimension"])
     def test_invalid_baseline_setting_is_usage_error(self, argv, tmp_path,
                                                      capsys):
         data = tmp_path / "train.libsvm"
         data.write_text("+1 1:1.0\n-1 1:-1.0\n")
-        inputs = (["--data", str(data)] if argv[0] == "svm" else
-                  ["--d", "8", "--n", "200", "--sparsity", "2",
-                   "--budget", "400"])
+        inputs = {"svm": ["--data", str(data)], "portfolio": [],
+                  "bp": ["--d", "8", "--n", "200", "--sparsity", "2",
+                         "--budget", "400"]}[argv[0]]
         out = tmp_path / "o.csv"
-        assert cli_main(argv + inputs + ["--out", str(out)]) == 1
+        # the case's own flags come last, so they override the inputs
+        assert cli_main(argv[:1] + inputs + argv[1:]
+                        + ["--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
 

@@ -27,6 +27,7 @@ from sasc.problems import (
     reference_solution,
 )
 from sasc.smoothing import (
+    ConstraintSampler,
     RowConstraintSet,
     feasibility_metric,
     moreau_grad,
@@ -380,26 +381,38 @@ class TestMargins:
 
 class TestGradientConsistency:
     def test_stochastic_gradient_averages_to_population(self):
-        # finite support: the sampled gradient of f averaged over all draws
-        # must match the analytic full gradient
+        # finite support: the gradient and value of f on single-row batches,
+        # averaged over all draws, must match the analytic population ones
         from sasc.problems import make_bp_least_squares_problem
         inst = gen_basis_pursuit(8, 40, 2, 0.9, seed=16)
         prob = make_bp_least_squares_problem(inst)
         R, b = inst.rows, inst.targets
+        support = prob.constraints.support()
+        singles = [support[i:i + 1] for i in range(len(support))]
         rng = np.random.default_rng(16)
         for _ in range(10):
             x = rng.standard_normal(8)
-            full = np.mean([prob.grad_f(x, s)
-                            for s in prob.constraints.support()], axis=0)
+            full = np.mean([prob.grad_f(x, one) for one in singles], axis=0)
             analytic = R.T @ (R @ x - b) / len(b)
             assert np.linalg.norm(full - analytic) <= 1e-10
+            value = np.mean([prob.f_value(x, one) for one in singles])
+            assert_allclose(value, 0.5 * np.mean((R @ x - b) ** 2),
+                            rtol=1e-12)
 
     def test_deterministic_objectives_ignore_draw(self):
         inst = gen_basis_pursuit(8, 40, 2, 0.9, seed=17)
         prob = make_bp_problem(inst)
         x = np.ones(8)
-        s0 = prob.constraints.sample(0)
-        assert prob.grad_f(x, s0) == prob.grad_f(x, None) == 0.0
+        batch = prob.constraints.support()[:1]
+        assert prob.grad_f(x, batch) == prob.grad_f(x, None) == 0.0
+
+
+def _lp_returns():
+    """30 days of 3 assets, the first one dominant."""
+    rng = np.random.default_rng(19)
+    returns = 1.0 + 0.01 * rng.standard_normal((30, 3))
+    returns[:, 0] += 0.02
+    return returns
 
 
 class TestReferenceSolution:
@@ -418,10 +431,8 @@ class TestReferenceSolution:
 
     def test_portfolio_against_linear_programming(self):
         # independent oracle: the same problem as an explicit LP
-        rng = np.random.default_rng(19)
-        n, d = 30, 3
-        returns = 1.0 + 0.01 * rng.standard_normal((n, d))
-        returns[:, 0] += 0.02  # dominant asset
+        returns = _lp_returns()
+        n, d = returns.shape
         eps = 0.02
         prob = make_portfolio_problem(returns, epsilon=eps)
         x_ref, p_ref = reference_solution(prob, 1e-7)
@@ -438,6 +449,30 @@ class TestReferenceSolution:
         assert np.linalg.norm(x_ref - res.x) <= 1e-3
         assert np.argmax(x_ref) == 0  # weight concentrates on the leader
 
+    @pytest.mark.parametrize("build,tolerance", [
+        (lambda: make_min_norm_hyperplane_problem()[0], 1e-8),
+        (lambda: make_portfolio_problem(_lp_returns(), epsilon=0.02), 1e-7),
+    ], ids=["min-norm", "portfolio"])
+    def test_generic_sampler_matches_row_set(self, build, tolerance):
+        # the same constraints handed out as plain samples, with no
+        # vectorized distances: the per-sample branches of the step and of
+        # the held-out set give the row set's point
+        problem = build()
+        rows = problem.constraints
+
+        class Samples(ConstraintSampler):
+            def draw(self, rng):
+                return rows.draw(rng)
+
+            def support(self):
+                return [rows.sample(i) for i in range(len(rows))]
+
+        generic = dataclasses.replace(problem, constraints=Samples())
+        x_rows, p_rows = reference_solution(problem, tolerance)
+        x_samples, p_samples = reference_solution(generic, tolerance)
+        assert x_samples.tobytes() == x_rows.tobytes()
+        assert p_samples == p_rows
+
     def test_requires_finite_small_support(self):
         class Infinite:
             def draw(self, rng):
@@ -451,7 +486,7 @@ class TestReferenceSolution:
         prob = CompositeProblem(
             dim=2, grad_f=lambda x, xi=None: np.zeros(2),
             f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
-            constraints=Infinite(), norm_bound=1.0, f_deterministic=True)
+            constraints=Infinite(), norm_bound=1.0)
         with pytest.raises(UnsupportedProblemError):
             reference_solution(prob, 1e-6)
 

@@ -139,8 +139,7 @@ def _two_point_problem():
     sampler = RowConstraintSet(rows, np.array([3.0, -4.0]), np.array([3.0, -4.0]))
     return CompositeProblem(
         dim=2, grad_f=lambda x, xi=None: 0.0, f_value=lambda x, xi=None: 0.0,
-        prox_h=zero_prox(), constraints=sampler, norm_bound=1.0,
-        f_deterministic=True)
+        prox_h=zero_prox(), constraints=sampler, norm_bound=1.0)
 
 
 class TestFeasibilityMetric:
@@ -325,7 +324,7 @@ class TestRowConstraintSet:
         prob = CompositeProblem(
             dim=3, grad_f=lambda x, xi=None: 0.0,
             f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
-            constraints=OneMatrix(), norm_bound=1.0, f_deterministic=True)
+            constraints=OneMatrix(), norm_bound=1.0)
         x = np.array([1.0, 0.5, -2.0])
         out = sasc_inner_step(x, sample, 0.5, 1.0, prob)
         # z = [.75,.5], proj = [.5,.25], adjoint pullback = [.1875,.25,0]
