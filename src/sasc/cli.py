@@ -175,7 +175,8 @@ _KIND_PARSERS = {
 }
 
 
-def _parse_config_value(kind: str, raw: str):
+def _parse_config_value(kind: str, raw: str, default):
+    """The value of one config entry; ``none`` only where the default is None."""
     if kind == "flag":
         low = raw.lower()
         if low in ("1", "true", "yes", "on"):
@@ -184,6 +185,8 @@ def _parse_config_value(kind: str, raw: str):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
     if raw.lower() in ("none", ""):
+        if default is not None:
+            raise ValueError(f"needs a value of type {kind}, got {raw!r}")
         return None
     return _KIND_PARSERS[kind](raw)
 
@@ -208,8 +211,8 @@ def _build_parser() -> _Parser:
 def _merge_options(cmd: str, ns: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags; then required-field check."""
     table = _OPTIONS[cmd]
-    by_dest = {dest: (kind, choices)
-               for _, dest, kind, _, _, choices, _ in table}
+    by_dest = {dest: (kind, default, choices)
+               for _, dest, kind, default, _, choices, _ in table}
     merged = {dest: default for _, dest, _, default, _, _, _ in table}
     given = {k: v for k, v in vars(ns).items() if k != "cmd"}
 
@@ -220,9 +223,9 @@ def _merge_options(cmd: str, ns: argparse.Namespace) -> dict:
             if dest not in by_dest:
                 raise UsageError(
                     f"unknown config key {key!r} for subcommand {cmd!r}")
-            kind, choices = by_dest[dest]
+            kind, default, choices = by_dest[dest]
             try:
-                val = _parse_config_value(kind, raw)
+                val = _parse_config_value(kind, raw, default)
             except ValueError as exc:
                 raise UsageError(f"config key {key!r}: {exc}")
             if choices is not None and val is not None and val not in choices:
@@ -255,6 +258,9 @@ def _check_solver_settings(o: dict) -> None:
             raise UsageError(f"{flag} must be >= 1, got {o[dest]}")
     if o["solver"] != "sasc" and o["epochs"] is not None:
         raise UsageError(f"--epochs applies to --solver sasc, not {o['solver']}")
+    if o["solver"] != "sasc" and o["minibatch"] != 1:
+        raise UsageError(
+            f"--minibatch applies to --solver sasc, not {o['solver']}")
     if o["solver"] == "sasc" and o.get("iterations") is not None:
         raise UsageError("--iterations applies to --solver pegasos, not sasc")
 

@@ -27,7 +27,7 @@ from .prox import (
     l1_prox,
     zero_prox,
 )
-from .smoothing import CertificateInputs, RowConstraintSet, _EvalSet
+from .smoothing import CertificateInputs, RowConstraintSet, _CsrRows, _EvalSet
 
 # Entries per block when make_svm_problem computes its row norms.
 _NORM_BLOCK_ENTRIES = 1 << 20
@@ -81,13 +81,8 @@ class LabeledSparseDataset:
 
     def margins(self, x: Array) -> Array:
         """labels[i] * <row i, x> for every row; an empty row gives 0."""
-        # np.add.reduceat would give an empty row the entry at its start
-        # instead of 0, so only the rows that hold entries are summed
-        filled = self.indptr[:-1] < self.indptr[1:]
-        sums = np.zeros(len(self))
-        sums[filled] = np.add.reduceat(self.data * x[self.indices],
-                                       self.indptr[:-1][filled])
-        return self.labels * sums
+        rows = _CsrRows(self.indptr, self.indices, self.data, self.dim)
+        return self.labels * (rows @ x)
 
     def to_dense(self) -> Array:
         dense = np.zeros((len(self), self.dim))
@@ -261,26 +256,35 @@ def make_portfolio_problem(returns: Array, epsilon: float) -> CompositeProblem:
 
 
 def make_svm_problem(dataset: LabeledSparseDataset) -> CompositeProblem:
-    """min (1/2)||x||^2 subject to b_i <a_i, x> >= 1 for every labeled row."""
+    """min (1/2)||x||^2 subject to b_i <a_i, x> >= 1 for every labeled row.
+
+    The constraint rows b_i a_i / ||a_i|| are CSR rows that share the
+    dataset's ``indptr`` and ``indices``; only the scaled values are new.
+    """
     labels = np.asarray(dataset.labels, dtype=float)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must lie in {-1, +1}")
-    if len(dataset) * dataset.dim > 50_000_000:
-        raise UnsupportedProblemError(
-            "dataset too large to densify; slice it to desk scale first")
-    # One dense buffer, scaled in place: b_i a_i / ||a_i||, as
-    # RowConstraintSet.normalized computes it. A row's norm does not depend
-    # on the blocking, and the blocks bound the temporary of the squares.
-    rows = dataset.to_dense()
-    rows *= labels[:, None]
-    nrm = np.empty(len(rows))
-    block = max(1, _NORM_BLOCK_ENTRIES // max(dataset.dim, 1))
-    for s in range(0, len(rows), block):
-        nrm[s:s + block] = np.linalg.norm(rows[s:s + block], axis=1)
+    # The norms come from dense labeled blocks of rows, exactly as
+    # RowConstraintSet.normalized computes them on the whole matrix: a
+    # row's norm does not depend on the blocking, and a block bounds the
+    # dense buffer and the temporary of its squares.
+    n, dim, indptr = len(dataset), dataset.dim, dataset.indptr
+    counts = np.diff(indptr)
+    labeled = dataset.data * np.repeat(labels, counts)
+    nrm = np.empty(n)
+    block = max(1, _NORM_BLOCK_ENTRIES // max(dim, 1))
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        p, q = indptr[s], indptr[e]
+        dense = np.zeros((e - s, dim))
+        dense[np.repeat(np.arange(e - s), counts[s:e]),
+              dataset.indices[p:q]] = labeled[p:q]
+        nrm[s:e] = np.linalg.norm(dense, axis=1)
     if np.any(nrm == 0.0):
         raise DegenerateConstraintError(
             "make_svm_problem: zero row, no margin constraint can hold")
-    rows /= nrm[:, None]
+    labeled /= np.repeat(nrm, counts)
+    rows = _CsrRows(indptr, dataset.indices, labeled, dim)
     constraints = RowConstraintSet(rows, 1.0 / nrm, np.inf)
     return CompositeProblem(
         dim=dataset.dim,

@@ -81,6 +81,70 @@ class ConstraintSampler:
         return None
 
 
+class _CsrRows:
+    """An (n, d) row block stored as CSR arrays.
+
+    Row i holds the values ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[...]`` of the same positions. It supports exactly what the
+    solvers apply to ``RowConstraintSet.rows``: ``shape``, ``ndim``,
+    ``take(idx)`` and ``rows[idx]`` (another block), ``rows[i]`` (one dense
+    row), ``R @ x`` (the row products) and ``g @ R`` (a dense d-vector).
+    A one-row block holds views of its parent's arrays and steps with one
+    dot and one scatter.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+    __array_ufunc__ = None      # so that ndarray @ block calls __rmatmul__
+    ndim = 2
+
+    def __init__(self, indptr: Array, indices: Array, data: Array, dim: int):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.shape = (len(indptr) - 1, dim)
+
+    def take(self, idx, axis: int = 0) -> "_CsrRows":
+        if len(idx) == 1:
+            i = idx[0]
+            p, q = self.indptr[i], self.indptr[i + 1]
+            return _CsrRows(np.array((0, q - p)), self.indices[p:q],
+                            self.data[p:q], self.shape[1])
+        starts = self.indptr[idx]
+        counts = self.indptr[np.asarray(idx) + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        return _CsrRows(indptr, self.indices[pos], self.data[pos],
+                        self.shape[1])
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            i = range(self.shape[0])[i]
+            p, q = self.indptr[i], self.indptr[i + 1]
+            row = np.zeros(self.shape[1])
+            row[self.indices[p:q]] = self.data[p:q]
+            return row
+        return self.take(i)
+
+    def __matmul__(self, x: Array) -> Array:
+        if self.shape[0] == 1:
+            return self.data[None] @ x[self.indices]
+        # np.add.reduceat would give an empty row the entry at its start
+        # instead of 0, so only the rows that hold entries are summed
+        starts = self.indptr[:-1]
+        filled = starts < self.indptr[1:]
+        z = np.zeros(self.shape[0])
+        z[filled] = np.add.reduceat(self.data * x[self.indices], starts[filled])
+        return z
+
+    def __rmatmul__(self, g: Array) -> Array:
+        if self.shape[0] == 1:
+            out = np.zeros(self.shape[1])
+            out[self.indices] = g[0] * self.data
+            return out
+        weights = np.repeat(g, np.diff(self.indptr)) * self.data
+        return np.bincount(self.indices, weights, minlength=self.shape[1])
+
+
 class RowBatch(Sequence):
     """Rows ``idx`` of a RowConstraintSet, as a lazy sequence of samples.
 
@@ -117,10 +181,13 @@ class RowConstraintSet(ConstraintSampler):
     of endpoint arrays covers every set shape used by the bundled problems.
     Only the ``rows``, ``lo`` and ``hi`` arrays are stored: ``sample``,
     ``draw`` and the batches build ConstraintSample objects on demand.
+    ``rows`` is a dense (n, d) array, or CSR rows (``_CsrRows``) for sparse
+    data such as the SVM problem's; ``sample`` then builds one dense row.
     """
 
     def __init__(self, rows: Array, lo: Array, hi: Array):
-        rows = np.asarray(rows, dtype=float)
+        if not isinstance(rows, _CsrRows):
+            rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("RowConstraintSet: rows must be a nonempty (n, d) array")
         n = rows.shape[0]

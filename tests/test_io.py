@@ -305,6 +305,7 @@ class TestCli:
         ["svm", "--solver", "pegasos", "--epochs", "3"],
         ["svm", "--solver", "sasc", "--iterations", "5", "--budget", "100"],
         ["bp", "--solver", "spp", "--minibatch", "0"],
+        ["bp", "--solver", "spp", "--minibatch", "4"],
         ["svm", "--solver", "pegasos", "--validation-samples", "0"],
         ["portfolio", "--epsilon", "0", "--budget", "100"],
         ["bp", "--d", "0"],
@@ -312,7 +313,8 @@ class TestCli:
             "spp-validation-samples", "spp-mu", "pegasos-checkpoint-every",
             "pegasos-iterations", "pegasos-lambda", "spp-epochs",
             "sgd-epochs", "pegasos-epochs", "sasc-iterations",
-            "spp-minibatch", "pegasos-validation-samples",
+            "spp-minibatch", "spp-minibatch-above-1",
+            "pegasos-validation-samples",
             "portfolio-epsilon", "bp-dimension"])
     def test_invalid_baseline_setting_is_usage_error(self, argv, tmp_path,
                                                      capsys):
@@ -347,6 +349,19 @@ class TestCli:
         assert (tmp_path / "b.csv").exists()
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("key", ["checkpoint_every", "minibatch"])
+    def test_config_none_for_a_set_option_is_usage_error(self, key, tmp_path,
+                                                         capsys):
+        out = tmp_path / "o.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d = 8\nn = 200\nsparsity = 2\nbudget = 400\n"
+                       f"epochs = none\n{key} = none\nout = {out}\n")
+        assert cli_main(["bp", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and repr(key) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 from conftest import bp_dual_certificate
-from sasc.core import Case, SascConfig
+from sasc.baselines import BaselineConfig, run_spp
+from sasc.core import Case, SascConfig, run_sasc
 from sasc.errors import (
     DegenerateConstraintError,
     DivergenceError,
@@ -29,6 +31,7 @@ from sasc.problems import (
 from sasc.smoothing import (
     ConstraintSampler,
     RowConstraintSet,
+    _CsrRows,
     feasibility_metric,
     moreau_grad,
     saddle_point_residuals,
@@ -255,7 +258,8 @@ class TestSvmProblem:
         got = make_svm_problem(ds).constraints
         want = RowConstraintSet.normalized(labels[:, None] * ds.to_dense(),
                                            1.0, np.inf)
-        assert np.array_equal(got.rows, want.rows)
+        dense = np.array([got.rows[i] for i in range(len(got))])
+        assert np.array_equal(dense, want.rows)
         assert np.array_equal(got.lo, want.lo)
         assert np.array_equal(got.hi, want.hi)
 
@@ -264,6 +268,113 @@ class TestSvmProblem:
                                             [1.0, -1.0, 1.0], dim=2)
         with pytest.raises(DegenerateConstraintError):
             make_svm_problem(ds)
+
+
+def _full_storage_svm(seed):
+    """The svm problem on a dataset that stores every entry, and a copy of
+    it whose constraint set holds the same rows as a dense array."""
+    ds = gen_separable_svm(12, 300, margin=0.3, seed=seed)
+    sparse = make_svm_problem(ds)
+    dense = dataclasses.replace(sparse, constraints=RowConstraintSet.normalized(
+        ds.labels[:, None] * ds.to_dense(), 1.0, np.inf))
+    return sparse, dense
+
+
+def _svm_config(seed, minibatch):
+    return SascConfig(alpha0=0.5, omega=2.0, m0=4,
+                      case=Case.RESTRICTED_STRONGLY_CONVEX, sample_budget=3000,
+                      seed=seed, minibatch=minibatch, checkpoint_every=50,
+                      eval_samples=100)
+
+
+class TestCsrRows:
+    """CSR constraint rows against the dense rows they stand for."""
+
+    _COLUMNS = ("samples", "epoch", "objective", "feasibility", "beta",
+                "alpha", "dist_to_ref")
+
+    def test_single_sample_sasc_matches_dense_rows(self):
+        sparse, dense = _full_storage_svm(21)
+        cfg = _svm_config(21, 1)
+        x, trace = run_sasc(sparse, cfg)
+        x_dense, trace_dense = run_sasc(dense, cfg)
+        assert x.tobytes() == x_dense.tobytes()
+        # a held-out block sums its rows in another order than BLAS, so the
+        # feasibility column alone may differ in its last bits
+        for name in self._COLUMNS:
+            got, want = trace.column(name), trace_dense.column(name)
+            if name == "feasibility":
+                assert_allclose(got, want, rtol=1e-12)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    def test_minibatch_sasc_matches_dense_rows(self):
+        sparse, dense = _full_storage_svm(22)
+        cfg = _svm_config(22, 4)
+        x, trace = run_sasc(sparse, cfg)
+        x_dense, trace_dense = run_sasc(dense, cfg)
+        assert_allclose(x, x_dense, rtol=1e-12)
+        for name in self._COLUMNS:
+            assert_allclose(trace.column(name), trace_dense.column(name),
+                            rtol=1e-12)
+
+    def test_spp_matches_dense_rows(self):
+        sparse, dense = _full_storage_svm(23)
+        cfg = BaselineConfig("spp", step=0.01, iterations=2000, seed=23,
+                             checkpoint_every=50, eval_samples=100)
+        assert run_spp(sparse, cfg)[0].tobytes() == run_spp(dense, cfg)[0].tobytes()
+
+    def test_feasibility_over_the_support_matches_dense_rows(self):
+        sparse, dense = _full_storage_svm(24)
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            x = rng.standard_normal(12)
+            assert_allclose(
+                feasibility_metric(x, sparse.constraints, 300, 0),
+                feasibility_metric(x, dense.constraints, 300, 0), rtol=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_row_products_on_rows_of_different_lengths(self, batch):
+        rng = np.random.default_rng(25)
+        idx_lists, val_lists = [], []
+        for _ in range(60):
+            k = 0 if rng.random() < 0.2 else int(rng.integers(1, 25))
+            idx_lists.append(np.sort(rng.choice(30, size=k, replace=False)))
+            val_lists.append(rng.standard_normal(k))
+        ds = LabeledSparseDataset.from_rows(idx_lists, val_lists,
+                                            np.ones(60), 30)
+        rows, dense = _CsrRows(ds.indptr, ds.indices, ds.data, 30), ds.to_dense()
+        assert np.any(np.diff(ds.indptr) == 0)
+        for _ in range(40):
+            idx = rng.integers(0, 60, size=batch)
+            x, g = rng.standard_normal(30), rng.standard_normal(batch)
+            block = rows.take(idx, axis=0)
+            assert block.shape == (batch, 30)
+            assert_allclose(block @ x, dense[idx] @ x, rtol=1e-12)
+            assert_allclose(g @ block, g @ dense[idx], rtol=1e-12)
+            assert np.array_equal(rows[int(idx[0])], dense[idx[0]])
+
+    def test_shares_the_dataset_arrays(self):
+        ds = gen_separable_svm(6, 40, margin=0.5, seed=26)
+        rows = make_svm_problem(ds).constraints.rows
+        assert rows.indices is ds.indices and rows.indptr is ds.indptr
+
+    def test_problem_build_stays_sparse(self):
+        # 20,000 x 1,000 with 20 entries per row: its dense copy alone
+        # would take 160 MB
+        n, d, k = 20_000, 1_000, 20
+        rng = np.random.default_rng(27)
+        cols = np.arange(k) * (d // k) + rng.integers(0, d // k, size=(n, k))
+        ds = LabeledSparseDataset(np.arange(n + 1) * k, cols.ravel(),
+                                  rng.standard_normal(n * k),
+                                  np.where(rng.random(n) < 0.5, 1.0, -1.0), d)
+        tracemalloc.start()
+        try:
+            make_svm_problem(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestDataset:
