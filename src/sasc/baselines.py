@@ -41,8 +41,10 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in _BASELINE_METHODS:
             raise ConfigurationError(f"unknown baseline method {self.method!r}")
-        if self.step <= 0:
-            raise ConfigurationError("step must be positive")
+        if not 0 < self.step < np.inf:
+            raise ConfigurationError(
+                f"{self.method} step must be positive and finite, "
+                f"got {self.step}")
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
         if self.checkpoint_every < 1:
@@ -153,13 +155,10 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
     column. Row indices are drawn in chunks of at most ``smoothing._CHUNK``,
     one generator call each, which consumes ``rng`` exactly as one scalar
     draw per step; each step reads its row as a slice of the CSR arrays.
+    The settings are checked as a ``BaselineConfig``, whose ``step`` is lam.
     """
-    if lam <= 0:
-        raise ConfigurationError("lam must be positive")
-    if iterations < 1:
-        raise ConfigurationError("iterations must be >= 1")
-    if checkpoint_every < 1:
-        raise ConfigurationError("checkpoint_every must be >= 1")
+    BaselineConfig("pegasos", step=lam, iterations=iterations, seed=seed,
+                   checkpoint_every=checkpoint_every)
     labels = np.asarray(dataset.labels, dtype=float)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must lie in {-1, +1}")

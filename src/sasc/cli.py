@@ -241,28 +241,74 @@ def _merge_options(cmd: str, ns: argparse.Namespace) -> dict:
     return merged
 
 
-def _resolve_budget(o: dict, n: int) -> dict:
-    """Translate passes/budget/epochs flags into SascConfig budget fields."""
-    if o.get("epochs") is not None:
-        return {"epochs": o["epochs"], "sample_budget": None}
-    budget = o["budget"] if o.get("budget") is not None else int(
-        math.floor(o["passes"] * n))
-    return {"epochs": None, "sample_budget": budget}
+# The solvers that read each solver-specific option; every other option is
+# read by every solver. A value the chosen solver never reads must equal its
+# default.
+_READ_BY = {
+    "alpha0": ("sasc",), "omega": ("sasc",), "m0": ("sasc",),
+    "epochs": ("sasc",), "minibatch": ("sasc",),
+    "reference": ("sasc",), "reference_tol": ("sasc",),
+    "mu": ("spp",), "step": ("sgd",),
+    "lam": ("pegasos",), "iterations": ("pegasos",),
+    "validation_samples": ("sasc", "spp", "sgd"),
+}
+
+_CASES = {1: Case.GENERAL_CONVEX, 2: Case.RESTRICTED_STRONGLY_CONVEX}
 
 
-def _check_solver_settings(o: dict) -> None:
-    """Reject counts below 1 and settings the chosen solver never reads."""
-    for flag, dest in (("--minibatch", "minibatch"),
-                       ("--validation-samples", "validation_samples")):
-        if o[dest] < 1:
-            raise UsageError(f"{flag} must be >= 1, got {o[dest]}")
-    if o["solver"] != "sasc" and o["epochs"] is not None:
-        raise UsageError(f"--epochs applies to --solver sasc, not {o['solver']}")
-    if o["solver"] != "sasc" and o["minibatch"] != 1:
-        raise UsageError(
-            f"--minibatch applies to --solver sasc, not {o['solver']}")
-    if o["solver"] == "sasc" and o.get("iterations") is not None:
-        raise UsageError("--iterations applies to --solver pegasos, not sasc")
+def _check_solver_settings(cmd: str, o: dict) -> None:
+    """Reject a setting the chosen solver never reads, unless at its default."""
+    solver = o["solver"]
+    for flag, dest, _, default, _, _, _ in _OPTIONS[cmd]:
+        if solver not in _READ_BY.get(dest, (solver,)) and o[dest] != default:
+            raise UsageError(f"--solver {solver} does not read {flag}")
+
+
+def _schedule(o: dict, case: Case, **run) -> SascConfig:
+    """The validated SascConfig of the options' alpha0, omega and m0."""
+    cfg = SascConfig(alpha0=float(o["alpha0"]), omega=o["omega"], m0=o["m0"],
+                     case=case, **run)
+    cfg.validate()
+    return cfg
+
+
+def _solve(o: dict, n: int, problem, case: Case = Case.GENERAL_CONVEX,
+           cert=None, holdout=None):
+    """Configure and run the chosen solver; ``problem`` is Pegasos's dataset.
+
+    The sample budget is --budget, else floor(--passes * n). A
+    restricted-strongly-convex schedule needs m0 >= omega / (mu alpha0), so
+    m0 is raised to that least value.
+    """
+    solver, samples = o["solver"], o["budget"]
+    if samples is None:
+        if not 0 < o["passes"] < math.inf:
+            raise UsageError(
+                f"--passes must be positive and finite, got {o['passes']}")
+        samples = int(math.floor(o["passes"] * n))
+    if solver == "sasc":
+        cfg = _schedule(
+            o, case, epochs=o["epochs"],
+            sample_budget=None if o["epochs"] is not None else samples,
+            seed=o["seed"], minibatch=o["minibatch"],
+            checkpoint_every=o["checkpoint_every"],
+            eval_samples=o["validation_samples"])
+        if case is Case.RESTRICTED_STRONGLY_CONVEX:
+            cfg.m0 = max(cfg.m0,
+                         math.ceil(cfg.omega / (problem.mu * cfg.alpha0)))
+        return run_sasc(problem, cfg, cert=cert)
+    if o.get("iterations") is not None:
+        samples = o["iterations"]
+    if solver == "pegasos":
+        lam = o["lam"] if o["lam"] is not None else 1.0 / n
+        return run_pegasos(problem, lam, samples, seed=o["seed"],
+                           eval_dataset=holdout,
+                           checkpoint_every=o["checkpoint_every"])
+    cfg = BaselineConfig(solver, step=o["mu"] if solver == "spp" else o["step"],
+                         iterations=samples, seed=o["seed"],
+                         checkpoint_every=o["checkpoint_every"],
+                         eval_samples=o["validation_samples"])
+    return (run_spp if solver == "spp" else run_projected_sgd)(problem, cfg)
 
 
 def _emit(trace, o: dict) -> None:
@@ -280,28 +326,11 @@ def _cmd_bp(o: dict) -> int:
     inst = gen_basis_pursuit(o["d"], o["n"], o["sparsity"], o["rho"], o["seed"])
     cert = CertificateInputs(x_star=inst.x_star,
                              p_star=float(np.sum(np.abs(inst.x_star))))
-    budget = _resolve_budget(o, o["n"])
-    iterations = budget["sample_budget"] or int(math.floor(o["passes"] * o["n"]))
-    if o["solver"] == "sasc":
-        alpha0 = auto_alpha0(inst) if o["alpha0"] == "auto" else float(o["alpha0"])
-        cfg = SascConfig(alpha0=alpha0, omega=o["omega"], m0=o["m0"],
-                         case=Case.GENERAL_CONVEX, seed=o["seed"],
-                         minibatch=o["minibatch"],
-                         checkpoint_every=o["checkpoint_every"],
-                         eval_samples=o["validation_samples"], **budget)
-        x, trace = run_sasc(make_bp_problem(inst), cfg, cert=cert)
-    elif o["solver"] == "spp":
-        bcfg = BaselineConfig("spp", step=o["mu"], iterations=iterations,
-                              seed=o["seed"],
-                              checkpoint_every=o["checkpoint_every"],
-                              eval_samples=o["validation_samples"])
-        x, trace = run_spp(make_bp_problem(inst), bcfg)
-    else:
-        bcfg = BaselineConfig("sgd", step=o["step"], iterations=iterations,
-                              seed=o["seed"],
-                              checkpoint_every=o["checkpoint_every"],
-                              eval_samples=o["validation_samples"])
-        x, trace = run_projected_sgd(make_bp_least_squares_problem(inst), bcfg)
+    if o["alpha0"] == "auto":
+        o["alpha0"] = auto_alpha0(inst)
+    make = (make_bp_least_squares_problem if o["solver"] == "sgd"
+            else make_bp_problem)
+    x, trace = _solve(o, o["n"], make(inst), cert=cert)
     rel = float(np.linalg.norm(x - inst.x_star) / np.linalg.norm(inst.x_star))
     _emit(trace, o)
     print(f"relative error to planted vector: {rel:.4g}")
@@ -321,22 +350,7 @@ def _cmd_portfolio(o: dict) -> int:
     if o["reference"]:
         x_ref, p_ref = reference_solution(problem, o["reference_tol"])
         cert = CertificateInputs(x_star=x_ref, p_star=p_ref)
-    n = returns.shape[0]
-    budget = _resolve_budget(o, n)
-    if o["solver"] == "sasc":
-        cfg = SascConfig(alpha0=o["alpha0"], omega=o["omega"], m0=o["m0"],
-                         case=Case.GENERAL_CONVEX, seed=o["seed"],
-                         minibatch=o["minibatch"],
-                         checkpoint_every=o["checkpoint_every"],
-                         eval_samples=o["validation_samples"], **budget)
-        x, trace = run_sasc(problem, cfg, cert=cert)
-    else:
-        iterations = budget["sample_budget"] or int(math.floor(o["passes"] * n))
-        bcfg = BaselineConfig("spp", step=o["mu"], iterations=iterations,
-                              seed=o["seed"],
-                              checkpoint_every=o["checkpoint_every"],
-                              eval_samples=o["validation_samples"])
-        x, trace = run_spp(problem, bcfg)
+    _, trace = _solve(o, returns.shape[0], problem, cert=cert)
     _emit(trace, o)
     return 0
 
@@ -356,28 +370,13 @@ def _cmd_svm(o: dict) -> int:
     if o["test"]:
         # widened or cut to the training dimension, through the constructor
         holdout = _with_dim(parse_libsvm(o["test"]), dataset.dim)
-    n = len(dataset)
-    budget = _resolve_budget(o, n)
-    iterations = (o["iterations"] if o.get("iterations") is not None
-                  else (budget["sample_budget"]
-                        or int(math.floor(o["passes"] * n))))
-    if o["solver"] == "sasc":
-        problem = make_svm_problem(dataset)
-        m0 = max(o["m0"], int(math.ceil(o["omega"] / (problem.mu * o["alpha0"]))))
-        cfg = SascConfig(alpha0=o["alpha0"], omega=o["omega"], m0=m0,
-                         case=Case.RESTRICTED_STRONGLY_CONVEX, seed=o["seed"],
-                         minibatch=o["minibatch"],
-                         checkpoint_every=o["checkpoint_every"],
-                         eval_samples=o["validation_samples"], **budget)
-        x, trace = run_sasc(problem, cfg)
-        if holdout is not None:
-            err = float(np.mean(holdout.margins(x) <= 0.0))
-            print(f"held-out 0/1 error: {err:.4f}")
-    else:
-        lam = o["lam"] if o.get("lam") is not None else 1.0 / n
-        x, trace = run_pegasos(dataset, lam, iterations, seed=o["seed"],
-                               eval_dataset=holdout,
-                               checkpoint_every=o["checkpoint_every"])
+    sasc = o["solver"] == "sasc"
+    problem = make_svm_problem(dataset) if sasc else dataset
+    x, trace = _solve(o, len(dataset), problem,
+                      Case.RESTRICTED_STRONGLY_CONVEX, holdout=holdout)
+    if sasc and holdout is not None:
+        err = float(np.mean(holdout.margins(x) <= 0.0))
+        print(f"held-out 0/1 error: {err:.4f}")
     _emit(trace, o)
     return 0
 
@@ -395,9 +394,9 @@ def _residual_suite_worst_slacks(draws: int, seed: int):
 
 
 def _cmd_check(o: dict) -> int:
-    case = Case.GENERAL_CONVEX if o["case"] == 1 else Case.RESTRICTED_STRONGLY_CONVEX
-    cfg = SascConfig(alpha0=o["alpha0"], omega=o["omega"], m0=o["m0"], epochs=1)
-    report = schedule_inequalities_check(case, cfg, o["norm_bound"], o["smax"])
+    cfg = _schedule(o, _CASES[o["case"]], epochs=1)
+    report = schedule_inequalities_check(cfg.case, cfg, o["norm_bound"],
+                                         o["smax"])
     print(f"schedule inequalities (case {o['case']}, s <= {o['smax']}):")
     for name, slack in report.slacks.items():
         print(f"  {name}: worst slack {slack:.6e}")
@@ -414,12 +413,11 @@ def _cmd_check(o: dict) -> int:
 
 
 def _cmd_bounds(o: dict) -> int:
-    case = Case.GENERAL_CONVEX if o["case"] == 1 else Case.RESTRICTED_STRONGLY_CONVEX
-    cfg = SascConfig(alpha0=o["alpha0"], omega=o["omega"], m0=o["m0"], epochs=1)
+    cfg = _schedule(o, _CASES[o["case"]], epochs=1)
     cert = CertificateInputs(x_star=np.array([o["x0_dist"]]), p_star=0.0,
                              y_star_norm=o["y_star_norm"], sigma_f=o["sigma_f"])
     x0 = np.zeros(1)
-    if case is Case.GENERAL_CONVEX:
+    if cfg.case is Case.GENERAL_CONVEX:
         consts = constants_case1(cfg, o["norm_bound"], cert, x0)
         print("C1={:.12g} C2={:.12g} C3={:.12g} C4={:.12g}".format(*consts))
     else:
@@ -429,7 +427,7 @@ def _cmd_bounds(o: dict) -> int:
         raise UsageError("--m-max must be at least m0")
     grid = np.unique(np.round(np.geomspace(
         o["m0"], o["m_max"], num=o["m_count"])).astype(int))
-    curves = bound_curves(case, consts, o["m0"], o["omega"], grid,
+    curves = bound_curves(cfg.case, consts, o["m0"], o["omega"], grid,
                           lipschitz_g=o["lipschitz_g"],
                           y_star_norm=o["y_star_norm"])
     lines = ["M,objective_bound,feasibility_bound"]
@@ -469,7 +467,7 @@ def cli_main(argv=None) -> int:
     try:
         opts = _merge_options(ns.cmd, ns)
         if "solver" in opts:
-            _check_solver_settings(opts)
+            _check_solver_settings(ns.cmd, opts)
         return _HANDLERS[ns.cmd](opts)
     except (UsageError, ConfigurationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -105,10 +105,12 @@ class SascConfig:
     eval_samples: int = 1000
 
     def validate(self, problem: Optional[CompositeProblem] = None) -> None:
-        if self.alpha0 <= 0:
-            raise ConfigurationError(f"alpha0 must be positive, got {self.alpha0}")
-        if self.omega <= 1:
-            raise ConfigurationError(f"omega must exceed 1, got {self.omega}")
+        if not 0 < self.alpha0 < math.inf:
+            raise ConfigurationError(
+                f"alpha0 must be positive and finite, got {self.alpha0}")
+        if not 1 < self.omega < math.inf:
+            raise ConfigurationError(
+                f"omega must exceed 1 and be finite, got {self.omega}")
         if self.m0 < 1:
             raise ConfigurationError(f"m0 must be a positive integer, got {self.m0}")
         if self.minibatch < 1:

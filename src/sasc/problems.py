@@ -237,8 +237,9 @@ def make_portfolio_problem(returns: Array, epsilon: float) -> CompositeProblem:
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2 or returns.shape[0] < 2:
         raise ValueError("returns must be an (n, d) matrix with n >= 2")
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ConfigurationError(
+            f"epsilon must be positive and finite, got {epsilon}")
     n, d = returns.shape
     a_avg = returns.mean(axis=0)
     constraints = RowConstraintSet.normalized(
@@ -329,8 +330,9 @@ def make_min_norm_hyperplane_problem(dim: int = 2):
 def gen_separable_svm(d: int, n: int, margin: float, seed: int
                       ) -> LabeledSparseDataset:
     """Linearly separable toy set: points shifted along a planted separator."""
-    if margin <= 0:
-        raise ConfigurationError("margin must be positive")
+    if not 0 < margin < np.inf:
+        raise ConfigurationError(
+            f"margin must be positive and finite, got {margin}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)

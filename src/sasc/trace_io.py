@@ -67,6 +67,8 @@ def parse_libsvm(path, dim: Optional[int] = None) -> LabeledSparseDataset:
             data.extend(vals)
             indptr.append(len(indices))
             labels.append(label)
+    if not labels:
+        raise ValueError(f"no data rows in {path}")
     if dim is None:
         dim = max_idx
     elif dim < max_idx:

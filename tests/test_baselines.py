@@ -336,6 +336,16 @@ class TestPegasos:
         with pytest.raises(ValueError, match="labels"):
             run_pegasos(ds, lam=1.0, iterations=1)
 
+    def test_settings_checked_as_a_baseline_config(self):
+        ds = self._single_row([1.0, 0.0], +1.0)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="pegasos step"):
+                run_pegasos(ds, lam=lam, iterations=1)
+        with pytest.raises(ConfigurationError, match="iterations"):
+            run_pegasos(ds, lam=1.0, iterations=0)
+        with pytest.raises(ConfigurationError, match="checkpoint_every"):
+            run_pegasos(ds, lam=1.0, iterations=1, checkpoint_every=0)
+
     def test_holdout_error_column(self):
         train = gen_separable_svm(3, 100, margin=0.7, seed=9)
         test = gen_separable_svm(3, 50, margin=0.7, seed=10)
@@ -394,8 +404,9 @@ class TestBaselineConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BaselineConfig("nope", step=1.0, iterations=1)
-        with pytest.raises(ValueError):
-            BaselineConfig("sgd", step=0.0, iterations=1)
+        for step in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="sgd step"):
+                BaselineConfig("sgd", step=step, iterations=1)
         with pytest.raises(ValueError):
             BaselineConfig("sgd", step=1.0, iterations=0)
         with pytest.raises(ConfigurationError, match="checkpoint_every"):

@@ -235,8 +235,14 @@ class TestRunSasc:
         problem, _ = min_norm_toy
         with pytest.raises(ConfigurationError, match="exactly one"):
             SascConfig(alpha0=0.5, omega=2.0, m0=4).validate(problem)
-        with pytest.raises(ConfigurationError, match="omega"):
-            SascConfig(alpha0=0.5, omega=1.0, m0=4, epochs=1).validate(problem)
+        for omega in (1.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="omega"):
+                SascConfig(alpha0=0.5, omega=omega, m0=4,
+                           epochs=1).validate(problem)
+        for alpha0 in (0.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="alpha0"):
+                SascConfig(alpha0=alpha0, omega=2.0, m0=4,
+                           epochs=1).validate(problem)
         with pytest.raises(ConfigurationError, match="3/\\(4 L\\)"):
             SascConfig(alpha0=10.0, omega=2.0, m0=4, epochs=1).validate(problem)
         cfg = SascConfig(alpha0=0.5, omega=2.0, m0=2, epochs=1,

@@ -79,6 +79,12 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="malformed"):
             parse_libsvm(p)
 
+    def test_no_rows_rejected(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("# comment\n\n")
+        with pytest.raises(ValueError, match=f"no data rows in {p}"):
+            parse_libsvm(p)
+
     def test_dim_override(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1 2:1\n")
@@ -250,11 +256,13 @@ class TestCli:
         ds = gen_separable_svm(4, 60, margin=1.0, seed=5)
         data = tmp_path / "train.libsvm"
         serialize_libsvm(ds, data)
-        for solver in ("sasc", "pegasos"):
+        # Pegasos measures on the --test file and reads no --validation-samples
+        for solver, extra in (("sasc", ["--validation-samples", "30"]),
+                              ("pegasos", [])):
             out = tmp_path / f"svm-{solver}.csv"
             rc = cli_main(["svm", "--data", str(data), "--solver", solver,
                            "--budget", "240", "--checkpoint-every", "60",
-                           "--validation-samples", "30", "--out", str(out)])
+                           "--out", str(out)] + extra)
             assert rc == 0
             assert read_trace_csv(out).records
 
@@ -309,26 +317,106 @@ class TestCli:
         ["svm", "--solver", "pegasos", "--validation-samples", "0"],
         ["portfolio", "--epsilon", "0", "--budget", "100"],
         ["bp", "--d", "0"],
+        ["bp", "--omega", "inf"],
+        ["portfolio", "--passes", "inf"],
+        ["portfolio", "--passes", "nan"],
+        ["portfolio", "--omega", "nan"],
+        ["portfolio", "--alpha0", "nan"],
+        ["portfolio", "--epsilon", "nan"],
+        ["bp", "--solver", "spp", "--mu", "inf"],
+        ["svm", "--solver", "pegasos", "--lambda", "nan"],
+        ["check", "--omega", "1"],
+        ["check", "--alpha0", "0"],
+        ["check", "--m0", "0"],
+        ["check", "--omega", "0.5"],
+        ["bounds", "--omega", "1"],
+        ["bounds", "--alpha0", "-1"],
+        ["bounds", "--omega", "nan"],
+        ["bp", "--solver", "spp", "--step", "7"],
+        ["bp", "--solver", "sasc", "--mu", "5"],
+        ["bp", "--solver", "spp", "--alpha0", "9"],
+        ["svm", "--solver", "pegasos", "--alpha0", "9"],
+        ["svm", "--solver", "pegasos", "--validation-samples", "50"],
+        ["portfolio", "--solver", "spp", "--reference"],
+        ["svm", "--alpha0", "0"],
     ], ids=["spp-checkpoint-every", "sgd-checkpoint-every",
             "spp-validation-samples", "spp-mu", "pegasos-checkpoint-every",
             "pegasos-iterations", "pegasos-lambda", "spp-epochs",
             "sgd-epochs", "pegasos-epochs", "sasc-iterations",
             "spp-minibatch", "spp-minibatch-above-1",
             "pegasos-validation-samples",
-            "portfolio-epsilon", "bp-dimension"])
+            "portfolio-epsilon", "bp-dimension",
+            "omega-inf", "passes-inf", "passes-nan", "omega-nan",
+            "alpha0-nan", "epsilon-nan", "spp-mu-inf", "pegasos-lambda-nan",
+            "check-omega-1", "check-alpha0-0", "check-m0-0",
+            "check-omega-below-1", "bounds-omega-1", "bounds-alpha0-negative",
+            "bounds-omega-nan", "spp-step", "sasc-mu", "spp-alpha0",
+            "pegasos-alpha0", "pegasos-validation-samples-50",
+            "spp-reference", "svm-alpha0-0"])
     def test_invalid_baseline_setting_is_usage_error(self, argv, tmp_path,
                                                      capsys):
         data = tmp_path / "train.libsvm"
         data.write_text("+1 1:1.0\n-1 1:-1.0\n")
         inputs = {"svm": ["--data", str(data)], "portfolio": [],
+                  "check": [], "bounds": [],
                   "bp": ["--d", "8", "--n", "200", "--sparsity", "2",
                          "--budget", "400"]}[argv[0]]
         out = tmp_path / "o.csv"
+        # check writes no file and has no --out option
+        out_args = [] if argv[0] == "check" else ["--out", str(out)]
         # the case's own flags come last, so they override the inputs
-        assert cli_main(argv[:1] + inputs + argv[1:]
-                        + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("usage error:")
+        assert cli_main(argv[:1] + inputs + argv[1:] + out_args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "unrecognized arguments" not in err
+        assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["sasc", "pegasos"])
+    @pytest.mark.parametrize("role", ["--data", "--test"])
+    def test_libsvm_file_without_rows_is_data_error(self, role, solver,
+                                                    tmp_path, capsys):
+        data = tmp_path / "train.libsvm"
+        data.write_text("+1 1:1.0\n-1 1:-1.0\n")
+        empty = tmp_path / "empty.libsvm"
+        empty.write_text("# no rows\n")
+        files = {"--data": str(data), "--test": str(data), role: str(empty)}
+        out = tmp_path / "o.csv"
+        assert cli_main(["svm", "--data", files["--data"], "--test",
+                         files["--test"], "--solver", solver, "--budget", "20",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"no data rows in {empty}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd,solver", [("bp", "sasc"), ("bp", "spp"),
+                                            ("svm", "sasc"),
+                                            ("svm", "pegasos")])
+    def test_default_valued_settings_pass_for_every_solver(self, cmd, solver,
+                                                           tmp_path):
+        # the benchmark's parity run gives every solver these two flags,
+        # and 1000 is the --validation-samples default that Pegasos ignores
+        data = tmp_path / "train.libsvm"
+        data.write_text("+1 1:1.0\n-1 1:-1.0\n+1 1:0.5\n-1 1:-0.5\n")
+        inputs = {"svm": ["--data", str(data), "--test", str(data)],
+                  "bp": ["--d", "8", "--n", "200", "--sparsity", "2"]}[cmd]
+        out = tmp_path / "o.csv"
+        assert cli_main([cmd] + inputs + [
+            "--budget", "400", "--solver", solver, "--checkpoint-every", "256",
+            "--validation-samples", "1000", "--no-timing",
+            "--out", str(out)]) == 0
+        assert read_trace_csv(out).records
+
+    def test_solver_option_table_names_real_options_and_solvers(self):
+        from sasc.cli import _OPTIONS, _READ_BY
+        dests = {dest for opts in _OPTIONS.values() for _, dest, *_ in opts}
+        solvers = {s for opts in _OPTIONS.values()
+                   for _, dest, _, _, _, choices, _ in opts
+                   if dest == "solver" for s in choices}
+        for dest, readers in _READ_BY.items():
+            assert dest in dests, dest
+            assert readers and set(readers) <= solvers, dest
 
     def test_solver_error_exit_code(self, tmp_path):
         # unreadable data file: a runtime (not usage) failure

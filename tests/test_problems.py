@@ -169,8 +169,14 @@ class TestPortfolioProblem:
     def test_insufficient_data(self):
         with pytest.raises(ValueError):
             make_portfolio_problem(np.ones((1, 3)), 0.2)
-        with pytest.raises(ValueError):
-            make_portfolio_problem(np.ones((5, 3)), 0.0)
+        for epsilon in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                make_portfolio_problem(np.ones((5, 3)), epsilon)
+
+    def test_separable_svm_margin_must_be_finite_and_positive(self):
+        for margin in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="margin"):
+                gen_separable_svm(2, 10, margin=margin, seed=0)
 
     def test_solver_approaches_reference(self):
         from sasc.core import run_sasc
