@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import CompositeProblem, _Recorder, _seeded_run
 from .errors import ConfigurationError, DivergenceError, UnsupportedProblemError
-from .prox import Array
+from .prox import Array, _clip
 from .smoothing import _CHUNK, RowBatch, _batches
 
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
@@ -94,17 +94,6 @@ def _project_onto_constraint(z: Array, sample) -> Array:
 def _move_along_row(z: Array, row: Array, val: float, target: float) -> Array:
     """z shifted along ``row`` so that row^T z moves from ``val`` to ``target``."""
     return z - ((val - target) / float(row @ row)) * row
-
-
-def _clip(v: float, lo: float, hi: float) -> float:
-    """np.minimum(np.maximum(v, lo), hi) on Python floats, bit for bit.
-
-    Like numpy, each comparison keeps its first argument only when it wins
-    strictly or is NaN, which fixes the sign of a zero result. On scalars it
-    is several times faster than the two numpy calls.
-    """
-    v = v if v > lo or v != v else lo
-    return v if v < hi or v != v else hi
 
 
 def run_spp(problem: CompositeProblem, cfg: BaselineConfig):

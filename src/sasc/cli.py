@@ -266,10 +266,22 @@ def _check_solver_settings(cmd: str, o: dict) -> None:
 
 def _schedule(o: dict, case: Case, **run) -> SascConfig:
     """The validated SascConfig of the options' alpha0, omega and m0."""
-    cfg = SascConfig(alpha0=float(o["alpha0"]), omega=o["omega"], m0=o["m0"],
+    cfg = SascConfig(alpha0=o["alpha0"], omega=o["omega"], m0=o["m0"],
                      case=case, **run)
     cfg.validate()
     return cfg
+
+
+def _check_finite(o: dict, dest: str, positive: bool = False) -> None:
+    """Refuse a float option that no config class checks.
+
+    The value must be finite and at least 0, or above 0 when ``positive``.
+    """
+    value = o[dest]
+    if not ((value > 0 if positive else value >= 0) and value < math.inf):
+        least = "positive" if positive else ">= 0"
+        raise UsageError(f"--{dest.replace('_', '-')} must be {least} and "
+                         f"finite, got {value}")
 
 
 def _solve(o: dict, n: int, problem, case: Case = Case.GENERAL_CONVEX,
@@ -323,6 +335,12 @@ def _emit(trace, o: dict) -> None:
 
 
 def _cmd_bp(o: dict) -> int:
+    if o["alpha0"] != "auto":
+        try:
+            o["alpha0"] = float(o["alpha0"])
+        except ValueError:
+            raise UsageError(f"--alpha0 must be a number or 'auto', "
+                             f"got {o['alpha0']!r}") from None
     inst = gen_basis_pursuit(o["d"], o["n"], o["sparsity"], o["rho"], o["seed"])
     cert = CertificateInputs(x_star=inst.x_star,
                              p_star=float(np.sum(np.abs(inst.x_star))))
@@ -394,6 +412,7 @@ def _residual_suite_worst_slacks(draws: int, seed: int):
 
 
 def _cmd_check(o: dict) -> int:
+    _check_finite(o, "norm_bound", positive=True)
     cfg = _schedule(o, _CASES[o["case"]], epochs=1)
     report = schedule_inequalities_check(cfg.case, cfg, o["norm_bound"],
                                          o["smax"])
@@ -413,7 +432,12 @@ def _cmd_check(o: dict) -> int:
 
 
 def _cmd_bounds(o: dict) -> int:
+    _check_finite(o, "norm_bound", positive=True)
+    _check_finite(o, "x0_dist")
+    if o["lipschitz_g"] is not None:
+        _check_finite(o, "lipschitz_g")
     cfg = _schedule(o, _CASES[o["case"]], epochs=1)
+    # CertificateInputs checks --y-star-norm and --sigma-f
     cert = CertificateInputs(x_star=np.array([o["x0_dist"]]), p_star=0.0,
                              y_star_norm=o["y_star_norm"], sigma_f=o["sigma_f"])
     x0 = np.zeros(1)

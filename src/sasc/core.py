@@ -24,13 +24,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .prox import Array, ProxHandle
+from .prox import Array, ProxHandle, _clip
 from .smoothing import (
     CertificateInputs,
     ConstraintSample,
     ConstraintSampler,
     RowBatch,
     _batches,
+    _CsrRows,
     _EvalSet,
 )
 
@@ -74,8 +75,9 @@ class CompositeProblem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("CompositeProblem: dim must be >= 1")
-        if self.norm_bound <= 0:
-            raise ValueError("CompositeProblem: norm_bound must be positive")
+        if not 0 < self.norm_bound < math.inf:
+            raise ValueError(
+                "CompositeProblem: norm_bound must be positive and finite")
 
     @property
     def h_value(self) -> Callable:
@@ -250,8 +252,15 @@ def _direction(x: Array, batch, beta_s: float,
 
     A RowBatch of B rows R = rows[J] with endpoints lo, hi gives
     z = R x, g = (z - clip(z, lo, hi)) / (B beta_s) and
-    d = grad_f(x, batch) + R^T g; B = 1 reproduces the single-sample step
-    bit for bit. Any other batch sums the penalty gradients of its samples.
+    d = grad_f(x, batch) + R^T g. The batch's length picks the path. For
+    B = 1, z and g are Python floats: z is the dot of x with the row's
+    stored entries (a view of a dense row, or its CSR entries, never a
+    densified row), and R^T g is g times the row, or g times the CSR values
+    scattered into zeros. That is the vectorized arithmetic without a row
+    copy or ufuncs on one-element arrays, and bit for bit the same d, save
+    that a zero entry of g times a dense row keeps its sign where the block
+    product gives +0.0; the two differ only where grad_f returns -0.0. Any
+    other batch sums the penalty gradients of its samples.
     """
     if not isinstance(batch, RowBatch):
         penalty = None
@@ -260,10 +269,23 @@ def _direction(x: Array, batch, beta_s: float,
             g = sample.adjoint((z - sample.set_proj.project(z)) / beta_s)
             penalty = g if penalty is None else penalty + g
         return problem.grad_f(x, batch) + penalty / len(batch)
-    R = batch.owner.rows.take(batch.idx, axis=0)
-    z = R @ x
-    g = (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta_s * len(z))
-    return problem.grad_f(x, batch) + g @ R
+    rows = batch.owner.rows
+    if len(batch.idx) != 1:
+        R = rows.take(batch.idx, axis=0)
+        z = R @ x
+        g = (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta_s * len(z))
+        return problem.grad_f(x, batch) + g @ R
+    lo, hi = float(batch.lo[0]), float(batch.hi[0])
+    if isinstance(rows, _CsrRows):
+        cols, vals = rows.entries(batch.idx[0])
+        z = float(vals @ x[cols])
+        d = np.zeros(x.shape)
+        d[cols] = ((z - _clip(z, lo, hi)) / beta_s) * vals
+        d += problem.grad_f(x, batch)
+        return d
+    row = rows[batch.idx[0]]
+    z = float(row @ x)
+    return problem.grad_f(x, batch) + ((z - _clip(z, lo, hi)) / beta_s) * row
 
 
 class _Recorder:

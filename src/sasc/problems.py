@@ -361,9 +361,12 @@ def reference_solution(problem: CompositeProblem, tolerance: float,
     support taken as one batch, and the objective and feasibility come from
     one held-out set over the whole support; the loop and its smoothness
     schedule are separate from ``run_sasc``'s. Only small finite-support
-    instances are accepted. A non-finite objective raises DivergenceError
-    naming the iteration.
+    instances are accepted. ``tolerance`` must be positive and finite. A
+    non-finite objective raises DivergenceError naming the iteration.
     """
+    if not 0 < tolerance < np.inf:
+        raise ConfigurationError("reference tolerance must be positive and "
+                                 f"finite, got {tolerance}")
     sup = problem.constraints.support()
     if sup is None:
         raise UnsupportedProblemError("reference needs a finite constraint support")

@@ -9,13 +9,14 @@ residual checks that certify the gap/feasibility translation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateConstraintError
+from .errors import ConfigurationError, DegenerateConstraintError
 from .prox import Array, BoxSet, ProxHandle, SetProjector
 
 
@@ -89,8 +90,8 @@ class _CsrRows:
     solvers apply to ``RowConstraintSet.rows``: ``shape``, ``ndim``,
     ``take(idx)`` and ``rows[idx]`` (another block), ``rows[i]`` (one dense
     row), ``R @ x`` (the row products) and ``g @ R`` (a dense d-vector).
-    A one-row block holds views of its parent's arrays and steps with one
-    dot and one scatter.
+    ``entries(i)`` gives one row's stored entries, on which the solvers'
+    one-row step works without building a block.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")
@@ -103,12 +104,12 @@ class _CsrRows:
         self.data = data
         self.shape = (len(indptr) - 1, dim)
 
+    def entries(self, i):
+        """(columns, values) of row i's stored entries, as views."""
+        p, q = self.indptr[i], self.indptr[i + 1]
+        return self.indices[p:q], self.data[p:q]
+
     def take(self, idx, axis: int = 0) -> "_CsrRows":
-        if len(idx) == 1:
-            i = idx[0]
-            p, q = self.indptr[i], self.indptr[i + 1]
-            return _CsrRows(np.array((0, q - p)), self.indices[p:q],
-                            self.data[p:q], self.shape[1])
         starts = self.indptr[idx]
         counts = self.indptr[np.asarray(idx) + 1] - starts
         indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -118,16 +119,13 @@ class _CsrRows:
 
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
-            i = range(self.shape[0])[i]
-            p, q = self.indptr[i], self.indptr[i + 1]
+            cols, vals = self.entries(range(self.shape[0])[i])
             row = np.zeros(self.shape[1])
-            row[self.indices[p:q]] = self.data[p:q]
+            row[cols] = vals
             return row
         return self.take(i)
 
     def __matmul__(self, x: Array) -> Array:
-        if self.shape[0] == 1:
-            return self.data[None] @ x[self.indices]
         # np.add.reduceat would give an empty row the entry at its start
         # instead of 0, so only the rows that hold entries are summed
         starts = self.indptr[:-1]
@@ -137,10 +135,6 @@ class _CsrRows:
         return z
 
     def __rmatmul__(self, g: Array) -> Array:
-        if self.shape[0] == 1:
-            out = np.zeros(self.shape[1])
-            out[self.indices] = g[0] * self.data
-            return out
         weights = np.repeat(g, np.diff(self.indptr)) * self.data
         return np.bincount(self.indices, weights, minlength=self.shape[1])
 
@@ -266,10 +260,11 @@ def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
     """Yield ``steps`` batches of ``per_step`` draws each, in stream order.
 
     The first batch is drawn alone. When it is a RowBatch, the rest come
-    from chunks of at most ``_CHUNK`` indices, sliced into per-step
-    RowBatches; a chunk consumes ``rng`` exactly as its per-step draws
-    would. Any other sampler is drawn one step at a time, so nothing is
-    drawn ahead of the step that uses it.
+    from chunks of at most ``_CHUNK`` indices; a chunk consumes ``rng``
+    exactly as its per-step draws would. Each step's RowBatch is built
+    straight from views of the chunk's ``idx``, ``lo`` and ``hi``, with no
+    ``RowBatch.__getitem__`` dispatch. Any other sampler is drawn one step
+    at a time, so nothing is drawn ahead of the step that uses it.
     """
     steps_per_draw = 1
     k = 0
@@ -278,8 +273,13 @@ def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
         chunk = sampler.draw_batch(rng, n * per_step)
         if isinstance(chunk, RowBatch):
             steps_per_draw = max(1, _CHUNK // per_step)
-        for j in range(0, n * per_step, per_step):
-            yield chunk[j:j + per_step]
+            owner, idx, lo, hi = chunk.owner, chunk.idx, chunk.lo, chunk.hi
+            for j in range(0, n * per_step, per_step):
+                e = j + per_step
+                yield RowBatch(owner, idx[j:e], lo[j:e], hi[j:e])
+        else:
+            for j in range(0, n * per_step, per_step):
+                yield chunk[j:j + per_step]
         k += n
 
 
@@ -341,10 +341,12 @@ class CertificateInputs:
     sigma_f: float = 0.0
 
     def __post_init__(self):
-        if self.y_star_norm < 0:
-            raise ValueError("CertificateInputs: y_star_norm must be >= 0")
-        if self.sigma_f < 0:
-            raise ValueError("CertificateInputs: sigma_f must be >= 0")
+        for name in ("y_star_norm", "sigma_f"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"CertificateInputs: {name} must be >= 0 and finite, "
+                    f"got {value}")
 
 
 class _EvalSet:

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from conftest import least_squares_grad_one
 from sasc.baselines import (
     BaselineConfig,
-    _clip,
     _project_onto_constraint,
     run_pegasos,
     run_projected_sgd,
@@ -17,7 +16,7 @@ from sasc.baselines import (
 )
 from sasc.core import CompositeProblem, SascConfig, run_sasc
 from sasc.errors import ConfigurationError, DivergenceError, UnsupportedProblemError
-from sasc.prox import interval, l1_prox, singleton, zero_prox
+from sasc.prox import _clip, interval, l1_prox, singleton, zero_prox
 from sasc.problems import (
     LabeledSparseDataset,
     gen_basis_pursuit,

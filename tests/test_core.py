@@ -10,6 +10,7 @@ from sasc.core import (
     Case,
     CompositeProblem,
     SascConfig,
+    _direction,
     bound_curves,
     constants_case1,
     constants_case2,
@@ -20,6 +21,7 @@ from sasc.core import (
 )
 from sasc.errors import ConfigurationError, DivergenceError
 from sasc.problems import (
+    LabeledSparseDataset,
     gen_basis_pursuit,
     gen_separable_svm,
     gen_synthetic_returns,
@@ -29,7 +31,13 @@ from sasc.problems import (
     make_svm_problem,
 )
 from sasc.prox import l1_prox, zero_prox
-from sasc.smoothing import CertificateInputs, ConstraintSampler, RowConstraintSet
+from sasc.smoothing import (
+    CertificateInputs,
+    ConstraintSampler,
+    RowBatch,
+    RowConstraintSet,
+    _CsrRows,
+)
 
 
 def _cfg(alpha0, omega, m0, **kw):
@@ -250,6 +258,13 @@ class TestRunSasc:
         with pytest.raises(ConfigurationError, match="omega/\\(mu alpha0\\)"):
             cfg.validate(problem)
 
+    @pytest.mark.parametrize("norm_bound", [0.0, np.nan, np.inf])
+    def test_problem_norm_bound_must_be_positive_and_finite(self, min_norm_toy,
+                                                           norm_bound):
+        problem, _ = min_norm_toy
+        with pytest.raises(ValueError, match="norm_bound"):
+            dataclasses.replace(problem, norm_bound=norm_bound)
+
     def test_budget_epoch_resolution(self):
         cfg = SascConfig(alpha0=0.5, omega=2.0, m0=2, sample_budget=40000)
         assert cfg.planned_epochs() == 14  # sum_{s<14} 2^{s+1} = 32766 <= 40000
@@ -309,6 +324,63 @@ def _small_svm():
     return problem, cfg
 
 
+def _sparse_svm():
+    """A genuinely sparse svm problem: d = 200, 5 stored entries per row."""
+    rng = np.random.default_rng(9)
+    n, d, k = 400, 200, 5
+    cols = [np.sort(rng.choice(d, size=k, replace=False)) for _ in range(n)]
+    vals = [rng.standard_normal(k) for _ in range(n)]
+    w = rng.standard_normal(d)
+    labels = [1.0 if v @ w[c] >= 0 else -1.0 for c, v in zip(cols, vals)]
+    problem = make_svm_problem(
+        LabeledSparseDataset.from_rows(cols, vals, np.array(labels), d))
+    cfg = SascConfig(alpha0=0.5, omega=1.5, m0=3000, epochs=2, seed=5,
+                     case=Case.RESTRICTED_STRONGLY_CONVEX,
+                     checkpoint_every=10 ** 6, eval_samples=1)
+    return problem, cfg
+
+
+def _csr_reference_run(problem, cfg):
+    """run_sasc's x_bar on CSR svm rows, stepped from the CSR arrays.
+
+    Each step is the one-row block arithmetic of the vectorized kernel: the
+    1 x k product over the row's stored entries, the clipped residual as a
+    one-element array, and its multiple of the row's values scattered into
+    zeros. grad_f is x and the prox the identity, as in make_svm_problem.
+    """
+    rows, lo, hi = (problem.constraints.rows, problem.constraints.lo,
+                    problem.constraints.hi)
+    train_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.default_rng(train_ss)
+    x = np.zeros(problem.dim)
+    for s in range(cfg.planned_epochs()):
+        alpha, beta, m = schedule_params(cfg.case, s, cfg, problem.norm_bound)
+        avg = np.zeros_like(x)
+        for _ in range(m):
+            i = int(rng.integers(len(lo)))
+            p, q = rows.indptr[i], rows.indptr[i + 1]
+            cols, vals = rows.indices[p:q], rows.data[p:q]
+            z = vals[None] @ x[cols]
+            clipped = np.minimum(np.maximum(z, lo[i:i + 1]), hi[i:i + 1])
+            g = (z - clipped) / beta
+            penalty = np.zeros(problem.dim)
+            penalty[cols] = g[0] * vals
+            x = x - alpha * (x + penalty)
+            avg += x
+        x_bar = avg / m
+        x = x_bar.copy()
+    return x_bar
+
+
+# (lo, hi) of a one-row draw, from the row's product z with x
+_ONE_ROW_DRAWS = {
+    "inactive": lambda z: (z - 1.0, np.inf),
+    "equality-inactive": lambda z: (z, z),
+    "half-line": lambda z: (z + 0.5, np.inf),
+    "equality": lambda z: (z - 0.25, z - 0.25),
+}
+
+
 def _same_f(problem):
     return problem, problem
 
@@ -332,6 +404,46 @@ class TestRowKernel:
         problem, cfg = build()
         x_bar, _ = run_sasc(problem, cfg)
         assert x_bar.tobytes() == _per_sample_run(problem, cfg).tobytes()
+
+    def test_sparse_rows_step_on_their_stored_entries(self):
+        # 5 of 200 entries stored: a kernel that densified the row would
+        # sum the row product in another order and move x_bar
+        problem, cfg = _sparse_svm()
+        x_bar, _ = run_sasc(problem, cfg)
+        assert x_bar.tobytes() == _csr_reference_run(problem, cfg).tobytes()
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("case", list(_ONE_ROW_DRAWS))
+    def test_one_row_step_is_the_block_step(self, storage, case):
+        # the one-row path against the vectorized arithmetic on the same
+        # row taken as a one-row block: the 1 x k product over the stored
+        # entries for CSR rows, R @ x and g @ R for dense ones
+        rng = np.random.default_rng(12)
+        d, k = 30, 4
+        cols = np.sort(rng.choice(d, size=k, replace=False))
+        vals = rng.standard_normal(k)
+        dense = np.zeros((1, d))
+        dense[0, cols] = vals
+        x = rng.standard_normal(d)
+        if storage == "csr":
+            rows = _CsrRows(np.array([0, k]), cols, vals, d)
+            z = vals[None] @ x[cols]
+        else:
+            rows, z = dense, dense @ x
+        owner = RowConstraintSet(rows, *_ONE_ROW_DRAWS[case](float(z[0])))
+        problem = CompositeProblem(
+            dim=d, grad_f=lambda x, batch: x, f_value=lambda x, batch: 0.0,
+            prox_h=zero_prox(), constraints=owner, norm_bound=1.0)
+        got = _direction(x, RowBatch(owner, np.array([0])), 0.7, problem)
+
+        g = (z - np.minimum(np.maximum(z, owner.lo), owner.hi)) / 0.7
+        if storage == "csr":
+            penalty = np.zeros(d)
+            penalty[cols] = g[0] * vals
+        else:
+            penalty = g @ dense
+        assert got.tobytes() == (x + penalty).tobytes()
+        assert (g[0] == 0.0) == case.endswith("inactive")
 
     def test_minibatch_run_matches_per_sample_steps(self):
         problem = make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3),

@@ -372,6 +372,41 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,name", [
+        (["check", "--smax", "5", "--norm-bound", "nan",
+          "--residual-draws", "5"], "--norm-bound"),
+        (["check", "--norm-bound", "0"], "--norm-bound"),
+        (["bounds", "--norm-bound", "-1"], "--norm-bound"),
+        (["bounds", "--norm-bound", "inf"], "--norm-bound"),
+        (["bounds", "--x0-dist", "nan"], "--x0-dist"),
+        (["bounds", "--x0-dist", "-1"], "--x0-dist"),
+        (["bounds", "--y-star-norm", "nan"], "y_star_norm"),
+        (["bounds", "--y-star-norm", "-1"], "y_star_norm"),
+        (["bounds", "--sigma-f", "nan"], "sigma_f"),
+        (["bounds", "--sigma-f", "inf"], "sigma_f"),
+        (["bounds", "--lipschitz-g", "nan"], "--lipschitz-g"),
+        (["bp", "--alpha0", "abc"], "--alpha0"),
+        (["portfolio", "--reference", "--reference-tol", "nan",
+          "--budget", "100"], "tolerance"),
+        (["portfolio", "--reference", "--reference-tol", "0",
+          "--budget", "100"], "tolerance"),
+    ], ids=["check-norm-bound-nan", "check-norm-bound-0",
+            "bounds-norm-bound-negative", "bounds-norm-bound-inf",
+            "bounds-x0-dist-nan", "bounds-x0-dist-negative",
+            "bounds-y-star-norm-nan", "bounds-y-star-norm-negative",
+            "bounds-sigma-f-nan", "bounds-sigma-f-inf",
+            "bounds-lipschitz-g-nan", "bp-alpha0-not-a-number",
+            "reference-tol-nan", "reference-tol-0"])
+    def test_bad_value_is_usage_error_naming_it(self, argv, name, tmp_path,
+                                                capsys):
+        out = tmp_path / "o.csv"
+        out_args = [] if argv[0] == "check" else ["--out", str(out)]
+        assert cli_main(argv + out_args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and name in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("solver", ["sasc", "pegasos"])
     @pytest.mark.parametrize("role", ["--data", "--test"])
     def test_libsvm_file_without_rows_is_data_error(self, role, solver,

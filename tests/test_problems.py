@@ -10,6 +10,7 @@ from conftest import bp_dual_certificate
 from sasc.baselines import BaselineConfig, run_spp
 from sasc.core import Case, SascConfig, run_sasc
 from sasc.errors import (
+    ConfigurationError,
     DegenerateConstraintError,
     DivergenceError,
     NoConvergenceError,
@@ -538,6 +539,13 @@ class TestReferenceSolution:
         x_ref, p_ref = reference_solution(problem, 1e-8)
         assert np.linalg.norm(x_ref - cert.x_star) <= 1e-6
         assert abs(p_ref - 0.5) <= 1e-8
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        # every "< nan" test is false, so a NaN tolerance would never stop
+        problem, _ = make_min_norm_hyperplane_problem()
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            reference_solution(problem, tolerance)
 
     def test_tiny_planted_recovery(self):
         inst = gen_basis_pursuit(6, 40, 2, 0.9, seed=18)

@@ -53,6 +53,18 @@ class TestSoftThreshold:
                                 -8, 8)
             assert abs(out - xg) <= 1e-3
 
+    def test_zero_result_keeps_the_sign_of_its_input(self):
+        out = soft_threshold(np.array([-0.0, 0.0, -0.5, 0.5, -3.0]), 1.0)
+        assert np.signbit(out).tolist() == [True, False, True, False, True]
+        assert out.tolist() == [0.0, 0.0, 0.0, 0.0, -2.0]
+
+    def test_matches_sign_times_shrunk_magnitude_off_negative_zero(self):
+        rng = np.random.default_rng(3)
+        z = np.concatenate([rng.standard_normal(1000), [0.0, 1.0, -1.0]])
+        expected = np.sign(z) * np.maximum(np.abs(z) - 1.0, 0.0)
+        assert soft_threshold(z, 1.0).tobytes() == expected.tobytes()
+        assert float(soft_threshold(np.float64(-2.5), 1.0)) == -1.5
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             soft_threshold(np.array([1.0, np.nan]), 1.0)

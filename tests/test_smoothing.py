@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sasc.core import CompositeProblem
-from sasc.errors import DegenerateConstraintError
+from sasc.errors import ConfigurationError, DegenerateConstraintError
 from sasc.prox import BoxSet, halfspace, interval, l1_prox, singleton, zero_prox
 from sasc.smoothing import (
     CertificateInputs,
@@ -259,6 +259,12 @@ class TestCertificateInputs:
             CertificateInputs(y_star_norm=-1.0)
         with pytest.raises(ValueError):
             CertificateInputs(sigma_f=-0.5)
+
+    @pytest.mark.parametrize("name", ["y_star_norm", "sigma_f"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            CertificateInputs(**{name: value})
 
 
 class TestRowConstraintSet:
