@@ -52,10 +52,7 @@ from .prox import (
     hyperplane_indicator_prox,
     interval,
     l1_prox,
-    linear_prox,
-    project_halfspace,
     project_hyperplane,
-    project_interval,
     singleton,
     soft_threshold,
     zero_prox,
@@ -66,11 +63,9 @@ from .smoothing import (
     ConstraintSampler,
     RowBatch,
     RowConstraintSet,
-    SmoothedTerm,
     feasibility_metric,
     saddle_point_residuals,
     moreau_grad,
-    normalize_constraint,
     smoothed_gap,
 )
 from .trace_io import (

@@ -58,7 +58,8 @@ def run_projected_sgd(problem: CompositeProblem, cfg: BaselineConfig):
 
     The nonsmooth term must be an indicator of a projectable set (or zero);
     constraints are ignored beyond supplying the randomness stream. Returns
-    the running average of the iterates and its trace.
+    the running average of the iterates and its trace; a non-finite iterate
+    raises DivergenceError naming its step.
     """
     if not problem.prox_h.is_projection:
         raise UnsupportedProblemError(
@@ -73,6 +74,8 @@ def run_projected_sgd(problem: CompositeProblem, cfg: BaselineConfig):
     for t, batch in enumerate(draws, start=1):
         eta = cfg.step / np.sqrt(t)
         x = problem.prox_h.evaluate(x - eta * problem.grad_f(x, batch), eta)
+        if not np.isfinite(x).all():
+            raise DivergenceError(epoch=0, step=t)
         avg += x
         if t >= rec.due:
             rec.record(avg / t, t, 0, float(eta))

@@ -273,7 +273,7 @@ def _schedule(o: dict, case: Case, **run) -> SascConfig:
 
 
 def _check_finite(o: dict, dest: str, positive: bool = False) -> None:
-    """Refuse a float option that no config class checks.
+    """Refuse a numeric option that no config class checks.
 
     The value must be finite and at least 0, or above 0 when ``positive``.
     """
@@ -413,6 +413,8 @@ def _residual_suite_worst_slacks(draws: int, seed: int):
 
 def _cmd_check(o: dict) -> int:
     _check_finite(o, "norm_bound", positive=True)
+    _check_finite(o, "smax", positive=True)
+    _check_finite(o, "residual_draws", positive=True)
     cfg = _schedule(o, _CASES[o["case"]], epochs=1)
     report = schedule_inequalities_check(cfg.case, cfg, o["norm_bound"],
                                          o["smax"])
@@ -436,6 +438,7 @@ def _cmd_bounds(o: dict) -> int:
     _check_finite(o, "x0_dist")
     if o["lipschitz_g"] is not None:
         _check_finite(o, "lipschitz_g")
+    _check_finite(o, "m_count", positive=True)
     cfg = _schedule(o, _CASES[o["case"]], epochs=1)
     # CertificateInputs checks --y-star-norm and --sigma-f
     cert = CertificateInputs(x_star=np.array([o["x0_dist"]]), p_star=0.0,

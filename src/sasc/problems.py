@@ -16,7 +16,6 @@ import numpy as np
 from .core import CompositeProblem, _direction
 from .errors import (
     ConfigurationError,
-    DegenerateConstraintError,
     DivergenceError,
     NoConvergenceError,
     UnsupportedProblemError,
@@ -28,9 +27,6 @@ from .prox import (
     zero_prox,
 )
 from .smoothing import CertificateInputs, RowConstraintSet, _CsrRows, _EvalSet
-
-# Entries per block when make_svm_problem computes its row norms.
-_NORM_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -65,6 +61,8 @@ class LabeledSparseDataset:
                 "indptr must rise from 0 to the number of stored entries")
         if nnz and (self.indices.min() < 0 or self.indices.max() >= self.dim):
             raise ValueError("sparse index out of range")
+        if not (np.isfinite(self.data).all() and np.isfinite(self.labels).all()):
+            raise ValueError("sparse values and labels must be finite")
         entry_rows = np.repeat(np.arange(n), np.diff(self.indptr))
         same_row = entry_rows[1:] == entry_rows[:-1]
         if np.any(np.diff(self.indices)[same_row] <= 0):
@@ -237,13 +235,14 @@ def make_portfolio_problem(returns: Array, epsilon: float) -> CompositeProblem:
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2 or returns.shape[0] < 2:
         raise ValueError("returns must be an (n, d) matrix with n >= 2")
+    if not np.isfinite(returns).all():
+        raise ValueError("returns must be finite")
     if not 0 < epsilon < np.inf:
         raise ConfigurationError(
             f"epsilon must be positive and finite, got {epsilon}")
     n, d = returns.shape
     a_avg = returns.mean(axis=0)
-    constraints = RowConstraintSet.normalized(
-        returns - a_avg, -epsilon, epsilon, drop_zero_rows=True)
+    constraints = RowConstraintSet.normalized(returns - a_avg, -epsilon, epsilon)
     return CompositeProblem(
         dim=d,
         grad_f=lambda x, batch: -a_avg,
@@ -265,28 +264,10 @@ def make_svm_problem(dataset: LabeledSparseDataset) -> CompositeProblem:
     labels = np.asarray(dataset.labels, dtype=float)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must lie in {-1, +1}")
-    # The norms come from dense labeled blocks of rows, exactly as
-    # RowConstraintSet.normalized computes them on the whole matrix: a
-    # row's norm does not depend on the blocking, and a block bounds the
-    # dense buffer and the temporary of its squares.
-    n, dim, indptr = len(dataset), dataset.dim, dataset.indptr
-    counts = np.diff(indptr)
-    labeled = dataset.data * np.repeat(labels, counts)
-    nrm = np.empty(n)
-    block = max(1, _NORM_BLOCK_ENTRIES // max(dim, 1))
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        p, q = indptr[s], indptr[e]
-        dense = np.zeros((e - s, dim))
-        dense[np.repeat(np.arange(e - s), counts[s:e]),
-              dataset.indices[p:q]] = labeled[p:q]
-        nrm[s:e] = np.linalg.norm(dense, axis=1)
-    if np.any(nrm == 0.0):
-        raise DegenerateConstraintError(
-            "make_svm_problem: zero row, no margin constraint can hold")
-    labeled /= np.repeat(nrm, counts)
-    rows = _CsrRows(indptr, dataset.indices, labeled, dim)
-    constraints = RowConstraintSet(rows, 1.0 / nrm, np.inf)
+    labeled = dataset.data * np.repeat(labels, np.diff(dataset.indptr))
+    rows = _CsrRows(dataset.indptr, dataset.indices, labeled, dataset.dim)
+    # a zero row cannot meet b_i <a_i, x> >= 1, so normalized refuses it
+    constraints = RowConstraintSet.normalized(rows, 1.0, np.inf)
     return CompositeProblem(
         dim=dataset.dim,
         grad_f=lambda x, batch: x,

@@ -1,10 +1,9 @@
 """Closed-form proximal operators and Euclidean projections.
 
 These are the building blocks every problem instance is assembled from:
-scalar/vector projections onto the simple sets that appear as constraint
-right-hand sides (points, intervals, half-lines), the hyperplane projection
-used both as a prox and as a baseline step, and prox handles for the
-nonsmooth objective terms (l1 norm, linear, indicator, zero).
+projections onto the simple sets that appear as constraint right-hand sides
+(points, intervals, half-lines), the hyperplane projection, and prox handles
+for the nonsmooth objective terms (l1 norm, hyperplane indicator, zero).
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ def project_hyperplane(z: Array, a: Array, b: float) -> Array:
     return z - ((a @ z - b) / nrm2) * a
 
 
-def project_halfspace(z, lo):
-    """Project a scalar (or array, componentwise) onto [lo, inf)."""
-    return np.maximum(z, lo)
-
-
 def _clip(v: float, lo: float, hi: float) -> float:
     """np.minimum(np.maximum(v, lo), hi) on Python floats, bit for bit.
 
@@ -75,18 +69,10 @@ def _clip(v: float, lo: float, hi: float) -> float:
     return v if v < hi or v != v else hi
 
 
-def project_interval(z, lo, hi):
-    """Project a scalar (or array, componentwise) onto [lo, hi]."""
-    if np.any(np.asarray(lo) > np.asarray(hi)):
-        raise ValueError(f"project_interval: empty interval, lo={lo} > hi={hi}")
-    return np.minimum(np.maximum(z, lo), hi)
-
-
 class SetProjector:
     """A closed convex set, represented by its Euclidean projection.
 
-    Subclasses provide ``project``; ``distance`` and positive rescaling of
-    the set (B -> B/c) are derived from it.
+    Subclasses provide ``project``; ``distance`` is derived from it.
     """
 
     def project(self, z):
@@ -95,14 +81,6 @@ class SetProjector:
     def distance(self, z) -> float:
         diff = np.asarray(z, dtype=float) - self.project(z)
         return float(np.linalg.norm(np.atleast_1d(diff)))
-
-    def scaled(self, c: float) -> "SetProjector":
-        """Projector for the set B/c, c > 0 (via proj_{B/c}(z) = proj_B(cz)/c)."""
-        if c <= 0:
-            raise ValueError(f"scaled: factor must be positive, got {c}")
-        base = self
-        return CustomSet(lambda z: base.project(np.asarray(z, dtype=float) * c) / c)
-
 
 @dataclass(frozen=True)
 class BoxSet(SetProjector):
@@ -117,12 +95,6 @@ class BoxSet(SetProjector):
 
     def project(self, z):
         return np.minimum(np.maximum(z, self.lo), self.hi)
-
-    def scaled(self, c: float) -> "BoxSet":
-        if c <= 0:
-            raise ValueError(f"scaled: factor must be positive, got {c}")
-        return BoxSet(np.divide(self.lo, c), np.divide(self.hi, c))
-
 
 @dataclass(frozen=True)
 class CustomSet(SetProjector):
@@ -190,20 +162,16 @@ def l1_prox(weight: float = 1.0) -> ProxHandle:
     )
 
 
-def linear_prox(c: Array) -> ProxHandle:
-    """phi = <c, .>: prox is the shifted identity z - step*c."""
-    c = np.asarray(c, dtype=float)
+def hyperplane_indicator_prox(a: Array, b: float) -> ProxHandle:
+    """phi = indicator of {x : <a, x> = b}: prox is the hyperplane projection,
+    with the normal checked and ||a||^2 computed once, not on every step."""
+    a = np.array(a, dtype=float)
+    nrm2 = float(a @ a)
+    if not 0.0 < nrm2 < np.inf:
+        raise DegenerateConstraintError(
+            "hyperplane_indicator_prox: normal must be nonzero and finite")
     return ProxHandle(
-        evaluate=lambda z, step: np.asarray(z, dtype=float) - step * c,
-        objective_value=lambda x: float(c @ x),
-    )
-
-
-def hyperplane_indicator_prox(a: Array, b: float, tol: float = 1e-9) -> ProxHandle:
-    """phi = indicator of {x : <a, x> = b}: prox is the hyperplane projection."""
-    a = np.asarray(a, dtype=float)
-    return ProxHandle(
-        evaluate=lambda z, step: project_hyperplane(z, a, b),
-        objective_value=lambda x: 0.0 if abs(float(a @ x) - b) <= tol else np.inf,
+        evaluate=lambda z, step: z - ((a @ z - b) / nrm2) * a,
+        objective_value=lambda x: 0.0 if abs(float(a @ x) - b) <= 1e-9 else np.inf,
         is_projection=True,
     )

@@ -46,23 +46,6 @@ class ConstraintSample:
         return float(np.linalg.norm(self.row, 2))
 
 
-def normalize_constraint(row: Array, set_proj: SetProjector,
-                         index: Optional[int] = None) -> ConstraintSample:
-    """Rescale a constraint to unit operator norm without changing its solutions.
-
-    a^T x in B holds iff (a/||a||)^T x in B/||a|| holds, and projecting onto
-    the rescaled set is as easy as onto the original.
-    """
-    row = np.asarray(row, dtype=float)
-    nrm = float(np.linalg.norm(row)) if row.ndim == 1 else float(np.linalg.norm(row, 2))
-    if nrm == 0.0:
-        raise DegenerateConstraintError(
-            "normalize_constraint: zero operator (drop the sample if 0 is in the "
-            "target set, otherwise the data is infeasible)"
-        )
-    return ConstraintSample(row=row / nrm, set_proj=set_proj.scaled(nrm), index=index)
-
-
 class ConstraintSampler:
     """Source of constraint realizations; may expose a finite support."""
 
@@ -223,31 +206,38 @@ class RowConstraintSet(ConstraintSampler):
         return np.maximum(np.maximum(lo - z, z - hi), 0.0)
 
     @staticmethod
-    def normalized(rows: Array, lo, hi, drop_zero_rows: bool = False
-                   ) -> "RowConstraintSet":
-        """Build the set with every row rescaled to unit norm.
+    def normalized(rows, lo, hi) -> "RowConstraintSet":
+        """Build the set with every row, dense or ``_CsrRows``, at unit norm.
 
-        Zero rows are dropped when ``drop_zero_rows`` and 0 lies in their
-        target set (they constrain nothing); otherwise they raise.
+        A row's norm is the square root of the left-to-right sum of the
+        squares of its stored entries. A stored zero adds exactly 0, so dense
+        and CSR storage give the same bits. Zero rows are dropped when 0 lies
+        in their target set (they constrain nothing); otherwise they raise.
         """
-        rows = np.asarray(rows, dtype=float)
+        csr = isinstance(rows, _CsrRows)
+        rows = rows if csr else np.asarray(rows, dtype=float)
         n = rows.shape[0]
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
-        nrm = np.linalg.norm(rows, axis=1)
+        values = rows.data if csr else rows.ravel()
+        counts = np.diff(rows.indptr) if csr else np.full(n, rows.shape[1])
+        # bincount adds each row's squares in storage order
+        nrm = np.sqrt(np.bincount(np.repeat(np.arange(n), counts),
+                                  values * values, minlength=n))
         zero = nrm == 0.0
-        if np.any(zero):
-            harmless = (lo[zero] <= 0.0) & (hi[zero] >= 0.0)
-            if drop_zero_rows and np.all(harmless):
-                keep = ~zero
-                rows, lo, hi, nrm = rows[keep], lo[keep], hi[keep], nrm[keep]
-                if rows.shape[0] == 0:
-                    raise ValueError("normalized: all rows were degenerate")
-            else:
-                raise DegenerateConstraintError(
-                    "normalized: zero row with 0 outside its target set"
-                )
-        return RowConstraintSet(rows / nrm[:, None], lo / nrm, hi / nrm)
+        if not np.all((lo[zero] <= 0.0) & (hi[zero] >= 0.0)):
+            raise DegenerateConstraintError(
+                "normalized: zero row with 0 outside its target set")
+        if np.any(zero):    # a set left without rows is refused below
+            keep = np.flatnonzero(~zero)
+            rows, lo, hi, nrm = rows.take(keep, axis=0), lo[keep], hi[keep], nrm[keep]
+        if csr:     # the rows keep sharing indptr and indices unless one was dropped
+            rows = _CsrRows(rows.indptr, rows.indices,
+                            rows.data / np.repeat(nrm, np.diff(rows.indptr)),
+                            rows.shape[1])
+        else:
+            rows = rows / nrm[:, None]
+        return RowConstraintSet(rows, lo / nrm, hi / nrm)
 
 
 # Most constraint indices drawn from a row set's stream at once: one
@@ -307,24 +297,6 @@ def moreau_grad(z, inner, beta: float):
     else:
         raise TypeError(f"moreau_grad: unsupported inner term {type(inner).__name__}")
     return value, diff / beta
-
-
-@dataclass(frozen=True)
-class SmoothedTerm:
-    """The (1/beta)-smooth approximation of an indicator or Lipschitz term."""
-
-    beta: float
-    inner: SetProjector | ProxHandle
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"SmoothedTerm: beta must be positive, got {self.beta}")
-
-    def value(self, z) -> float:
-        return moreau_grad(z, self.inner, self.beta)[0]
-
-    def gradient(self, z):
-        return moreau_grad(z, self.inner, self.beta)[1]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ emitted file reproduces the trace bit-exactly.
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Optional
 
@@ -22,13 +23,25 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _first_nonfinite_line(path) -> int:
+    """The first libsvm line with a non-finite label or value; the file is
+    read again only once the bulk check of the parsed arrays has failed."""
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.lstrip().startswith("#") and not all(
+                    math.isfinite(float(t.rpartition(":")[2]))
+                    for t in line.split()):
+                return lineno
+
+
 def parse_libsvm(path, dim: Optional[int] = None) -> LabeledSparseDataset:
     """Read `label idx:val idx:val ...` lines (1-based, strictly ascending).
 
     Blank lines and lines starting with '#' are skipped; the dimension is the
     largest index seen unless overridden. Each line is checked as it is read,
     so a ParseError names the first faulty line, and its entries go into the
-    CSR buffers with one append.
+    CSR buffers with one append. Labels and values must be finite: they are
+    checked in bulk once the file is read.
     """
     indptr, indices = array("q", [0]), array("q")
     data, labels = array("d"), array("d")
@@ -69,6 +82,9 @@ def parse_libsvm(path, dim: Optional[int] = None) -> LabeledSparseDataset:
             labels.append(label)
     if not labels:
         raise ValueError(f"no data rows in {path}")
+    data, labels = np.frombuffer(data, dtype=float), np.frombuffer(labels, dtype=float)
+    if not (np.isfinite(data).all() and np.isfinite(labels).all()):
+        raise ParseError("non-finite value", _first_nonfinite_line(path))
     if dim is None:
         dim = max_idx
     elif dim < max_idx:
@@ -76,8 +92,7 @@ def parse_libsvm(path, dim: Optional[int] = None) -> LabeledSparseDataset:
     return LabeledSparseDataset(
         indptr=np.frombuffer(indptr, dtype=np.int64),
         indices=np.frombuffer(indices, dtype=np.int64),
-        data=np.frombuffer(data, dtype=float),
-        labels=np.frombuffer(labels, dtype=float), dim=dim)
+        data=data, labels=labels, dim=dim)
 
 
 def serialize_libsvm(dataset: LabeledSparseDataset, path) -> None:
@@ -134,7 +149,7 @@ def read_trace_csv(path) -> ConvergenceTrace:
 
 
 def read_returns_csv(path) -> np.ndarray:
-    """Read a returns matrix: rows are days, columns assets; optional header."""
+    """Read a returns matrix of finite cells: days x assets; optional header."""
     rows = []
     width = None
     header_allowed = True
@@ -154,6 +169,8 @@ def read_returns_csv(path) -> np.ndarray:
                 row = [float(c) for c in cells]
             except ValueError as exc:
                 raise ParseError(f"non-numeric cell ({exc})", lineno)
+            if not all(map(math.isfinite, row)):
+                raise ParseError("non-finite cell", lineno)
             if width is None:
                 width = len(row)
             elif len(row) != width:

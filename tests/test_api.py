@@ -1,0 +1,37 @@
+import types
+
+import sasc
+
+# The public names are a contract: adding or dropping one is a deliberate
+# change, recorded in CHANGES.md, and this set changes with it.
+PUBLIC_NAMES = {
+    "BaselineConfig", "run_pegasos", "run_projected_sgd", "run_spp",
+    "Case", "Case1Constants", "Case2Constants", "CompositeProblem",
+    "ConvergenceTrace", "SascConfig", "ScheduleState", "TraceRecord",
+    "bound_curves", "constants_case1", "constants_case2", "run_sasc",
+    "sasc_inner_step", "schedule_inequalities_check", "schedule_params",
+    "ConfigurationError", "DegenerateConstraintError", "DivergenceError",
+    "NoConvergenceError", "ParseError", "UnsupportedProblemError",
+    "BasisPursuitInstance", "LabeledSparseDataset", "ar1_covariance",
+    "auto_alpha0", "gen_basis_pursuit", "gen_separable_svm",
+    "gen_synthetic_returns", "make_bp_least_squares_problem",
+    "make_bp_problem", "make_min_norm_hyperplane_problem",
+    "make_portfolio_problem", "make_svm_problem", "reference_solution",
+    "BoxSet", "CustomSet", "ProxHandle", "SetProjector", "halfspace",
+    "hyperplane_indicator_prox", "interval", "l1_prox", "project_hyperplane",
+    "singleton", "soft_threshold", "zero_prox",
+    "CertificateInputs", "ConstraintSample", "ConstraintSampler", "RowBatch",
+    "RowConstraintSet", "feasibility_metric", "saddle_point_residuals",
+    "moreau_grad", "smoothed_gap",
+    "TRACE_HEADER", "load_config_file", "parse_libsvm", "read_returns_csv",
+    "read_trace_csv", "serialize_libsvm", "write_trace_csv",
+}
+
+
+def test_public_names_are_pinned():
+    # submodules become attributes of the package once imported; they are
+    # not names of sasc/__init__.py
+    names = {name for name, value in vars(sasc).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC_NAMES

@@ -86,6 +86,22 @@ class TestProjectedSgd:
             avg += x
         assert x_bar.tobytes() == (avg / cfg.iterations).tobytes()
 
+    def test_divergence_names_its_step(self):
+        # an ascent direction grows x by 1 + 10 / sqrt(t) per step until it
+        # overflows
+        prob = _unconstrained_problem(2, lambda x, xi=None: -10.0 * x - 1.0,
+                                      lambda x, xi=None: 0.0)
+        cfg = BaselineConfig("sgd", step=1.0, iterations=100_000, seed=0,
+                             checkpoint_every=100_000, eval_samples=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run_projected_sgd(prob, cfg)
+            x, t = np.zeros(2), 0
+            while np.isfinite(x).all():
+                t += 1
+                x = x - (1.0 / np.sqrt(t)) * (-10.0 * x - 1.0)
+        assert (err.value.epoch, err.value.step) == (0, t)
+
     def test_rejects_non_projectable_h(self):
         prob = _unconstrained_problem(2, lambda x, xi=None: np.zeros(2),
                                       lambda x, xi=None: 0.0,

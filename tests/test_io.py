@@ -79,6 +79,18 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="malformed"):
             parse_libsvm(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_name_their_line(self, tmp_path, bad):
+        p = tmp_path / "d.txt"
+        p.write_text(f"1 1:1\n\n# c\n-1 1:2 3:{bad}\n1 2:{bad}\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_libsvm(p)
+        assert err.value.line == 4
+        p.write_text(f"1 1:1\n{bad} 2:1\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_libsvm(p)
+        assert err.value.line == 2
+
     def test_no_rows_rejected(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("# comment\n\n")
@@ -178,6 +190,14 @@ class TestReturnsCsv:
         with pytest.raises(ParseError, match="ragged") as err:
             read_returns_csv(p)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, bad):
+        p = tmp_path / "r.csv"
+        p.write_text(f"a,b\n1.0,2.0\n# c\n3.0, {bad}\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            read_returns_csv(p)
+        assert err.value.line == 4
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -386,6 +406,11 @@ class TestCli:
         (["bounds", "--sigma-f", "inf"], "sigma_f"),
         (["bounds", "--lipschitz-g", "nan"], "--lipschitz-g"),
         (["bp", "--alpha0", "abc"], "--alpha0"),
+        (["check", "--smax", "0"], "--smax"),
+        (["check", "--smax", "3", "--residual-draws", "0"],
+         "--residual-draws"),
+        (["bounds", "--m-count", "0"], "--m-count"),
+        (["bounds", "--m-count", "-3"], "--m-count"),
         (["portfolio", "--reference", "--reference-tol", "nan",
           "--budget", "100"], "tolerance"),
         (["portfolio", "--reference", "--reference-tol", "0",
@@ -396,6 +421,8 @@ class TestCli:
             "bounds-y-star-norm-nan", "bounds-y-star-norm-negative",
             "bounds-sigma-f-nan", "bounds-sigma-f-inf",
             "bounds-lipschitz-g-nan", "bp-alpha0-not-a-number",
+            "check-smax-0", "check-residual-draws-0", "bounds-m-count-0",
+            "bounds-m-count-negative",
             "reference-tol-nan", "reference-tol-0"])
     def test_bad_value_is_usage_error_naming_it(self, argv, name, tmp_path,
                                                 capsys):

@@ -170,6 +170,11 @@ class TestPortfolioProblem:
     def test_insufficient_data(self):
         with pytest.raises(ValueError):
             make_portfolio_problem(np.ones((1, 3)), 0.2)
+        for bad in (np.nan, np.inf, -np.inf):
+            returns = gen_synthetic_returns(5, 3, seed=0)
+            returns[2, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                make_portfolio_problem(returns, 0.2)
         for epsilon in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 make_portfolio_problem(np.ones((5, 3)), epsilon)
@@ -269,6 +274,27 @@ class TestSvmProblem:
         assert np.array_equal(dense, want.rows)
         assert np.array_equal(got.lo, want.lo)
         assert np.array_equal(got.hi, want.hi)
+
+    def test_rows_match_normalized_dense_rows_where_pairwise_sums_differ(self):
+        # d = 200 with about 150 entries per row: np.linalg.norm's pairwise
+        # sum differs from the left-to-right sum on some rows, and dense and
+        # CSR normalization must still agree bit for bit
+        rng = np.random.default_rng(17)
+        n, d = 200, 200
+        dense = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.75)
+        labels = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+        ds = LabeledSparseDataset.from_rows(
+            [np.flatnonzero(r) for r in dense],
+            [r[r != 0.0] for r in dense], labels, d)
+        labeled = labels[:, None] * ds.to_dense()
+        sequential = np.sqrt(np.cumsum(labeled ** 2, axis=1)[:, -1])
+        assert np.any(np.linalg.norm(labeled, axis=1) != sequential)
+        got = make_svm_problem(ds).constraints
+        want = RowConstraintSet.normalized(labeled, 1.0, np.inf)
+        assert np.array_equal(got.lo, 1.0 / sequential)
+        assert np.array_equal(got.lo, want.lo)
+        assert np.array_equal(np.array([got.rows[i] for i in range(n)]),
+                              want.rows)
 
     def test_zero_row_rejected(self):
         ds = LabeledSparseDataset.from_rows([[0], [], [1]], [[1.0], [], [2.0]],
@@ -426,6 +452,11 @@ class TestDataset:
             make([0, 0, 2], [1, 1], [1.0, 2.0])
         with pytest.raises(ValueError, match="integers"):
             make([0, 1, 2], [3.0, 1.0], [1.0, 2.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make([0, 1, 2], [3, 1], [1.0, bad])
+            with pytest.raises(ValueError, match="finite"):
+                make([0, 1, 2], [3, 1], [1.0, 2.0], labels=(bad, 1.0))
 
     def test_from_rows_and_row_views(self):
         ds = LabeledSparseDataset.from_rows(

@@ -5,14 +5,12 @@ from numpy.testing import assert_allclose
 from sasc.errors import DegenerateConstraintError
 from sasc.prox import (
     BoxSet,
+    ProxHandle,
     halfspace,
     hyperplane_indicator_prox,
     interval,
     l1_prox,
-    linear_prox,
-    project_halfspace,
     project_hyperplane,
-    project_interval,
     singleton,
     soft_threshold,
     zero_prox,
@@ -115,20 +113,18 @@ class TestProjectHyperplane:
 
 class TestScalarProjections:
     def test_halfspace(self):
-        assert project_halfspace(0.4, 1.0) == 1.0
-        assert project_halfspace(2.0, 1.0) == 2.0
-        assert project_halfspace(-3.0, 1.0) == 1.0
+        assert halfspace(1.0).project(0.4) == 1.0
+        assert halfspace(1.0).project(2.0) == 2.0
+        assert halfspace(1.0).project(-3.0) == 1.0
 
     def test_interval(self):
         # the bundled slab width 0.2 forces the clamp
-        assert project_interval(2.0, -0.2, 0.2) == 0.2
-        assert project_interval(0.1, -0.2, 0.2) == 0.1
-        assert project_interval(-5.0, -0.2, 0.2) == -0.2
+        assert interval(-0.2, 0.2).project(2.0) == 0.2
+        assert interval(-0.2, 0.2).project(0.1) == 0.1
+        assert interval(-0.2, 0.2).project(-5.0) == -0.2
 
     def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            project_interval(0.0, 1.0, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds"):
             interval(1.0, -1.0)
 
 
@@ -180,19 +176,17 @@ class TestProjectorInvariants:
         assert_allclose(proj.distance(2.0), 1.8)
         assert proj.distance(np.array([0.0])) == 0.0
 
-    def test_scaled_set(self):
-        sc = interval(-0.2, 0.2).scaled(2.0)
-        assert_allclose([sc.lo, sc.hi], [-0.1, 0.1])
-        s = singleton(5.0).scaled(5.0)
-        assert_allclose([s.lo, s.hi], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            singleton(1.0).scaled(0.0)
+
+def _linear_prox(c):
+    """phi = <c, .>: prox is the shifted identity z - step*c."""
+    return ProxHandle(evaluate=lambda z, step: z - step * c,
+                      objective_value=lambda x: float(c @ x))
 
 
 class TestProxHandles:
     @pytest.mark.parametrize("handle,step", [
         (l1_prox(1.0), 0.7),
-        (linear_prox(np.array([0.5, -1.0])), 0.3),
+        (_linear_prox(np.array([0.5, -1.0])), 0.3),
         (zero_prox(), 1.0),
         (hyperplane_indicator_prox(np.array([1.0, 1.0]), 1.0), 2.0),
     ], ids=["l1", "linear", "zero", "plane"])
@@ -221,21 +215,6 @@ class TestProxHandles:
         out = h.evaluate(np.array([np.nan, np.inf, 3.0]), 0.5)
         assert np.isnan(out[0]) and out[1] == np.inf and out[2] == 2.0
 
-    def test_linear_prox_closed_form_and_grid_2d(self):
-        c = np.array([0.5, -1.0])
-        h = linear_prox(c)
-        z = np.array([0.3, 0.7])
-        step = 0.6
-        out = h.evaluate(z, step)
-        assert_allclose(out, z - step * c, atol=1e-15)
-        # coarse 2-D grid oracle
-        g = np.arange(-3, 3, 5e-3)
-        xx, yy = np.meshgrid(g, g)
-        vals = (c[0] * xx + c[1] * yy
-                + ((xx - z[0]) ** 2 + (yy - z[1]) ** 2) / (2 * step))
-        k = np.unravel_index(np.argmin(vals), vals.shape)
-        assert np.linalg.norm(out - np.array([xx[k], yy[k]])) <= 1e-2
-
     def test_plane_prox_minimizes_over_plane(self):
         # 2-D indicator case: brute-force search along the plane
         h = hyperplane_indicator_prox(np.array([1.0, 2.0]), 1.0)
@@ -248,6 +227,21 @@ class TestProxHandles:
         assert h.objective_value(out) == 0.0
         assert h.objective_value(z) == np.inf
 
-    def test_zero_and_linear_values(self):
+    def test_zero_value(self):
         assert zero_prox().objective_value(np.array([3.0])) == 0.0
-        assert linear_prox(np.array([2.0])).objective_value(np.array([3.0])) == 6.0
+
+    @pytest.mark.parametrize("a", [[0.0, 0.0], [1.0, np.nan], [np.inf, 1.0]],
+                             ids=["zero", "nan", "inf"])
+    def test_plane_prox_refuses_a_bad_normal_at_construction(self, a):
+        with pytest.raises(DegenerateConstraintError,
+                           match="hyperplane_indicator_prox"):
+            hyperplane_indicator_prox(np.array(a), 1.0)
+
+    def test_plane_prox_steps_as_project_hyperplane(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal(7)
+        h = hyperplane_indicator_prox(a, 0.3)
+        for _ in range(100):
+            z = rng.standard_normal(7)
+            assert (h.evaluate(z, 1.0).tobytes()
+                    == project_hyperplane(z, a, 0.3).tobytes())

@@ -7,14 +7,13 @@ from sasc.errors import ConfigurationError, DegenerateConstraintError
 from sasc.prox import BoxSet, halfspace, interval, l1_prox, singleton, zero_prox
 from sasc.smoothing import (
     CertificateInputs,
+    _CsrRows,
     ConstraintSample,
     RowBatch,
     RowConstraintSet,
-    SmoothedTerm,
     feasibility_metric,
     saddle_point_residuals,
     moreau_grad,
-    normalize_constraint,
     smoothed_gap,
 )
 
@@ -93,44 +92,51 @@ class TestMoreauGrad:
             brute = np.min(np.abs(us) + (z - us) ** 2 / (2 * beta))
             assert abs(v - brute) <= 1e-6
 
-    def test_smoothed_term_wrapper(self):
-        term = SmoothedTerm(beta=0.5, inner=interval(-0.2, 0.2))
-        assert_allclose(term.value(2.0), 3.24)
-        assert_allclose(term.gradient(2.0), 3.6)
-        with pytest.raises(ValueError):
-            SmoothedTerm(beta=-1.0, inner=interval(0, 1))
+
+def _one_row(row, lo, hi, csr):
+    """RowConstraintSet.normalized of one row, stored dense or as CSR."""
+    row = np.array([row], dtype=float)
+    if csr:
+        cols = np.flatnonzero(row[0])
+        row = _CsrRows(np.array([0, len(cols)]), cols, row[0, cols],
+                       row.shape[1])
+    s = RowConstraintSet.normalized(row, lo, hi)
+    return s.rows[0], s.lo[0], s.hi[0]
 
 
 class TestNormalizeConstraint:
     def test_scales_row_and_singleton(self):
-        s = normalize_constraint(np.array([3.0, 4.0]), singleton(5.0))
-        assert_allclose(s.row, [0.6, 0.8])
-        assert_allclose([s.set_proj.lo, s.set_proj.hi], [1.0, 1.0])
+        for csr in (False, True):
+            row, lo, hi = _one_row([3.0, 4.0], 5.0, 5.0, csr)
+            assert_allclose(row, [0.6, 0.8])
+            assert_allclose([lo, hi], [1.0, 1.0])
 
     def test_unit_norm_unchanged(self):
-        s = normalize_constraint(np.array([0.6, 0.8]), interval(-1.0, 1.0))
-        assert_allclose(s.row, [0.6, 0.8], atol=1e-15)
-        assert_allclose([s.set_proj.lo, s.set_proj.hi], [-1.0, 1.0])
+        row, lo, hi = _one_row([0.6, 0.8], -1.0, 1.0, False)
+        assert_allclose(row, [0.6, 0.8], atol=1e-15)
+        assert_allclose([lo, hi], [-1.0, 1.0])
 
     def test_scales_interval_endpoints(self):
-        s = normalize_constraint(np.array([0.0, 2.0]), interval(-0.2, 0.2))
-        assert_allclose(s.row, [0.0, 1.0])
-        assert_allclose([s.set_proj.lo, s.set_proj.hi], [-0.1, 0.1])
+        for csr in (False, True):
+            row, lo, hi = _one_row([0.0, 2.0], -0.2, 0.2, csr)
+            assert_allclose(row, [0.0, 1.0])
+            assert_allclose([lo, hi], [-0.1, 0.1])
 
     def test_solution_set_preserved(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal(3) * 2
-        s = normalize_constraint(a, interval(-0.2, 0.2))
+        s = RowConstraintSet.normalized(a[None, :], -0.2, 0.2)
         for _ in range(50):
             x = rng.standard_normal(3)
             orig = abs(float(a @ x)) <= 0.2
-            new = s.set_proj.distance(s.apply(x)) <= 1e-12
+            new = s.distances(x)[0] <= 1e-12
             assert orig == new
-        assert abs(s.norm() - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(s.rows[0]) - 1.0) <= 1e-12
 
     def test_zero_operator_rejected(self):
-        with pytest.raises(DegenerateConstraintError):
-            normalize_constraint(np.zeros(3), singleton(1.0))
+        for csr in (False, True):
+            with pytest.raises(DegenerateConstraintError):
+                _one_row([0.0, 0.0, 0.0], 1.0, 1.0, csr)
 
 
 def _two_point_problem():
@@ -280,9 +286,17 @@ class TestRowConstraintSet:
 
     def test_normalized_drops_harmless_zero_rows(self):
         rows = np.array([[3.0, 4.0], [0.0, 0.0]])
-        s = RowConstraintSet.normalized(rows, -1.0, 1.0, drop_zero_rows=True)
+        s = RowConstraintSet.normalized(rows, -1.0, 1.0)
         assert len(s) == 1
         assert_allclose(s.rows[0], [0.6, 0.8])
+        # CSR rows: an empty row and a row of stored zeros are both dropped
+        csr = _CsrRows(np.array([0, 0, 2, 3, 5]), np.array([0, 1, 1, 0, 1]),
+                       np.array([0.0, 0.0, 2.0, 3.0, 4.0]), 2)
+        s = RowConstraintSet.normalized(csr, -1.0, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert len(s) == 2
+        assert np.array_equal(s.rows[0], [0.0, 1.0])
+        assert np.array_equal(s.rows[1], [0.6, 0.8])
+        assert_allclose(s.hi, [1.5, 0.8])
 
     def test_normalized_rejects_fatal_zero_rows(self):
         rows = np.array([[0.0, 0.0]])
@@ -291,9 +305,10 @@ class TestRowConstraintSet:
 
     def test_matrix_constraint_end_to_end(self):
         # m > 1 path: spectral-norm rescaling, vector target set, adjoint
+        # A = diag(3, 4) with target box [1, 2] x [-1, 1], divided by ||A|| = 4
         A = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
-        box = BoxSet(np.array([1.0, -1.0]), np.array([2.0, 1.0]))
-        s = normalize_constraint(A, box)
+        s = ConstraintSample(A / 4.0, BoxSet(np.array([0.25, -0.25]),
+                                             np.array([0.5, 0.25])))
         assert_allclose(s.norm(), 1.0, atol=1e-12)
         x = np.array([1.0, 0.5, -2.0])
         assert_allclose(s.apply(x), [0.75, 0.5])
@@ -310,9 +325,10 @@ class TestRowConstraintSet:
         from sasc.core import sasc_inner_step
         from sasc.prox import zero_prox
 
+        # A = diag(3, 4) with target box [1, 2] x [-1, 1], divided by ||A|| = 4
         A = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
-        sample = normalize_constraint(
-            A, BoxSet(np.array([1.0, -1.0]), np.array([2.0, 1.0])))
+        sample = ConstraintSample(A / 4.0, BoxSet(np.array([0.25, -0.25]),
+                                                  np.array([0.5, 0.25])))
 
         class OneMatrix:
             def draw(self, rng):
@@ -335,15 +351,6 @@ class TestRowConstraintSet:
         out = sasc_inner_step(x, sample, 0.5, 1.0, prob)
         # z = [.75,.5], proj = [.5,.25], adjoint pullback = [.1875,.25,0]
         assert_allclose(out, [0.90625, 0.375, -2.0], atol=1e-15)
-
-    def test_generic_scaled_projector_identity(self):
-        from sasc.prox import CustomSet
-        rng = np.random.default_rng(17)
-        base = CustomSet(lambda z: np.clip(z, -0.2, 0.2))  # opaque projector
-        scaled = base.scaled(4.0)  # should project onto [-0.05, 0.05]
-        for z in rng.uniform(-2, 2, size=50):
-            assert_allclose(scaled.project(np.array([z])),
-                            np.clip(z, -0.05, 0.05), atol=1e-15)
 
     def test_draw_batch_matches_distances(self):
         rng_rows = np.random.default_rng(16)
