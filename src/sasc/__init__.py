@@ -13,8 +13,7 @@ from .core import (
     ScheduleState,
     TraceRecord,
     bound_curves,
-    constants_case1,
-    constants_case2,
+    rate_constants,
     run_sasc,
     sasc_inner_step,
     schedule_inequalities_check,

@@ -66,8 +66,7 @@ def run_projected_sgd(problem: CompositeProblem, cfg: BaselineConfig):
             "projected SGD needs h to be zero or an indicator of a "
             "projectable set"
         )
-    rng, rec = _seeded_run(problem, cfg.seed, cfg.eval_samples,
-                           cfg.checkpoint_every)
+    rng, rec = _seeded_run(problem, cfg)
     x = np.zeros(problem.dim)
     avg = np.zeros_like(x)
     draws = _batches(problem.constraints, rng, cfg.iterations, 1)
@@ -112,8 +111,7 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     reads the drawn row in place, with no sample objects.
     """
     mu = cfg.step
-    rng, rec = _seeded_run(problem, cfg.seed, cfg.eval_samples,
-                           cfg.checkpoint_every)
+    rng, rec = _seeded_run(problem, cfg)
     x = np.zeros(problem.dim)
     pairs = _batches(problem.constraints, rng, cfg.iterations, 2)
     for t, pair in enumerate(pairs, start=1):

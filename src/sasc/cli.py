@@ -23,8 +23,7 @@ from .core import (
     ConvergenceTrace,
     SascConfig,
     bound_curves,
-    constants_case1,
-    constants_case2,
+    rate_constants,
     run_sasc,
     schedule_inequalities_check,
 )
@@ -416,8 +415,7 @@ def _cmd_check(o: dict) -> int:
     _check_finite(o, "smax", positive=True)
     _check_finite(o, "residual_draws", positive=True)
     cfg = _schedule(o, _CASES[o["case"]], epochs=1)
-    report = schedule_inequalities_check(cfg.case, cfg, o["norm_bound"],
-                                         o["smax"])
+    report = schedule_inequalities_check(cfg, o["norm_bound"], o["smax"])
     print(f"schedule inequalities (case {o['case']}, s <= {o['smax']}):")
     for name, slack in report.slacks.items():
         print(f"  {name}: worst slack {slack:.6e}")
@@ -443,19 +441,14 @@ def _cmd_bounds(o: dict) -> int:
     # CertificateInputs checks --y-star-norm and --sigma-f
     cert = CertificateInputs(x_star=np.array([o["x0_dist"]]), p_star=0.0,
                              y_star_norm=o["y_star_norm"], sigma_f=o["sigma_f"])
-    x0 = np.zeros(1)
-    if cfg.case is Case.GENERAL_CONVEX:
-        consts = constants_case1(cfg, o["norm_bound"], cert, x0)
-        print("C1={:.12g} C2={:.12g} C3={:.12g} C4={:.12g}".format(*consts))
-    else:
-        consts = constants_case2(cfg, o["norm_bound"], cert, x0)
-        print("D1={:.12g} D2={:.12g} D3={:.12g}".format(*consts))
-    if o["m_max"] < o["m0"]:
+    consts = rate_constants(cfg, o["norm_bound"], cert, np.zeros(1))
+    print(" ".join(f"{name.upper()}={value:.12g}"
+                   for name, value in consts._asdict().items()))
+    if o["m_max"] < cfg.m0:
         raise UsageError("--m-max must be at least m0")
     grid = np.unique(np.round(np.geomspace(
-        o["m0"], o["m_max"], num=o["m_count"])).astype(int))
-    curves = bound_curves(cfg.case, consts, o["m0"], o["omega"], grid,
-                          lipschitz_g=o["lipschitz_g"],
+        cfg.m0, o["m_max"], num=o["m_count"])).astype(int))
+    curves = bound_curves(cfg, consts, grid, lipschitz_g=o["lipschitz_g"],
                           y_star_norm=o["y_star_norm"])
     lines = ["M,objective_bound,feasibility_bound"]
     lines += [f"{m},{ob:.17g},{fb:.17g}" for m, (ob, fb) in zip(grid, curves)]

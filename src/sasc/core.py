@@ -79,10 +79,6 @@ class CompositeProblem:
             raise ValueError(
                 "CompositeProblem: norm_bound must be positive and finite")
 
-    @property
-    def h_value(self) -> Callable:
-        return self.prox_h.objective_value
-
 
 @dataclass
 class SascConfig:
@@ -210,8 +206,8 @@ class ConvergenceTrace:
         return np.array([np.nan if v is None else v for v in vals], dtype=float)
 
 
-def schedule_params(case: Case, s: int, cfg: SascConfig, norm_bound: float):
-    """Epoch-s parameters (alpha_s, beta_s, m_s) for the given regime.
+def schedule_params(cfg: SascConfig, s: int, norm_bound: float):
+    """Epoch-s parameters (alpha_s, beta_s, m_s) of the regime ``cfg.case``.
 
     General convex: alpha_s = alpha0 omega^{-s/2}; restricted strongly
     convex: alpha_s = alpha0 omega^{-s} (its precondition m0 >= omega/(mu
@@ -220,7 +216,7 @@ def schedule_params(case: Case, s: int, cfg: SascConfig, norm_bound: float):
     """
     if s < 0:
         raise ValueError(f"epoch index must be >= 0, got {s}")
-    if case is Case.RESTRICTED_STRONGLY_CONVEX:
+    if cfg.case is Case.RESTRICTED_STRONGLY_CONVEX:
         alpha_s = cfg.alpha0 * cfg.omega ** (-float(s))
     else:
         alpha_s = cfg.alpha0 * cfg.omega ** (-0.5 * s)
@@ -325,18 +321,19 @@ class _Recorder:
         return self.trace
 
 
-def _seeded_run(problem: CompositeProblem, seed: int, eval_samples: int,
-                checkpoint_every: int, x_ref: Optional[Array] = None):
+def _seeded_run(problem: CompositeProblem, cfg, x_ref: Optional[Array] = None):
     """The training generator and the recorder of a seeded run.
 
-    The seed is split in two: one child drives training, the other picks the
-    held-out set, so measurement never perturbs the training stream.
+    ``cfg`` is a SascConfig or a BaselineConfig; its ``seed``,
+    ``eval_samples`` and ``checkpoint_every`` are read. The seed is split in
+    two: one child drives training, the other picks the held-out set, so
+    measurement never perturbs the training stream.
     """
-    train_ss, val_ss = np.random.SeedSequence(seed).spawn(2)
-    held_out = _EvalSet(problem.constraints, eval_samples,
+    train_ss, val_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    held_out = _EvalSet(problem.constraints, cfg.eval_samples,
                         np.random.default_rng(val_ss), problem)
     return (np.random.default_rng(train_ss),
-            _Recorder(checkpoint_every, held_out.evaluate, x_ref))
+            _Recorder(cfg.checkpoint_every, held_out.evaluate, x_ref))
 
 
 def run_sasc(problem: CompositeProblem, cfg: SascConfig,
@@ -357,13 +354,10 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
     x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
-    rng, rec = _seeded_run(problem, cfg.seed, cfg.eval_samples,
-                           cfg.checkpoint_every,
-                           None if cert is None else cert.x_star)
+    rng, rec = _seeded_run(problem, cfg, None if cert is None else cert.x_star)
     seen = 0
     for s in range(cfg.planned_epochs()):
-        alpha_s, beta_s, m_s = schedule_params(
-            cfg.case, s, cfg, problem.norm_bound)
+        alpha_s, beta_s, m_s = schedule_params(cfg, s, problem.norm_bound)
         avg = np.zeros_like(x)
         batches = _batches(problem.constraints, rng, m_s, cfg.minibatch)
         for k, batch in enumerate(batches):
@@ -400,42 +394,31 @@ class Case2Constants(NamedTuple):
     d3: float
 
 
-def _squared_start_distance(cert: CertificateInputs, x0: Array) -> float:
+def rate_constants(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
+                   x0: Array) -> Case1Constants | Case2Constants:
+    """The closed-form constants of the rate bound of the regime ``cfg.case``.
+
+    Case1Constants (C1..C4) for the general convex bound, Case2Constants
+    (D1..D3) for the restricted strongly convex one. ``cert.x_star`` and
+    ``x0`` give the squared start distance r0^2.
+    """
+    if cfg.m0 < 2:
+        raise ConfigurationError(
+            "constants are undefined for m0 = 1 (division by m0 - 1)")
     if cert.x_star is None:
         raise ValueError("constants need cert.x_star to measure the start distance")
     diff = np.asarray(cert.x_star, dtype=float) - np.asarray(x0, dtype=float)
-    return float(diff @ diff)
-
-
-def constants_case1(cfg: SascConfig, norm_bound: float,
-                    cert: CertificateInputs, x0: Array) -> Case1Constants:
-    """The four closed-form constants of the general-convex rate bound."""
-    if cfg.m0 < 2:
-        raise ConfigurationError(
-            "constants are undefined for m0 = 1 (division by m0 - 1)")
+    r0_sq = float(diff @ diff)
     a0, w, m0 = cfg.alpha0, cfg.omega, cfg.m0
     a_sq = norm_bound ** 2
-    r0_sq = _squared_start_distance(cert, x0)
     sf2 = cert.sigma_f ** 2
     y2 = cert.y_star_norm ** 2
-    c1 = math.sqrt(m0 * w) / (a0 * (m0 - 1) * math.sqrt(w - 1))
-    c2 = 0.5 * r0_sq + 2.0 * a0 * m0 * sf2
-    c3 = 2.0 * a0 ** 2 * a_sq * m0 * y2 + 2.0 * a0 * m0 * sf2
-    c4 = 4.0 * a0 * math.sqrt(m0) * a_sq * math.sqrt(w) / math.sqrt(w - 1)
-    return Case1Constants(c1, c2, c3, c4)
-
-
-def constants_case2(cfg: SascConfig, norm_bound: float,
-                    cert: CertificateInputs, x0: Array) -> Case2Constants:
-    """The three closed-form constants of the restricted-strongly-convex bound."""
-    if cfg.m0 < 2:
-        raise ConfigurationError(
-            "constants are undefined for m0 = 1 (division by m0 - 1)")
-    a0, w, m0 = cfg.alpha0, cfg.omega, cfg.m0
-    a_sq = norm_bound ** 2
-    r0_sq = _squared_start_distance(cert, x0)
-    sf2 = cert.sigma_f ** 2
-    y2 = cert.y_star_norm ** 2
+    if cfg.case is Case.GENERAL_CONVEX:
+        c1 = math.sqrt(m0 * w) / (a0 * (m0 - 1) * math.sqrt(w - 1))
+        c2 = 0.5 * r0_sq + 2.0 * a0 * m0 * sf2
+        c3 = 2.0 * a0 ** 2 * a_sq * m0 * y2 + 2.0 * a0 * m0 * sf2
+        c4 = 4.0 * a0 * math.sqrt(m0) * a_sq * math.sqrt(w) / math.sqrt(w - 1)
+        return Case1Constants(c1, c2, c3, c4)
     wfac = w / (w - 1)
     d1 = wfac * (m0 / (a0 * (m0 - 1))) * 0.5 * r0_sq + 2.0 * a0 * m0 * wfac * sf2
     d2 = (2.0 * m0 ** 2 * a0 * w / ((m0 - 1) * (w - 1))) * (a_sq * y2 + sf2)
@@ -443,21 +426,24 @@ def constants_case2(cfg: SascConfig, norm_bound: float,
     return Case2Constants(d1, d2, d3)
 
 
-def bound_curves(case: Case, constants, m0: int, omega: float, M_values,
+def bound_curves(cfg: SascConfig, constants, M_values,
                  lipschitz_g: Optional[float] = None,
                  y_star_norm: float = 0.0):
     """Evaluate the rate-bound right-hand sides at each total sample count M.
 
-    Returns a list of (objective_bound, feasibility_bound). When
-    ``lipschitz_g`` is given, the objective bound carries the smoothing
-    surplus of the Lipschitz-term extension (C4 or D3 scaled by L_g^2).
+    ``constants`` are ``rate_constants`` of the same ``cfg``, whose case,
+    m0 and omega the bound reads. Returns a list of (objective_bound,
+    feasibility_bound). When ``lipschitz_g`` is given, the objective bound
+    carries the smoothing surplus of the Lipschitz-term extension (C4 or D3
+    scaled by L_g^2).
     """
+    m0, omega = cfg.m0, cfg.omega
     out = []
     for M in M_values:
         if M < m0:
             raise ValueError(f"M = {M} precedes the first completed epoch (m0 = {m0})")
         logfac = math.log(M / m0) / math.log(omega)
-        if case is Case.GENERAL_CONVEX:
+        if cfg.case is Case.GENERAL_CONVEX:
             c1, c2, c3, c4 = constants
             bracket = c2 + logfac * c3
             obj = c1 / math.sqrt(M) * bracket
@@ -489,11 +475,11 @@ class ScheduleCheckReport:
         return min(self.slacks.values())
 
 
-def schedule_inequalities_check(case: Case, cfg: SascConfig, norm_bound: float,
+def schedule_inequalities_check(cfg: SascConfig, norm_bound: float,
                                 s_max: int,
                                 lipschitz_grad: Optional[float] = None
                                 ) -> ScheduleCheckReport:
-    """Verify every printed schedule inequality for s = 0..s_max.
+    """Verify every printed schedule inequality of ``cfg.case`` for s = 0..s_max.
 
     Covers the per-epoch smoothness bound, the step-mass lower bound, the two
     partial-sum bounds, the geometric-decay bound (restricted strongly convex
@@ -509,55 +495,45 @@ def schedule_inequalities_check(case: Case, cfg: SascConfig, norm_bound: float,
     L = 3.0 / (4.0 * a0) if lipschitz_grad is None else lipschitz_grad
     c = 1.0 / w
 
-    names_common = ["step_size_rule", "smoothness_rule"]
-    if case is Case.GENERAL_CONVEX:
-        names = ["beta_upper", "alpha_m_lower", "sum_beta_alpha_m_upper",
-                 "sum_alpha_sq_m_upper"] + names_common
-    else:
-        names = ["beta_upper", "alpha_m_lower", "sum_beta_alpha_m_upper",
-                 "sum_alpha_sq_m_upper", "geometric_decay_upper"] + names_common
-    worst = {name: math.inf for name in names}
-
-    def note(name: str, slack: float) -> None:
-        if slack < worst[name]:
-            worst[name] = slack
-
+    worst = {}
     cum_M = 0.0
     sum_bam = 0.0      # sum_{l<s} beta_l alpha_l m_l
     sum_a2m = 0.0      # sum_{l<s} alpha_l^2 m_l
     t_bam = 0.0        # sum_{l<s} c^{s-l} beta_l alpha_l m_l
     t_a2m = 0.0        # sum_{l<s} c^{s-l} alpha_l^2 m_l
     for s in range(s_max + 1):
-        alpha, beta, m = schedule_params(case, s, cfg, norm_bound)
+        alpha, beta, m = schedule_params(cfg, s, norm_bound)
         M = cum_M + m
         logfac = math.log(M / m0) / math.log(w)
-        if case is Case.GENERAL_CONVEX:
-            note("beta_upper",
-                 4.0 * a0 * math.sqrt(m0) * a_sq * math.sqrt(w / (w - 1.0))
-                 / math.sqrt(M) - beta)
-            note("alpha_m_lower",
-                 alpha * m - a0 * (m0 - 1) / math.sqrt(m0)
-                 * math.sqrt((w - 1.0) / w) * math.sqrt(M))
-            note("sum_beta_alpha_m_upper",
-                 4.0 * a0 ** 2 * a_sq * m0 * logfac - sum_bam)
-            note("sum_alpha_sq_m_upper",
-                 a0 * m0 * (logfac + 1.0) - (sum_a2m + alpha ** 2 * m))
+        if cfg.case is Case.GENERAL_CONVEX:
+            slacks = {
+                "beta_upper": 4.0 * a0 * math.sqrt(m0) * a_sq
+                * math.sqrt(w / (w - 1.0)) / math.sqrt(M) - beta,
+                "alpha_m_lower": alpha * m - a0 * (m0 - 1) / math.sqrt(m0)
+                * math.sqrt((w - 1.0) / w) * math.sqrt(M),
+                "sum_beta_alpha_m_upper":
+                    4.0 * a0 ** 2 * a_sq * m0 * logfac - sum_bam,
+                "sum_alpha_sq_m_upper":
+                    a0 * m0 * (logfac + 1.0) - (sum_a2m + alpha ** 2 * m),
+            }
         else:
             cpow = c ** s
-            note("beta_upper",
-                 4.0 * a0 * m0 * a_sq * (w / (w - 1.0)) / M - beta)
-            note("alpha_m_lower", alpha * m - a0 * (m0 - 1))
-            note("sum_beta_alpha_m_upper",
-                 4.0 * cpow * a0 ** 2 * a_sq * m0 * logfac - t_bam)
-            note("sum_alpha_sq_m_upper",
-                 cpow * a0 ** 2 * m0 * logfac - t_a2m)
-            note("geometric_decay_upper", (w / (w - 1.0)) * m0 / M - cpow)
-        note("step_size_rule", beta / 2.0 - 2.0 * alpha * a_sq)
-        note("smoothness_rule", 1.0 / (2.0 * alpha) - (L + a_sq / beta) / 2.0)
+            slacks = {
+                "beta_upper": 4.0 * a0 * m0 * a_sq * (w / (w - 1.0)) / M - beta,
+                "alpha_m_lower": alpha * m - a0 * (m0 - 1),
+                "sum_beta_alpha_m_upper":
+                    4.0 * cpow * a0 ** 2 * a_sq * m0 * logfac - t_bam,
+                "sum_alpha_sq_m_upper": cpow * a0 ** 2 * m0 * logfac - t_a2m,
+                "geometric_decay_upper": (w / (w - 1.0)) * m0 / M - cpow,
+            }
+        slacks["step_size_rule"] = beta / 2.0 - 2.0 * alpha * a_sq
+        slacks["smoothness_rule"] = 1.0 / (2.0 * alpha) - (L + a_sq / beta) / 2.0
+        for name, slack in slacks.items():
+            worst[name] = min(worst.get(name, math.inf), slack)
 
         cum_M = M
         sum_bam += beta * alpha * m
         sum_a2m += alpha ** 2 * m
         t_bam = c * (t_bam + beta * alpha * m)
         t_a2m = c * (t_a2m + alpha ** 2 * m)
-    return ScheduleCheckReport(case=case, slacks=worst)
+    return ScheduleCheckReport(case=cfg.case, slacks=worst)

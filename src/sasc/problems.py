@@ -267,9 +267,15 @@ def make_svm_problem(dataset: LabeledSparseDataset) -> CompositeProblem:
     labeled = dataset.data * np.repeat(labels, np.diff(dataset.indptr))
     rows = _CsrRows(dataset.indptr, dataset.indices, labeled, dataset.dim)
     # a zero row cannot meet b_i <a_i, x> >= 1, so normalized refuses it
-    constraints = RowConstraintSet.normalized(rows, 1.0, np.inf)
+    return _half_sq_norm_problem(
+        dataset.dim, RowConstraintSet.normalized(rows, 1.0, np.inf))
+
+
+def _half_sq_norm_problem(dim: int,
+                          constraints: RowConstraintSet) -> CompositeProblem:
+    """min (1/2)||x||^2 over unit-norm constraint rows: mu = L = 1, h = 0."""
     return CompositeProblem(
-        dim=dataset.dim,
+        dim=dim,
         grad_f=lambda x, batch: x,
         f_value=lambda x, batch: 0.5 * float(x @ x),
         prox_h=zero_prox(),
@@ -292,17 +298,8 @@ def make_min_norm_hyperplane_problem(dim: int = 2):
     row = np.zeros((1, dim))
     row[0, 0] = 1.0
     x_star = row[0].copy()
-    problem = CompositeProblem(
-        dim=dim,
-        grad_f=lambda x, batch: x,
-        f_value=lambda x, batch: 0.5 * float(x @ x),
-        prox_h=zero_prox(),
-        constraints=RowConstraintSet(row, np.array([1.0]), np.array([1.0])),
-        norm_bound=1.0,
-        mu=1.0,
-        lipschitz_grad=1.0,
-        prox_f=lambda x, step: x / (1.0 + step),
-    )
+    problem = _half_sq_norm_problem(
+        dim, RowConstraintSet(row, np.array([1.0]), np.array([1.0])))
     cert = CertificateInputs(x_star=x_star, p_star=0.5, y_star_norm=1.0,
                              sigma_f=0.0)
     return problem, cert
@@ -331,8 +328,10 @@ def gen_synthetic_returns(n: int, d: int, seed: int) -> Array:
     return 1.0 + drift + 0.01 * rng.standard_normal((n, d))
 
 
-def reference_solution(problem: CompositeProblem, tolerance: float,
-                       max_iterations: int = 10_000_000):
+_REFERENCE_MAX_ITERATIONS = 10_000_000
+
+
+def reference_solution(problem: CompositeProblem, tolerance: float):
     """Deterministic ground truth by full-batch smoothed-penalty descent.
 
     Runs exact proximal-gradient steps on the population smoothed objective,
@@ -370,9 +369,9 @@ def reference_solution(problem: CompositeProblem, tolerance: float,
             grad = _direction(x, sup, beta, problem)
             x = problem.prox_h.evaluate(x - alpha * grad, alpha)
             iters += 1
-            if iters >= max_iterations:
-                raise NoConvergenceError(
-                    f"reference solver hit the {max_iterations} iteration cap")
+            if iters >= _REFERENCE_MAX_ITERATIONS:
+                raise NoConvergenceError("reference solver hit the "
+                                         f"{_REFERENCE_MAX_ITERATIONS} iteration cap")
             msd = population.mean_sq_distance(x)
             phi = population.objective(x) + msd / (2.0 * beta)
             if not np.isfinite(phi):

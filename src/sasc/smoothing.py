@@ -383,6 +383,16 @@ def feasibility_metric(x: Array, sampler: ConstraintSampler,
     return _EvalSet(sampler, n_samples, np.random.default_rng(seed)).feasibility(x)
 
 
+def _gap_and_msd(x: Array, beta: float, problem, cert: CertificateInputs,
+                 n_samples: int, seed: int, caller: str):
+    """(P(x) - P(x_star), E[dist^2]) on one seeded held-out set."""
+    if beta <= 0:
+        raise ValueError(f"{caller}: beta must be positive, got {beta}")
+    held_out = _EvalSet(problem.constraints, n_samples,
+                        np.random.default_rng(seed), problem)
+    return held_out.objective(x) - cert.p_star, held_out.mean_sq_distance(x)
+
+
 def smoothed_gap(x: Array, beta: float, problem, cert: CertificateInputs,
                  n_samples: int, seed: int) -> float:
     """P(x) - P(x_star) + E[dist(A(xi) x, b(xi))^2] / (2 beta).
@@ -390,12 +400,8 @@ def smoothed_gap(x: Array, beta: float, problem, cert: CertificateInputs,
     Both expectations are estimated on the same sample set, so the value is
     exact for finite-support samplers that the set covers.
     """
-    if beta <= 0:
-        raise ValueError(f"smoothed_gap: beta must be positive, got {beta}")
-    held_out = _EvalSet(problem.constraints, n_samples,
-                        np.random.default_rng(seed), problem)
-    gap = held_out.objective(x) - cert.p_star
-    msd = held_out.mean_sq_distance(x)
+    gap, msd = _gap_and_msd(x, beta, problem, cert, n_samples, seed,
+                            "smoothed_gap")
     return gap + msd / (2.0 * beta)
 
 
@@ -411,12 +417,8 @@ def saddle_point_residuals(x: Array, beta: float, problem, cert: CertificateInpu
       r3: S_beta(x) - (P(x) - P*)
       r4: 4 beta^2 ||y*||^2 + 4 beta S_beta(x) - E[dist^2]
     """
-    if beta <= 0:
-        raise ValueError(f"saddle_point_residuals: beta must be positive, got {beta}")
-    held_out = _EvalSet(problem.constraints, n_samples,
-                        np.random.default_rng(seed), problem)
-    gap = held_out.objective(x) - cert.p_star
-    msd = held_out.mean_sq_distance(x)
+    gap, msd = _gap_and_msd(x, beta, problem, cert, n_samples, seed,
+                            "saddle_point_residuals")
     s_beta = gap + msd / (2.0 * beta)
     y2 = cert.y_star_norm ** 2
     r1 = s_beta + 0.5 * beta * y2

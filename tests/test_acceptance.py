@@ -19,8 +19,7 @@ from sasc.core import (
     Case,
     SascConfig,
     bound_curves,
-    constants_case1,
-    constants_case2,
+    rate_constants,
     run_sasc,
     schedule_inequalities_check,
     schedule_params,
@@ -52,11 +51,10 @@ def _report(num, ok, detail):
 
 def _feasibility_bound(cfg, problem, cert, m_values):
     """The paper's general-convex feasibility bound after M total samples."""
-    consts = constants_case1(cfg, problem.norm_bound, cert,
-                             np.zeros(problem.dim))
+    consts = rate_constants(cfg, problem.norm_bound, cert,
+                            np.zeros(problem.dim))
     return np.array([feas for _, feas in bound_curves(
-        Case.GENERAL_CONVEX, consts, cfg.m0, cfg.omega, m_values,
-        y_star_norm=cert.y_star_norm)])
+        cfg, consts, m_values, y_star_norm=cert.y_star_norm)])
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +131,10 @@ def test_c02_schedule_inequality_suite():
     for m0 in (2, 4, 8):
         for omega in (1.2, 2.0, 4.0):
             for alpha0 in (0.1, 1.0):
-                cfg = SascConfig(alpha0=alpha0, omega=omega, m0=m0, epochs=1)
                 for case in Case:
-                    rep = schedule_inequalities_check(case, cfg, 1.0, 40)
+                    cfg = SascConfig(alpha0=alpha0, omega=omega, m0=m0,
+                                     case=case, epochs=1)
+                    rep = schedule_inequalities_check(cfg, 1.0, 40)
                     worst = min(worst, rep.min_slack)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-9 and elapsed < 1.0
@@ -209,9 +208,11 @@ def test_c04_constants_cross_check():
         cert = CertificateInputs(x_star=np.array([R, 0.0]), y_star_norm=Y,
                                  sigma_f=S)
         cfg = SascConfig(alpha0=a0, omega=w, m0=m0, epochs=1)
-        got1 = np.array(constants_case1(cfg, A, cert, np.zeros(2)))
+        got1 = np.array(rate_constants(cfg, A, cert, np.zeros(2)))
         ref1 = np.array(sym1(a0, m0, w, A, Y, S, R))
-        got2 = np.array(constants_case2(cfg, A, cert, np.zeros(2)))
+        got2 = np.array(rate_constants(
+            dataclasses.replace(cfg, case=Case.RESTRICTED_STRONGLY_CONVEX),
+            A, cert, np.zeros(2)))
         ref2 = np.array(sym2(a0, m0, w, A, Y, S, R))
         for got, ref in ((got1, ref1), (got2, ref2)):
             nz = ref != 0
@@ -360,8 +361,7 @@ def test_c09_deterministic_penalty_equivalence(min_norm_toy):
     cfg = SascConfig(alpha0=0.5, omega=2.0, m0=100, epochs=1, seed=0,
                      checkpoint_every=10 ** 6, eval_samples=1)
     run_sasc(problem, cfg, callback=lambda st: iterates.append(st.x))
-    alpha, beta, _ = schedule_params(Case.GENERAL_CONVEX, 0, cfg,
-                                     problem.norm_bound)
+    alpha, beta, _ = schedule_params(cfg, 0, problem.norm_bound)
     x = np.zeros(2)
     worst = 0.0
     for k in range(100):
@@ -417,7 +417,7 @@ def test_c10_io_round_trip_and_cli(tmp_path):
     # the emitted trace is well-formed: exact header, one row per checkpoint
     lines = bp_out.read_text().splitlines()
     cfg = SascConfig(alpha0=1.0, omega=2.0, m0=2, sample_budget=600)
-    total = sum(schedule_params(Case.GENERAL_CONVEX, s, cfg, 1.0)[2]
+    total = sum(schedule_params(cfg, s, 1.0)[2]
                 for s in range(cfg.planned_epochs()))
     expected_rows = total // 100 + (1 if total % 100 else 0)
     csv_ok = (lines[0] == TRACE_HEADER

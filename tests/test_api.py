@@ -1,3 +1,4 @@
+import inspect
 import types
 
 import sasc
@@ -8,7 +9,7 @@ PUBLIC_NAMES = {
     "BaselineConfig", "run_pegasos", "run_projected_sgd", "run_spp",
     "Case", "Case1Constants", "Case2Constants", "CompositeProblem",
     "ConvergenceTrace", "SascConfig", "ScheduleState", "TraceRecord",
-    "bound_curves", "constants_case1", "constants_case2", "run_sasc",
+    "bound_curves", "rate_constants", "run_sasc",
     "sasc_inner_step", "schedule_inequalities_check", "schedule_params",
     "ConfigurationError", "DegenerateConstraintError", "DivergenceError",
     "NoConvergenceError", "ParseError", "UnsupportedProblemError",
@@ -35,3 +36,21 @@ def test_public_names_are_pinned():
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC_NAMES
+
+
+# The rate functions read the regime, m0 and omega from the run's SascConfig,
+# so none of them takes a case, m0 or omega beside it.
+RATE_PARAMETERS = {
+    "schedule_params": ["cfg", "s", "norm_bound"],
+    "schedule_inequalities_check": ["cfg", "norm_bound", "s_max",
+                                    "lipschitz_grad"],
+    "bound_curves": ["cfg", "constants", "M_values", "lipschitz_g",
+                     "y_star_norm"],
+    "rate_constants": ["cfg", "norm_bound", "cert", "x0"],
+}
+
+
+def test_rate_function_parameters_are_pinned():
+    got = {name: list(inspect.signature(getattr(sasc, name)).parameters)
+           for name in RATE_PARAMETERS}
+    assert got == RATE_PARAMETERS

@@ -12,8 +12,7 @@ from sasc.core import (
     SascConfig,
     _direction,
     bound_curves,
-    constants_case1,
-    constants_case2,
+    rate_constants,
     run_sasc,
     sasc_inner_step,
     schedule_inequalities_check,
@@ -40,6 +39,9 @@ from sasc.smoothing import (
 )
 
 
+RSC = Case.RESTRICTED_STRONGLY_CONVEX
+
+
 def _cfg(alpha0, omega, m0, **kw):
     kw.setdefault("epochs", 1)
     return SascConfig(alpha0=alpha0, omega=omega, m0=m0, **kw)
@@ -61,17 +63,16 @@ def _single_constraint_problem(a, target, grad=None, fval=None, L=0.0, mu=None,
 
 class TestScheduleParams:
     def test_case1_start(self):
-        assert schedule_params(Case.GENERAL_CONVEX, 0, _cfg(1.0, 2.0, 2), 1.0) \
-            == (1.0, 4.0, 2)
+        assert schedule_params(_cfg(1.0, 2.0, 2), 0, 1.0) == (1.0, 4.0, 2)
 
     def test_case1_decay(self):
-        a, b, m = schedule_params(Case.GENERAL_CONVEX, 2, _cfg(1.0, 2.0, 2), 1.0)
+        a, b, m = schedule_params(_cfg(1.0, 2.0, 2), 2, 1.0)
         assert_allclose([a, b], [0.5, 2.0])
         assert m == 8
 
     def test_case2_decay(self):
-        a, b, m = schedule_params(Case.RESTRICTED_STRONGLY_CONVEX, 2,
-                                  _cfg(0.5, 2.0, 4), 1.0)
+        a, b, m = schedule_params(
+            _cfg(0.5, 2.0, 4, case=Case.RESTRICTED_STRONGLY_CONVEX), 2, 1.0)
         assert_allclose([a, b], [0.125, 0.5])
         assert m == 16
 
@@ -86,13 +87,14 @@ class TestScheduleParams:
 
     def test_negative_epoch(self):
         with pytest.raises(ValueError):
-            schedule_params(Case.GENERAL_CONVEX, -1, _cfg(1.0, 2.0, 2), 1.0)
+            schedule_params(_cfg(1.0, 2.0, 2), -1, 1.0)
 
     def test_beta_alpha_ratio_exact(self):
         for nb in (0.5, 1.0, 2.0):
             for case in (Case.GENERAL_CONVEX, Case.RESTRICTED_STRONGLY_CONVEX):
                 for s in range(25):
-                    a, b, _ = schedule_params(case, s, _cfg(0.7, 1.7, 3), nb)
+                    a, b, _ = schedule_params(_cfg(0.7, 1.7, 3, case=case),
+                                              s, nb)
                     assert b == 4.0 * a * nb ** 2
 
 
@@ -169,8 +171,7 @@ class TestRunSasc:
             restart = (last.x if case is Case.GENERAL_CONVEX
                        else last.running_avg)
             alpha1, beta1, _ = schedule_params(
-                case, 1, dataclasses.replace(cfg, case=case),
-                problem.norm_bound)
+                dataclasses.replace(cfg, case=case), 1, problem.norm_bound)
             z = float(a @ restart)
             expected = restart - alpha1 * (restart + a * (z - 1.0) / beta1)
             assert_allclose(first_next.x, expected, atol=1e-14)
@@ -199,8 +200,7 @@ class TestRunSasc:
                          checkpoint_every=10 ** 6, eval_samples=1)
         run_sasc(problem, cfg, callback=lambda st: iterates.append(st.x))
 
-        alpha, beta, _ = schedule_params(Case.GENERAL_CONVEX, 0, cfg,
-                                         problem.norm_bound)
+        alpha, beta, _ = schedule_params(cfg, 0, problem.norm_bound)
         x = np.zeros(2)
         for k in range(100):
             grad = x + a * ((a @ x - 1.0) / beta)
@@ -295,7 +295,7 @@ def _per_sample_run(problem, cfg):
     rng = np.random.default_rng(train_ss)
     x = np.zeros(problem.dim)
     for s in range(cfg.planned_epochs()):
-        alpha, beta, m = schedule_params(cfg.case, s, cfg, problem.norm_bound)
+        alpha, beta, m = schedule_params(cfg, s, problem.norm_bound)
         avg = np.zeros_like(x)
         for _ in range(m):
             samples = [problem.constraints.draw(rng)
@@ -354,7 +354,7 @@ def _csr_reference_run(problem, cfg):
     rng = np.random.default_rng(train_ss)
     x = np.zeros(problem.dim)
     for s in range(cfg.planned_epochs()):
-        alpha, beta, m = schedule_params(cfg.case, s, cfg, problem.norm_bound)
+        alpha, beta, m = schedule_params(cfg, s, problem.norm_bound)
         avg = np.zeros_like(x)
         for _ in range(m):
             i = int(rng.integers(len(lo)))
@@ -543,7 +543,7 @@ def _sym_case2(alpha0, m0, omega, nb, y, sf, r0):
 class TestConstants:
     def test_case1_worked_identity_start(self):
         cert = CertificateInputs(x_star=np.zeros(2))
-        got = constants_case1(_cfg(1.0, 2.0, 2), 1.0, cert, np.zeros(2))
+        got = rate_constants(_cfg(1.0, 2.0, 2), 1.0, cert, np.zeros(2))
         sym = _sym_case1(1, 2, 2, 1, 0, 0, 0)
         assert_allclose(got, sym, rtol=1e-12)
         assert_allclose(got, [2.0, 0.0, 0.0, 8.0], rtol=1e-12)
@@ -551,13 +551,13 @@ class TestConstants:
     def test_case1_vanishing_factors(self):
         cert = CertificateInputs(x_star=np.zeros(3))
         for a0, m0, w in [(0.3, 2, 1.5), (1.0, 5, 3.0), (0.05, 8, 1.2)]:
-            got = constants_case1(_cfg(a0, w, m0), 1.0, cert, np.zeros(3))
+            got = rate_constants(_cfg(a0, w, m0), 1.0, cert, np.zeros(3))
             assert got.c2 == 0.0 and got.c3 == 0.0
 
     def test_case1_worked_general(self):
         cert = CertificateInputs(x_star=np.zeros(2), y_star_norm=1.0,
                                  sigma_f=1.0)
-        got = constants_case1(_cfg(0.5, 2.0, 4), 1.0, cert, np.zeros(2))
+        got = rate_constants(_cfg(0.5, 2.0, 4), 1.0, cert, np.zeros(2))
         sym = _sym_case1(0.5, 4, 2, 1, 1, 1, 0)
         assert_allclose(got, sym, rtol=1e-12)
         assert_allclose(got.c1, np.sqrt(8.0) / 1.5, rtol=1e-12)
@@ -565,7 +565,8 @@ class TestConstants:
     def test_case2_worked(self):
         cert = CertificateInputs(x_star=np.zeros(2), y_star_norm=1.0,
                                  sigma_f=1.0)
-        got = constants_case2(_cfg(0.5, 2.0, 4), 1.0, cert, np.zeros(2))
+        got = rate_constants(_cfg(0.5, 2.0, 4, case=RSC), 1.0, cert,
+                             np.zeros(2))
         sym = _sym_case2(0.5, 4, 2, 1, 1, 1, 0)
         assert_allclose(got, sym, rtol=1e-12)
         assert_allclose(got.d3, 16.0, rtol=1e-12)
@@ -573,15 +574,17 @@ class TestConstants:
 
     def test_case2_zero_start(self):
         cert = CertificateInputs(x_star=np.ones(2), sigma_f=0.0)
-        got = constants_case2(_cfg(0.5, 2.0, 4), 1.0, cert, np.ones(2))
+        got = rate_constants(_cfg(0.5, 2.0, 4, case=RSC), 1.0, cert,
+                             np.ones(2))
         assert got.d1 == 0.0
 
     def test_m0_one_rejected(self):
         cert = CertificateInputs(x_star=np.zeros(2))
         with pytest.raises(ConfigurationError, match="m0"):
-            constants_case1(_cfg(1.0, 2.0, 1), 1.0, cert, np.zeros(2))
+            rate_constants(_cfg(1.0, 2.0, 1), 1.0, cert, np.zeros(2))
         with pytest.raises(ConfigurationError, match="m0"):
-            constants_case2(_cfg(1.0, 2.0, 1), 1.0, cert, np.zeros(2))
+            rate_constants(_cfg(1.0, 2.0, 1, case=RSC), 1.0, cert,
+                           np.zeros(2))
 
     def test_random_cross_check(self):
         rng = np.random.default_rng(22)
@@ -596,24 +599,23 @@ class TestConstants:
             x0 = np.zeros(2)
             cert = CertificateInputs(x_star=np.array([r0, 0.0]),
                                      y_star_norm=y, sigma_f=sf)
-            got1 = constants_case1(_cfg(a0, w, m0), nb, cert, x0)
+            got1 = rate_constants(_cfg(a0, w, m0), nb, cert, x0)
             assert_allclose(got1, _sym_case1(a0, m0, w, nb, y, sf, r0),
                             rtol=1e-12)
-            got2 = constants_case2(_cfg(a0, w, m0), nb, cert, x0)
+            got2 = rate_constants(_cfg(a0, w, m0, case=RSC), nb, cert, x0)
             assert_allclose(got2, _sym_case2(a0, m0, w, nb, y, sf, r0),
                             rtol=1e-12)
 
 
 class TestBoundCurves:
     def test_case1_log_term_vanishes_at_m0(self):
-        got = bound_curves(Case.GENERAL_CONVEX, (2.0, 1.0, 0.0, 8.0), 2, 2.0,
-                           [2])
+        got = bound_curves(_cfg(1.0, 2.0, 2), (2.0, 1.0, 0.0, 8.0), [2])
         assert_allclose(got[0][0], np.sqrt(2.0), rtol=1e-14)
 
     def test_case2_numerically_decreasing_in_tenfold_m(self):
         consts = (3.0, 1.5, 16.0)
         Ms = np.unique(np.geomspace(4, 10 ** 5, 40).astype(int))
-        vals = bound_curves(Case.RESTRICTED_STRONGLY_CONVEX, consts, 4, 2.0,
+        vals = bound_curves(_cfg(1.0, 2.0, 4, case=RSC), consts,
                             list(Ms) + list(10 * Ms), y_star_norm=1.0)
         n = len(Ms)
         for i in range(n):
@@ -622,33 +624,31 @@ class TestBoundCurves:
 
     def test_zero_extension_term_is_identity(self):
         c = (2.0, 1.0, 0.5, 8.0)
-        base = bound_curves(Case.GENERAL_CONVEX, c, 2, 2.0, [10, 100])
-        ext0 = bound_curves(Case.GENERAL_CONVEX, c, 2, 2.0, [10, 100],
-                            lipschitz_g=0.0)
+        base = bound_curves(_cfg(1.0, 2.0, 2), c, [10, 100])
+        ext0 = bound_curves(_cfg(1.0, 2.0, 2), c, [10, 100], lipschitz_g=0.0)
         assert base == ext0
 
     def test_extension_surplus(self):
         c1 = (2.0, 1.0, 0.5, 8.0)
-        base = bound_curves(Case.GENERAL_CONVEX, c1, 2, 2.0, [64])[0][0]
-        ext = bound_curves(Case.GENERAL_CONVEX, c1, 2, 2.0, [64],
-                           lipschitz_g=3.0)[0][0]
+        base = bound_curves(_cfg(1.0, 2.0, 2), c1, [64])[0][0]
+        ext = bound_curves(_cfg(1.0, 2.0, 2), c1, [64], lipschitz_g=3.0)[0][0]
         assert_allclose(ext - base, 8.0 / np.sqrt(64) * 9.0, rtol=1e-12)
         c2 = (3.0, 1.5, 16.0)
-        b2 = bound_curves(Case.RESTRICTED_STRONGLY_CONVEX, c2, 4, 2.0, [64])[0][0]
-        e2 = bound_curves(Case.RESTRICTED_STRONGLY_CONVEX, c2, 4, 2.0, [64],
+        b2 = bound_curves(_cfg(1.0, 2.0, 4, case=RSC), c2, [64])[0][0]
+        e2 = bound_curves(_cfg(1.0, 2.0, 4, case=RSC), c2, [64],
                           lipschitz_g=3.0)[0][0]
         assert_allclose(e2 - b2, 16.0 / 64 * 9.0, rtol=1e-12)
 
     def test_m_below_first_epoch_rejected(self):
         with pytest.raises(ValueError, match="epoch"):
-            bound_curves(Case.GENERAL_CONVEX, (2.0, 1.0, 0.0, 8.0), 4, 2.0, [3])
+            bound_curves(_cfg(1.0, 2.0, 4), (2.0, 1.0, 0.0, 8.0), [3])
 
 
 class TestScheduleInequalities:
     def test_hand_value_s3(self):
         # M_3 = 2 + 4 + 8 + 16 = 30; beta_3 = 4 * 2^{-3/2}; bound 8/sqrt(30)
         cfg = _cfg(1.0, 2.0, 2)
-        report = schedule_inequalities_check(Case.GENERAL_CONVEX, cfg, 1.0, 3)
+        report = schedule_inequalities_check(cfg, 1.0, 3)
         beta3 = 4.0 * 2.0 ** -1.5
         bound3 = 8.0 / np.sqrt(30.0)
         assert beta3 < bound3
@@ -656,9 +656,9 @@ class TestScheduleInequalities:
         assert report.slacks["beta_upper"] <= bound3 - beta3 + 1e-12
 
     def test_s0_definitional_slack(self):
-        cfg = _cfg(0.3, 3.0, 5)
         for case in Case:
-            report = schedule_inequalities_check(case, cfg, 2.0, 1)
+            report = schedule_inequalities_check(_cfg(0.3, 3.0, 5, case=case),
+                                                 2.0, 1)
             assert report.slacks["step_size_rule"] == 0.0
             assert report.min_slack >= -1e-12
 
@@ -667,13 +667,12 @@ class TestScheduleInequalities:
         for m0 in (2, 4, 8):
             for omega in (1.2, 2.0, 4.0):
                 for alpha0 in (0.1, 1.0):
-                    cfg = _cfg(alpha0, omega, m0)
                     for case in Case:
-                        rep = schedule_inequalities_check(case, cfg, 1.0, 40)
+                        cfg = _cfg(alpha0, omega, m0, case=case)
+                        rep = schedule_inequalities_check(cfg, 1.0, 40)
                         worst = min(worst, rep.min_slack)
         assert worst >= -1e-9
 
     def test_smax_validation(self):
         with pytest.raises(ValueError):
-            schedule_inequalities_check(Case.GENERAL_CONVEX, _cfg(1.0, 2.0, 2),
-                                        1.0, 0)
+            schedule_inequalities_check(_cfg(1.0, 2.0, 2), 1.0, 0)

@@ -3,9 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sasc.cli import cli_main
-from sasc.core import ConvergenceTrace, TraceRecord
+from sasc.core import (
+    Case,
+    Case2Constants,
+    ConvergenceTrace,
+    SascConfig,
+    TraceRecord,
+    bound_curves,
+    rate_constants,
+)
 from sasc.errors import ParseError
 from sasc.problems import LabeledSparseDataset
+from sasc.smoothing import CertificateInputs
 from sasc.trace_io import (
     TRACE_HEADER,
     load_config_file,
@@ -310,6 +319,27 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "M,objective_bound,feasibility_bound"
         assert len(lines) > 5
+
+    def test_bounds_case2_prints_rate_constants_and_curves(self, capsys):
+        rc = cli_main(["bounds", "--case", "2", "--alpha0", "0.5", "--m0", "4",
+                       "--omega", "1.5", "--y-star-norm", "1",
+                       "--sigma-f", "0.3", "--x0-dist", "2",
+                       "--lipschitz-g", "1.5", "--m-max", "1024"])
+        assert rc == 0
+        cfg = SascConfig(alpha0=0.5, omega=1.5, m0=4, epochs=1,
+                         case=Case.RESTRICTED_STRONGLY_CONVEX)
+        cert = CertificateInputs(x_star=np.array([2.0]), y_star_norm=1.0,
+                                 sigma_f=0.3)
+        consts = rate_constants(cfg, 1.0, cert, np.zeros(1))
+        assert isinstance(consts, Case2Constants)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "D1={:.12g} D2={:.12g} D3={:.12g}".format(*consts)
+        assert lines[1] == "M,objective_bound,feasibility_bound"
+        rows = [line.split(",") for line in lines[2:]]
+        grid = [int(m) for m, _, _ in rows]
+        assert grid[0] == 4 and grid[-1] == 1024
+        want = bound_curves(cfg, consts, grid, lipschitz_g=1.5, y_star_norm=1.0)
+        assert [(float(ob), float(fb)) for _, ob, fb in rows] == want
 
     def test_unknown_subcommand(self, capsys):
         assert cli_main(["frobnicate"]) == 1

@@ -91,7 +91,7 @@ class TestBpProblem:
     def test_origin_objective_and_feasibility(self):
         inst = gen_basis_pursuit(20, 100, 3, 0.9, seed=4)
         prob = make_bp_problem(inst)
-        assert prob.h_value(np.zeros(20)) == 0.0
+        assert prob.prox_h.objective_value(np.zeros(20)) == 0.0
         got = feasibility_metric(np.zeros(20), prob.constraints, 100, 0)
         assert_allclose(got, np.sqrt(np.mean(inst.targets ** 2)), atol=1e-12)
         assert got > 0
@@ -101,7 +101,7 @@ class TestBpProblem:
         prob = make_bp_problem(inst)
         x = np.linspace(-1, 1, 10)
         assert prob.f_value(x, None) == 0.0
-        assert_allclose(prob.h_value(x), np.sum(np.abs(x)))
+        assert_allclose(prob.prox_h.objective_value(x), np.sum(np.abs(x)))
 
     def test_norm_bound_dominates_support(self):
         inst = gen_basis_pursuit(15, 60, 2, 0.9, seed=6)
@@ -151,8 +151,8 @@ class TestPortfolioProblem:
         returns = gen_synthetic_returns(50, 8, seed=8)
         prob = make_portfolio_problem(returns, epsilon=0.2)
         x = np.full(8, 1.0 / 8.0)
-        assert prob.h_value(x) == 0.0
-        assert prob.h_value(np.zeros(8)) == np.inf
+        assert prob.prox_h.objective_value(x) == 0.0
+        assert prob.prox_h.objective_value(np.zeros(8)) == np.inf
 
     def test_dimension_follows_data(self):
         returns = gen_synthetic_returns(60, 36, seed=9)
@@ -646,10 +646,11 @@ class TestReferenceSolution:
         with pytest.raises(UnsupportedProblemError):
             reference_solution(prob, 1e-6)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         problem, _ = make_min_norm_hyperplane_problem()
+        monkeypatch.setattr("sasc.problems._REFERENCE_MAX_ITERATIONS", 10)
         with pytest.raises(NoConvergenceError):
-            reference_solution(problem, 1e-12, max_iterations=10)
+            reference_solution(problem, 1e-12)
 
     def test_non_finite_objective_stops_at_once(self):
         problem, _ = make_min_norm_hyperplane_problem()
