@@ -33,6 +33,7 @@ from .smoothing import (
     _batches,
     _CsrRows,
     _EvalSet,
+    _row_draws,
 )
 
 
@@ -59,7 +60,11 @@ class CompositeProblem:
     averaged gradient (0 when the smooth part is absent or linear).
     ``prox_f(x, step)`` optionally provides an exact prox of step * f for
     the proximal-point baseline, which falls back to a gradient step on a
-    batch of one without it.
+    batch of one without it. ``min_norm`` declares f(x, xi) = (mu/2)||x||^2
+    for every draw and h = 0, so that the problem asks for the least-norm
+    point of the constraint set; ``grad_f``, ``f_value`` and ``prox_h``
+    must then agree with it, and ``lipschitz_grad`` must equal ``mu``.
+    ``run_sasc`` steps such a problem's single rows in scaled form.
     """
 
     dim: int
@@ -71,6 +76,7 @@ class CompositeProblem:
     mu: Optional[float] = None
     lipschitz_grad: float = 0.0
     prox_f: Optional[Callable] = None
+    min_norm: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -78,6 +84,11 @@ class CompositeProblem:
         if not 0 < self.norm_bound < math.inf:
             raise ValueError(
                 "CompositeProblem: norm_bound must be positive and finite")
+        if self.min_norm and not (self.mu is not None and 0 < self.mu < math.inf
+                                  and self.lipschitz_grad == self.mu):
+            raise ValueError(
+                "CompositeProblem: a min_norm problem needs mu positive and "
+                "finite and lipschitz_grad equal to it")
 
 
 @dataclass
@@ -336,6 +347,140 @@ def _seeded_run(problem: CompositeProblem, cfg, x_ref: Optional[Array] = None):
             _Recorder(cfg.checkpoint_every, held_out.evaluate, x_ref))
 
 
+class _Iterate:
+    """The iterate x of an epoch and the running sum of its values.
+
+    Any problem and batch: one step is ``_direction`` and the prox of h.
+    """
+
+    def __init__(self, problem: CompositeProblem, minibatch: int):
+        self.problem = problem
+        self.minibatch = minibatch
+
+    def start(self, x: Array) -> None:
+        self.x = x
+        self.total = np.zeros_like(x)
+
+    def draws(self, rng: np.random.Generator, steps: int):
+        return _batches(self.problem.constraints, rng, steps, self.minibatch)
+
+    def step(self, batch, alpha: float, beta: float) -> bool:
+        """One step; False when the new iterate is not finite."""
+        p = self.problem
+        x = p.prox_h.evaluate(self.x - alpha * _direction(self.x, batch, beta, p),
+                              alpha)
+        self.x = x
+        if not np.isfinite(x).all():
+            return False
+        self.total += x
+        return True
+
+    def point(self) -> Array:
+        return self.x.copy()
+
+    def mean(self, k: int) -> Array:
+        return self.total / k
+
+
+# The scaled iterate folds its scale into v once the scale falls below this:
+# well before it underflows, and while S v and c (both of order |x| S / s)
+# stay within a few hundred ulps of the sum they stand for.
+_FOLD_BELOW = 1e-3
+# Below this bound on max |v| every entry of v is finite and no row product
+# can overflow; above it the step checks v in full (and folds).
+_V_BOUND = 1e150
+
+
+class _ScaledIterate:
+    """x = s v and the epoch's running sum S v - c, in O(nnz) per step.
+
+    For f = (mu/2)||x||^2, h = 0 and one row per step. A step computes
+    z = s (vals . v[cols]) over the row's stored entries and
+    g = (z - clip(z, lo, hi)) / beta, sets s <- s (1 - alpha mu) and, only
+    when g != 0, v[cols] -= (alpha g / s) vals; c takes the same columns
+    times the scale sum S before the step, and S then adds the new s. So x
+    and the running sum are exact in real arithmetic, and a step touches
+    only the row's entries. The scale is folded into v (and S v into c)
+    once it falls below ``_FOLD_BELOW``. Finiteness is checked exactly
+    without an O(d) pass: ``bound`` dominates max |v| (it grows by |coef|
+    times the largest stored |value|), and only past ``_V_BOUND`` is v
+    checked in full. Dense rows step the same way, with every column stored.
+    """
+
+    def __init__(self, problem: CompositeProblem, rows):
+        self.sampler = problem.constraints
+        self.mu = problem.mu
+        if isinstance(rows, _CsrRows):
+            self.entries = rows.entries
+            values = rows.data
+        else:
+            self.entries = lambda i: (slice(None), rows[i])
+            values = rows
+        self.max_value = max(float(values.max()), -float(values.min()))
+
+    def start(self, x: Array) -> None:
+        self.v = x.copy()
+        self.c = np.zeros_like(x)
+        self.scale = 1.0
+        self.scale_sum = 0.0
+        self.bound = float(np.abs(x).max())
+
+    def draws(self, rng: np.random.Generator, steps: int):
+        return _row_draws(self.sampler, rng, steps)
+
+    def step(self, draw, alpha: float, beta: float) -> bool:
+        """One step on the drawn (row, lo, hi); False when x is not finite."""
+        i, lo, hi = draw
+        cols, vals = self.entries(i)
+        v = self.v
+        v_cols = v[cols]
+        z = self.scale * float(vals.dot(v_cols))
+        g = (z - _clip(z, lo, hi)) / beta
+        scale = self.scale = self.scale * (1.0 - alpha * self.mu)
+        if g != 0.0:
+            coef = alpha * g / scale
+            delta = coef * vals
+            v[cols] = v_cols - delta
+            c = self.c
+            c[cols] = c[cols] - self.scale_sum * delta
+            self.bound += abs(coef) * self.max_value
+        self.scale_sum += scale
+        if not self.bound < _V_BOUND:
+            if not np.isfinite(v).all():
+                return False
+            self._fold()
+            self.bound = float(np.abs(v).max())
+        elif scale < _FOLD_BELOW:
+            self._fold()
+        return True
+
+    def _fold(self) -> None:
+        self.c -= self.scale_sum * self.v
+        self.v *= self.scale
+        self.bound *= self.scale
+        self.scale = 1.0
+        self.scale_sum = 0.0
+
+    def point(self) -> Array:
+        return self.scale * self.v
+
+    def mean(self, k: int) -> Array:
+        return (self.scale_sum * self.v - self.c) / k
+
+
+def _scaled_rows(problem: CompositeProblem, cfg: SascConfig):
+    """The rows a run steps on in scaled form, or None for the plain step.
+
+    Scaled form needs a min_norm problem, one row per step and a row set.
+    The row set is recognised by its support, a RowBatch, so a sampler
+    that forwards to one (as the benchmark's traced copy does) is too.
+    """
+    if not problem.min_norm or cfg.minibatch != 1:
+        return None
+    support = problem.constraints.support()
+    return support.owner.rows if isinstance(support, RowBatch) else None
+
+
 def run_sasc(problem: CompositeProblem, cfg: SascConfig,
              cert: Optional[CertificateInputs] = None,
              x0: Optional[Array] = None,
@@ -347,36 +492,39 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
     schedule from the epoch average. Checkpoints are taken every
     ``cfg.checkpoint_every`` samples on the running epoch average, evaluated
     against a held-out validation sample set so that measurement never
-    perturbs the training stream. Output is bit-identical for identical
-    (problem data, cfg, seed).
+    perturbs the training stream. A min_norm problem on a row set with one
+    row per step keeps x in scaled form (``_ScaledIterate``), so a step
+    costs O(nnz) of its row; the arithmetic differs from the plain step in
+    the last bits. Output is bit-identical for identical (problem data,
+    cfg, seed).
     """
     cfg.validate(problem)
     x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
     rng, rec = _seeded_run(problem, cfg, None if cert is None else cert.x_star)
+    rows = _scaled_rows(problem, cfg)
+    it = (_Iterate(problem, cfg.minibatch) if rows is None
+          else _ScaledIterate(problem, rows))
     seen = 0
     for s in range(cfg.planned_epochs()):
         alpha_s, beta_s, m_s = schedule_params(cfg, s, problem.norm_bound)
-        avg = np.zeros_like(x)
-        batches = _batches(problem.constraints, rng, m_s, cfg.minibatch)
-        for k, batch in enumerate(batches):
-            d = _direction(x, batch, beta_s, problem)
-            x = problem.prox_h.evaluate(x - alpha_s * d, alpha_s)
-            if not np.isfinite(x).all():
+        it.start(x)
+        for k, draw in enumerate(it.draws(rng, m_s)):
+            if not it.step(draw, alpha_s, beta_s):
                 raise DivergenceError(epoch=s, step=k)
-            avg += x
             seen += cfg.minibatch
             if callback is not None:
                 callback(ScheduleState(
                     s=s, k=k + 1, alpha_s=alpha_s, beta_s=beta_s, m_s=m_s,
-                    x=x.copy(), running_avg=avg / (k + 1), samples_seen=seen))
+                    x=it.point(), running_avg=it.mean(k + 1),
+                    samples_seen=seen))
             if seen >= rec.due:
-                rec.record(avg / (k + 1), seen, s, alpha_s, beta_s)
-        x_bar = avg / m_s
-        if cfg.case is Case.RESTRICTED_STRONGLY_CONVEX:
-            x = x_bar.copy()
-        # general convex: continue from the last inner iterate (x unchanged)
+                rec.record(it.mean(k + 1), seen, s, alpha_s, beta_s)
+        x_bar = it.mean(m_s)
+        # restricted strongly convex: restart from the epoch average;
+        # general convex: continue from the last inner iterate
+        x = x_bar if cfg.case is Case.RESTRICTED_STRONGLY_CONVEX else it.point()
     # validate() guarantees one epoch at least, so the last epoch's values exist
     return x_bar, rec.finish(x_bar, seen, s, alpha_s, beta_s)
 

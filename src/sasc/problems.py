@@ -284,6 +284,7 @@ def _half_sq_norm_problem(dim: int,
         mu=1.0,
         lipschitz_grad=1.0,
         prox_f=lambda x, step: x / (1.0 + step),
+        min_norm=True,
     )
 
 

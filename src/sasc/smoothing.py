@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,8 +60,12 @@ class ConstraintSampler:
         """All samples of a finite-support distribution (uniform), else None."""
         return None
 
-    def distances(self, x: Array, indices: Optional[Array] = None) -> Optional[Array]:
-        """Vectorized dist(A(xi_i) x, b(xi_i)) over the support (hook)."""
+    def distances(self, x: Array, indices=None) -> Optional[Array]:
+        """Vectorized dist(A(xi_i) x, b(xi_i)) over the support (hook).
+
+        ``indices`` is None for the whole support, else an index array or,
+        for a RowConstraintSet, its ``gather`` of one.
+        """
         return None
 
 
@@ -151,6 +155,14 @@ class RowBatch(Sequence):
         return RowBatch(self.owner, self.idx[i])
 
 
+class _GatheredRows(NamedTuple):
+    """Rows of a RowConstraintSet and their endpoints, from ``gather``."""
+
+    rows: object        # a dense (k, d) array or _CsrRows
+    lo: Array
+    hi: Array
+
+
 class RowConstraintSet(ConstraintSampler):
     """Finite uniform family of scalar constraints rows[i]^T x in [lo_i, hi_i].
 
@@ -196,14 +208,25 @@ class RowConstraintSet(ConstraintSampler):
         """Every row once, in order, as a lazy RowBatch."""
         return RowBatch(self, np.arange(len(self)), self.lo, self.hi)
 
-    def distances(self, x: Array, indices: Optional[Array] = None) -> Array:
+    def distances(self, x: Array, indices=None) -> Array:
+        """dist(rows[i] x, [lo_i, hi_i]) over every row, or over ``indices``.
+
+        ``indices`` is an index array, or what ``gather`` returned for one,
+        so that a caller measuring the same rows again gathers them once.
+        """
         if indices is None:
-            z = self.rows @ x
-            lo, hi = self.lo, self.hi
+            rows, lo, hi = self.rows, self.lo, self.hi
+        elif isinstance(indices, _GatheredRows):
+            rows, lo, hi = indices
         else:
-            z = self.rows[indices] @ x
-            lo, hi = self.lo[indices], self.hi[indices]
+            rows, lo, hi = self.gather(indices)
+        z = rows @ x
         return np.maximum(np.maximum(lo - z, z - hi), 0.0)
+
+    def gather(self, indices: Array) -> "_GatheredRows":
+        """The rows ``indices`` and their endpoints, copied out once."""
+        return _GatheredRows(self.rows[indices], self.lo[indices],
+                             self.hi[indices])
 
     @staticmethod
     def normalized(rows, lo, hi) -> "RowConstraintSet":
@@ -245,16 +268,14 @@ class RowConstraintSet(ConstraintSampler):
 _CHUNK = 4096
 
 
-def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
-             steps: int, per_step: int):
-    """Yield ``steps`` batches of ``per_step`` draws each, in stream order.
+def _chunks(sampler: ConstraintSampler, rng: np.random.Generator,
+            steps: int, per_step: int):
+    """Yield the draws of ``steps`` steps of ``per_step`` samples, in chunks.
 
-    The first batch is drawn alone. When it is a RowBatch, the rest come
-    from chunks of at most ``_CHUNK`` indices; a chunk consumes ``rng``
-    exactly as its per-step draws would. Each step's RowBatch is built
-    straight from views of the chunk's ``idx``, ``lo`` and ``hi``, with no
-    ``RowBatch.__getitem__`` dispatch. Any other sampler is drawn one step
-    at a time, so nothing is drawn ahead of the step that uses it.
+    The first step is drawn alone. When it comes back as a RowBatch, the
+    rest come in chunks of at most ``_CHUNK`` indices; a chunk consumes
+    ``rng`` exactly as its per-step draws would. Any other sampler is drawn
+    one step at a time, so nothing is drawn ahead of the step that uses it.
     """
     steps_per_draw = 1
     k = 0
@@ -263,14 +284,37 @@ def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
         chunk = sampler.draw_batch(rng, n * per_step)
         if isinstance(chunk, RowBatch):
             steps_per_draw = max(1, _CHUNK // per_step)
+        yield chunk
+        k += n
+
+
+def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
+             steps: int, per_step: int):
+    """Yield ``steps`` batches of ``per_step`` draws each, in stream order.
+
+    Each step's RowBatch is built straight from views of its chunk's
+    ``idx``, ``lo`` and ``hi``, with no ``RowBatch.__getitem__`` dispatch.
+    """
+    for chunk in _chunks(sampler, rng, steps, per_step):
+        if isinstance(chunk, RowBatch):
             owner, idx, lo, hi = chunk.owner, chunk.idx, chunk.lo, chunk.hi
-            for j in range(0, n * per_step, per_step):
+            for j in range(0, len(idx), per_step):
                 e = j + per_step
                 yield RowBatch(owner, idx[j:e], lo[j:e], hi[j:e])
         else:
-            for j in range(0, n * per_step, per_step):
+            for j in range(0, len(chunk), per_step):
                 yield chunk[j:j + per_step]
-        k += n
+
+
+def _row_draws(sampler: ConstraintSampler, rng: np.random.Generator,
+               steps: int):
+    """Yield (row, lo, hi) of ``steps`` one-row draws, as Python scalars.
+
+    The same chunks, and so the same stream, as ``_batches`` with one draw
+    per step; the sampler must hand out RowBatches.
+    """
+    for chunk in _chunks(sampler, rng, steps, 1):
+        yield from zip(chunk.idx.tolist(), chunk.lo.tolist(), chunk.hi.tolist())
 
 
 def moreau_grad(z, inner, beta: float):
@@ -329,7 +373,8 @@ class _EvalSet:
     ``f_value``, called once on the whole set, and ``prox_h`` for the
     objective; the feasibility metric needs only the sampler.
     Distances go through the sampler's vectorized ``distances`` hook, with a
-    per-sample fallback when it returns None.
+    per-sample fallback when it returns None. A row set's held-out rows are
+    gathered once, here, and handed to the hook at every checkpoint.
     """
 
     def __init__(self, sampler: ConstraintSampler, n_samples: int,
@@ -338,7 +383,7 @@ class _EvalSet:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         self.sampler = sampler
         self.problem = problem
-        self.idx = None     # indices into the support; None means all of it
+        self.selection = None   # the hook's ``indices``; None means all of it
         sup = sampler.support()
         if sup is not None and len(sup) == 0:
             raise ValueError("sampler has empty support")
@@ -347,13 +392,17 @@ class _EvalSet:
         elif n_samples >= len(sup):
             self.samples = sup
         else:
-            self.idx = rng.integers(0, len(sup), size=n_samples)
-            self.samples = (sup[self.idx] if isinstance(sup, RowBatch)
-                            else [sup[int(i)] for i in self.idx])
+            idx = rng.integers(0, len(sup), size=n_samples)
+            if isinstance(sup, RowBatch):
+                self.samples = sup[idx]
+                self.selection = sup.owner.gather(idx)
+            else:
+                self.samples = [sup[int(i)] for i in idx]
+                self.selection = idx
 
     def mean_sq_distance(self, x: Array) -> float:
         vectorized = getattr(self.sampler, "distances", None)
-        d = vectorized(x, self.idx) if vectorized is not None else None
+        d = vectorized(x, self.selection) if vectorized is not None else None
         if d is None:
             d = np.array([s.set_proj.distance(s.apply(x)) for s in self.samples])
         return float(np.mean(d ** 2))

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from conftest import least_squares_grad_one
 from sasc.core import (
+    _FOLD_BELOW,
     Case,
     CompositeProblem,
     SascConfig,
@@ -29,7 +30,7 @@ from sasc.problems import (
     make_portfolio_problem,
     make_svm_problem,
 )
-from sasc.prox import l1_prox, zero_prox
+from sasc.prox import ProxHandle, l1_prox, zero_prox
 from sasc.smoothing import (
     CertificateInputs,
     ConstraintSampler,
@@ -340,35 +341,46 @@ def _sparse_svm():
     return problem, cfg
 
 
-def _csr_reference_run(problem, cfg):
-    """run_sasc's x_bar on CSR svm rows, stepped from the CSR arrays.
+def _scaled_reference_run(problem, cfg):
+    """run_sasc's x_bar on a min_norm row set, by a plain loop in scaled form.
 
-    Each step is the one-row block arithmetic of the vectorized kernel: the
-    1 x k product over the row's stored entries, the clipped residual as a
-    one-element array, and its multiple of the row's values scattered into
-    zeros. grad_f is x and the prox the identity, as in make_svm_problem.
+    x = s v, and the epoch's running sum is S v - c. A step takes the row's
+    stored entries (every column of a dense row), computes
+    z = s (vals . v[cols]) and g = (z - clip(z, lo, hi)) / beta, shrinks s by
+    1 - alpha mu and, when g != 0, moves v[cols] by -(alpha g / s) vals and
+    c[cols] by S times that; S then adds s. The scale is folded into v once
+    it falls below the solver's fold threshold. No O(d) step is taken except
+    the folds, and no finiteness check: the runs here stay finite.
     """
-    rows, lo, hi = (problem.constraints.rows, problem.constraints.lo,
-                    problem.constraints.hi)
+    cons = problem.constraints
+    rows, lo, hi = cons.rows, cons.lo, cons.hi
     train_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
     rng = np.random.default_rng(train_ss)
     x = np.zeros(problem.dim)
     for s in range(cfg.planned_epochs()):
         alpha, beta, m = schedule_params(cfg, s, problem.norm_bound)
-        avg = np.zeros_like(x)
+        v, c, scale, scale_sum = x.copy(), np.zeros_like(x), 1.0, 0.0
         for _ in range(m):
             i = int(rng.integers(len(lo)))
-            p, q = rows.indptr[i], rows.indptr[i + 1]
-            cols, vals = rows.indices[p:q], rows.data[p:q]
-            z = vals[None] @ x[cols]
-            clipped = np.minimum(np.maximum(z, lo[i:i + 1]), hi[i:i + 1])
-            g = (z - clipped) / beta
-            penalty = np.zeros(problem.dim)
-            penalty[cols] = g[0] * vals
-            x = x - alpha * (x + penalty)
-            avg += x
-        x_bar = avg / m
-        x = x_bar.copy()
+            if isinstance(rows, _CsrRows):
+                p, q = rows.indptr[i], rows.indptr[i + 1]
+                cols, vals = rows.indices[p:q], rows.data[p:q]
+            else:
+                cols, vals = slice(None), rows[i]
+            z = scale * float(vals.dot(v[cols]))
+            g = (z - float(np.minimum(np.maximum(z, lo[i]), hi[i]))) / beta
+            scale *= 1.0 - alpha * problem.mu
+            if g != 0.0:
+                delta = (alpha * g / scale) * vals
+                v[cols] -= delta
+                c[cols] -= scale_sum * delta
+            scale_sum += scale
+            if scale < _FOLD_BELOW:
+                c -= scale_sum * v
+                v *= scale
+                scale, scale_sum = 1.0, 0.0
+        x_bar = (scale_sum * v - c) / m
+        x = x_bar.copy() if cfg.case is RSC else scale * v
     return x_bar
 
 
@@ -397,20 +409,23 @@ def _least_squares_per_sample_f(inst):
 
 
 class TestRowKernel:
-    # the second epoch (4500 steps) crosses a 4096-index chunk boundary
-    @pytest.mark.parametrize("build", [_small_bp, _small_svm],
-                             ids=["bp", "svm"])
-    def test_single_sample_run_is_bit_identical_to_per_sample_steps(self, build):
+    # the second epoch (4500 steps) crosses a 4096-index chunk boundary; the
+    # svm problem is min_norm, so its one-row steps are in scaled form
+    @pytest.mark.parametrize("build, reference", [
+        (_small_bp, _per_sample_run), (_small_svm, _scaled_reference_run),
+    ], ids=["bp", "svm"])
+    def test_single_sample_run_is_bit_identical_to_per_sample_steps(
+            self, build, reference):
         problem, cfg = build()
         x_bar, _ = run_sasc(problem, cfg)
-        assert x_bar.tobytes() == _per_sample_run(problem, cfg).tobytes()
+        assert x_bar.tobytes() == reference(problem, cfg).tobytes()
 
     def test_sparse_rows_step_on_their_stored_entries(self):
         # 5 of 200 entries stored: a kernel that densified the row would
         # sum the row product in another order and move x_bar
         problem, cfg = _sparse_svm()
         x_bar, _ = run_sasc(problem, cfg)
-        assert x_bar.tobytes() == _csr_reference_run(problem, cfg).tobytes()
+        assert x_bar.tobytes() == _scaled_reference_run(problem, cfg).tobytes()
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("case", list(_ONE_ROW_DRAWS))
@@ -518,6 +533,118 @@ class TestRowKernel:
         # chunks of at most 1365 steps of 3
         assert sizes == [3, 2097, 3, 4095, 102, 3, 4095, 4095, 207]
         assert sum(sizes) == trace.records[-1].samples
+
+
+def _forwarding_copy(problem, calls):
+    """A copy built the way an outside-in tracer builds one: every callable
+    wrapped (counting its calls in ``calls``) and a sampler that forwards."""
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return call
+
+    class Forwarding:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def draw(self, rng):
+            return self._inner.draw(rng)
+
+        def draw_batch(self, rng, k):
+            return self._inner.draw_batch(rng, k)
+
+        def support(self):
+            return self._inner.support()
+
+        def distances(self, x, indices=None):
+            return counted("distances", self._inner.distances)(x, indices)
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    prox = problem.prox_h
+    return dataclasses.replace(
+        problem,
+        grad_f=counted("grad_f", problem.grad_f),
+        f_value=counted("f_value", problem.f_value),
+        prox_h=ProxHandle(evaluate=counted("prox", prox.evaluate),
+                          objective_value=counted("h", prox.objective_value),
+                          is_projection=prox.is_projection),
+        constraints=Forwarding(problem.constraints))
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestScaledStep:
+    """One-row steps of a min_norm problem, kept as x = s v."""
+
+    # _small_svm folds the scale into v about every ten steps
+    @pytest.mark.parametrize("build", [_small_svm, _sparse_svm],
+                             ids=["small", "sparse"])
+    def test_close_to_the_plain_step(self, build):
+        problem, cfg = build()
+        x_bar, _ = run_sasc(problem, cfg)
+        assert_allclose(x_bar, _per_sample_run(problem, cfg), rtol=1e-12)
+
+    def test_forwarding_copy_takes_the_same_path(self):
+        problem, cfg = _sparse_svm()
+        cfg = dataclasses.replace(cfg, checkpoint_every=500, eval_samples=50)
+        calls = {}
+        x_bar, trace = run_sasc(problem, cfg)
+        x_copy, trace_copy = run_sasc(_forwarding_copy(problem, calls), cfg)
+        assert x_copy.tobytes() == x_bar.tobytes()
+        assert trace_copy.column("feasibility").tobytes() == \
+            trace.column("feasibility").tobytes()
+        # the scaled step calls neither grad_f nor the prox; checkpoints
+        # measure through the wrapped callables and the sampler's hook
+        assert "grad_f" not in calls and "prox" not in calls
+        assert calls["distances"] == calls["f_value"] == len(trace)
+
+    def test_callback_states_match_the_plain_steps(self):
+        problem, cfg = _sparse_svm()
+        cfg = dataclasses.replace(cfg, m0=400)
+        scaled, plain = [], []
+        run_sasc(problem, cfg, callback=scaled.append)
+        run_sasc(dataclasses.replace(problem, min_norm=False), cfg,
+                 callback=plain.append)
+        assert len(scaled) == len(plain) == 400 + 600
+        for got, want in zip(scaled, plain):
+            assert (got.s, got.k, got.samples_seen) == \
+                (want.s, want.k, want.samples_seen)
+            assert _rel_err(got.x, want.x) <= 1e-12
+            assert _rel_err(got.running_avg, want.running_avg) <= 1e-12
+
+    def test_general_convex_restart_continues_from_the_last_iterate(self):
+        problem, cfg = _sparse_svm()
+        cfg = dataclasses.replace(cfg, case=Case.GENERAL_CONVEX, m0=300,
+                                  epochs=3)
+        x_bar, _ = run_sasc(problem, cfg)
+        assert x_bar.tobytes() == _scaled_reference_run(problem, cfg).tobytes()
+        plain, _ = run_sasc(dataclasses.replace(problem, min_norm=False), cfg)
+        assert _rel_err(x_bar, plain) <= 1e-12
+
+    def test_divergence_names_its_epoch_and_step(self):
+        # an understated norm_bound makes beta far too small: the penalty
+        # step overshoots and the iterate grows until it is no longer finite
+        problem, cfg = _small_svm()
+        understated = dataclasses.replace(problem, norm_bound=0.01)
+        errors = []
+        for p in (understated, dataclasses.replace(understated, min_norm=False)):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+                run_sasc(p, cfg)
+            errors.append((exc.value.epoch, exc.value.step))
+        # the scaled and the plain step diverge at the same step
+        assert errors[0] == errors[1] == (0, 650)
+
+    def test_min_norm_needs_mu_equal_to_lipschitz_grad(self, min_norm_toy):
+        problem, _ = min_norm_toy
+        for mu, L in ((None, 1.0), (0.0, 0.0), (1.0, 2.0), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match="min_norm"):
+                dataclasses.replace(problem, mu=mu, lipschitz_grad=L)
 
 
 def _sym_case1(alpha0, m0, omega, nb, y, sf, r0):

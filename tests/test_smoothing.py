@@ -11,6 +11,7 @@ from sasc.smoothing import (
     ConstraintSample,
     RowBatch,
     RowConstraintSet,
+    _EvalSet,
     feasibility_metric,
     saddle_point_residuals,
     moreau_grad,
@@ -363,6 +364,34 @@ class TestRowConstraintSet:
         d_vec = s.distances(x, idx)
         d_ref = [s.sample(i).set_proj.distance(s.sample(i).apply(x)) for i in idx]
         assert_allclose(d_vec, d_ref, atol=1e-14)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_held_out_rows_are_gathered_once(self, storage):
+        rng = np.random.default_rng(17)
+        n, d = 40, 6
+        dense = rng.standard_normal((n, d))
+        rows = dense if storage == "dense" else _CsrRows(
+            np.arange(n + 1) * d, np.tile(np.arange(d), n), dense.ravel(), d)
+        s = RowConstraintSet(rows, -0.5, 0.5)
+        handed = []
+
+        class Forwarding:
+            def support(self):
+                return s.support()
+
+            def distances(self, x, indices=None):
+                handed.append(indices)
+                return s.distances(x, indices)
+
+        held_out = _EvalSet(Forwarding(), 7, np.random.default_rng(3))
+        idx = np.random.default_rng(3).integers(0, n, size=7)
+        for _ in range(3):
+            x = rng.standard_normal(d)
+            got = held_out.mean_sq_distance(x)
+            assert got == float(np.mean(s.distances(x, idx) ** 2))
+        # one gathered block, handed to the hook at every evaluation
+        assert all(h is handed[0] for h in handed)
+        assert np.array_equal(handed[0].lo, s.lo[idx])
 
 
 def _random_rows(n, d=3, seed=0):
