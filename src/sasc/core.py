@@ -257,17 +257,15 @@ def _direction(x: Array, batch, beta_s: float,
                problem: CompositeProblem) -> Array:
     """Mean step direction over a batch; one vectorized step for row batches.
 
-    A RowBatch of B rows R = rows[J] with endpoints lo, hi gives
+    A RowBatch of B rows R = ``batch.rows`` with endpoints lo, hi gives
     z = R x, g = (z - clip(z, lo, hi)) / (B beta_s) and
-    d = grad_f(x, batch) + R^T g. The batch's length picks the path. For
-    B = 1, z and g are Python floats: z is the dot of x with the row's
-    stored entries (a view of a dense row, or its CSR entries, never a
-    densified row), and R^T g is g times the row, or g times the CSR values
-    scattered into zeros. That is the vectorized arithmetic without a row
-    copy or ufuncs on one-element arrays, and bit for bit the same d, save
-    that a zero entry of g times a dense row keeps its sign where the block
-    product gives +0.0; the two differ only where grad_f returns -0.0. Any
-    other batch sums the penalty gradients of its samples.
+    d = grad_f(x, batch) + R^T g. One dense row takes the same arithmetic
+    on Python floats: z is the dot of x with a view of the row, and R^T g is
+    g times the row, with no row copy or ufuncs on one-element arrays. That
+    is bit for bit the same d, save that a zero entry of g times the row
+    keeps its sign where the block product gives +0.0; the two differ only
+    where grad_f returns -0.0. Any other batch sums the penalty gradients of
+    its samples.
     """
     if not isinstance(batch, RowBatch):
         penalty = None
@@ -277,22 +275,15 @@ def _direction(x: Array, batch, beta_s: float,
             penalty = g if penalty is None else penalty + g
         return problem.grad_f(x, batch) + penalty / len(batch)
     rows = batch.owner.rows
-    if len(batch.idx) != 1:
-        R = rows.take(batch.idx, axis=0)
-        z = R @ x
-        g = (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta_s * len(z))
-        return problem.grad_f(x, batch) + g @ R
-    lo, hi = float(batch.lo[0]), float(batch.hi[0])
-    if isinstance(rows, _CsrRows):
-        cols, vals = rows.entries(batch.idx[0])
-        z = float(vals @ x[cols])
-        d = np.zeros(x.shape)
-        d[cols] = ((z - _clip(z, lo, hi)) / beta_s) * vals
-        d += problem.grad_f(x, batch)
-        return d
-    row = rows[batch.idx[0]]
-    z = float(row @ x)
-    return problem.grad_f(x, batch) + ((z - _clip(z, lo, hi)) / beta_s) * row
+    if len(batch.idx) == 1 and isinstance(rows, np.ndarray):
+        row = rows[batch.idx[0]]
+        z = float(row @ x)
+        lo, hi = float(batch.lo[0]), float(batch.hi[0])
+        return problem.grad_f(x, batch) + ((z - _clip(z, lo, hi)) / beta_s) * row
+    R = batch.rows
+    z = R @ x
+    g = (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta_s * len(z))
+    return problem.grad_f(x, batch) + g @ R
 
 
 class _Recorder:
@@ -478,7 +469,7 @@ def _scaled_rows(problem: CompositeProblem, cfg: SascConfig):
     if not problem.min_norm or cfg.minibatch != 1:
         return None
     support = problem.constraints.support()
-    return support.owner.rows if isinstance(support, RowBatch) else None
+    return support.rows if isinstance(support, RowBatch) else None
 
 
 def run_sasc(problem: CompositeProblem, cfg: SascConfig,

@@ -202,24 +202,24 @@ def make_bp_least_squares_problem(instance: BasisPursuitInstance
 
     The plain-SGD comparator: a different problem from the l1 formulation,
     whose minimizers are generally non-sparse. Gradient and value are means
-    over the rows of the RowBatch drawn from its constraint set.
+    over the RowBatch drawn from its constraint set, whose ``lo`` holds the
+    targets b of its rows.
     """
-    rows, b = instance.rows, instance.targets
-
     def grad(x, batch):
-        R = rows[batch.idx]
-        return (R @ x - b[batch.idx]) @ R / len(R)
+        R = batch.rows
+        return (R @ x - batch.lo) @ R / len(batch)
 
     def value(x, batch):
-        r = rows[batch.idx] @ x - b[batch.idx]
+        r = batch.rows @ x - batch.lo
         return float(np.mean(0.5 * r ** 2))
 
+    b = instance.targets
     return CompositeProblem(
-        dim=rows.shape[1],
+        dim=instance.rows.shape[1],
         grad_f=grad,
         f_value=value,
         prox_h=zero_prox(),
-        constraints=RowConstraintSet(rows, b, b),
+        constraints=RowConstraintSet(instance.rows, b, b),
         norm_bound=1.0,
         lipschitz_grad=1.0,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class ConstraintSampler:
         """Vectorized dist(A(xi_i) x, b(xi_i)) over the support (hook).
 
         ``indices`` is None for the whole support, else an index array or,
-        for a RowConstraintSet, its ``gather`` of one.
+        for a RowConstraintSet, a RowBatch of its rows.
         """
         return None
 
@@ -75,10 +75,10 @@ class _CsrRows:
     Row i holds the values ``data[indptr[i]:indptr[i + 1]]`` at the columns
     ``indices[...]`` of the same positions. It supports exactly what the
     solvers apply to ``RowConstraintSet.rows``: ``shape``, ``ndim``,
-    ``take(idx)`` and ``rows[idx]`` (another block), ``rows[i]`` (one dense
-    row), ``R @ x`` (the row products) and ``g @ R`` (a dense d-vector).
-    ``entries(i)`` gives one row's stored entries, on which the solvers'
-    one-row step works without building a block.
+    ``take(idx)`` (another block), ``rows[i]`` (one dense row), ``R @ x``
+    (the row products) and ``g @ R`` (a dense d-vector). ``entries(i)``
+    gives one row's stored entries, on which the scaled one-row step works
+    without building a block.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")
@@ -105,12 +105,10 @@ class _CsrRows:
                         self.shape[1])
 
     def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            cols, vals = self.entries(range(self.shape[0])[i])
-            row = np.zeros(self.shape[1])
-            row[cols] = vals
-            return row
-        return self.take(i)
+        cols, vals = self.entries(range(self.shape[0])[i])
+        row = np.zeros(self.shape[1])
+        row[cols] = vals
+        return row
 
     def __matmul__(self, x: Array) -> Array:
         # np.add.reduceat would give an empty row the entry at its start
@@ -129,20 +127,35 @@ class _CsrRows:
 class RowBatch(Sequence):
     """Rows ``idx`` of a RowConstraintSet, as a lazy sequence of samples.
 
-    ``lo`` and ``hi`` hold the endpoints of the selected rows. Indexing with
-    an int builds that one ConstraintSample on demand; a slice or an index
-    array gives another RowBatch over the same set. The solvers read
-    ``owner.rows[idx]``, ``lo`` and ``hi`` directly and never build samples.
+    ``lo`` and ``hi`` hold the endpoints of the selected rows, and ``rows``
+    the rows themselves as one block. Indexing with an int builds that one
+    ConstraintSample on demand; a slice or an index array gives another
+    RowBatch over the same set. The solvers read ``rows``, ``lo`` and ``hi``
+    directly and never build samples.
     """
 
-    __slots__ = ("owner", "idx", "lo", "hi")
+    __slots__ = ("owner", "idx", "lo", "hi", "_rows")
 
     def __init__(self, owner: "RowConstraintSet", idx: Array,
-                 lo: Optional[Array] = None, hi: Optional[Array] = None):
+                 lo: Optional[Array] = None, hi: Optional[Array] = None,
+                 rows=None):
         self.owner = owner
         self.idx = idx
         self.lo = owner.lo[idx] if lo is None else lo
         self.hi = owner.hi[idx] if hi is None else hi
+        self._rows = rows
+
+    @property
+    def rows(self):
+        """The selected rows as one block: a dense (k, d) array or _CsrRows.
+
+        Gathered from ``owner.rows`` on first use and then kept, so every
+        reader of the batch shares one copy; the support is built with the
+        owner's own block and copies nothing.
+        """
+        if self._rows is None:
+            self._rows = self.owner.rows.take(self.idx, axis=0)
+        return self._rows
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -153,14 +166,6 @@ class RowBatch(Sequence):
         if isinstance(i, slice):
             return RowBatch(self.owner, self.idx[i], self.lo[i], self.hi[i])
         return RowBatch(self.owner, self.idx[i])
-
-
-class _GatheredRows(NamedTuple):
-    """Rows of a RowConstraintSet and their endpoints, from ``gather``."""
-
-    rows: object        # a dense (k, d) array or _CsrRows
-    lo: Array
-    hi: Array
 
 
 class RowConstraintSet(ConstraintSampler):
@@ -205,28 +210,23 @@ class RowConstraintSet(ConstraintSampler):
         return RowBatch(self, rng.integers(0, len(self), size=k))
 
     def support(self) -> RowBatch:
-        """Every row once, in order, as a lazy RowBatch."""
-        return RowBatch(self, np.arange(len(self)), self.lo, self.hi)
+        """Every row once, in order: a RowBatch over the set's own arrays."""
+        return RowBatch(self, np.arange(len(self)), self.lo, self.hi, self.rows)
 
     def distances(self, x: Array, indices=None) -> Array:
         """dist(rows[i] x, [lo_i, hi_i]) over every row, or over ``indices``.
 
-        ``indices`` is an index array, or what ``gather`` returned for one,
-        so that a caller measuring the same rows again gathers them once.
+        ``indices`` is None for the support, an index array, or a RowBatch
+        of this set, whose rows a caller measuring them again keeps gathered.
         """
         if indices is None:
-            rows, lo, hi = self.rows, self.lo, self.hi
-        elif isinstance(indices, _GatheredRows):
-            rows, lo, hi = indices
+            batch = self.support()
+        elif isinstance(indices, RowBatch):
+            batch = indices
         else:
-            rows, lo, hi = self.gather(indices)
-        z = rows @ x
-        return np.maximum(np.maximum(lo - z, z - hi), 0.0)
-
-    def gather(self, indices: Array) -> "_GatheredRows":
-        """The rows ``indices`` and their endpoints, copied out once."""
-        return _GatheredRows(self.rows[indices], self.lo[indices],
-                             self.hi[indices])
+            batch = RowBatch(self, indices)
+        z = batch.rows @ x
+        return np.maximum(np.maximum(batch.lo - z, z - batch.hi), 0.0)
 
     @staticmethod
     def normalized(rows, lo, hi) -> "RowConstraintSet":
@@ -373,8 +373,9 @@ class _EvalSet:
     ``f_value``, called once on the whole set, and ``prox_h`` for the
     objective; the feasibility metric needs only the sampler.
     Distances go through the sampler's vectorized ``distances`` hook, with a
-    per-sample fallback when it returns None. A row set's held-out rows are
-    gathered once, here, and handed to the hook at every checkpoint.
+    per-sample fallback when it returns None. A row set's held-out set is one
+    RowBatch, handed to both ``f_value`` and the hook, so its rows are
+    gathered once per run.
     """
 
     def __init__(self, sampler: ConstraintSampler, n_samples: int,
@@ -392,13 +393,11 @@ class _EvalSet:
         elif n_samples >= len(sup):
             self.samples = sup
         else:
-            idx = rng.integers(0, len(sup), size=n_samples)
-            if isinstance(sup, RowBatch):
-                self.samples = sup[idx]
-                self.selection = sup.owner.gather(idx)
-            else:
-                self.samples = [sup[int(i)] for i in idx]
-                self.selection = idx
+            self.selection = rng.integers(0, len(sup), size=n_samples)
+            self.samples = (sup[self.selection] if isinstance(sup, RowBatch)
+                            else [sup[int(i)] for i in self.selection])
+        if isinstance(self.samples, RowBatch):
+            self.selection = self.samples
 
     def mean_sq_distance(self, x: Array) -> float:
         vectorized = getattr(self.sampler, "distances", None)

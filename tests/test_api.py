@@ -1,6 +1,8 @@
 import inspect
 import types
 
+import numpy as np
+
 import sasc
 
 # The public names are a contract: adding or dropping one is a deliberate
@@ -54,3 +56,20 @@ def test_rate_function_parameters_are_pinned():
     got = {name: list(inspect.signature(getattr(sasc, name)).parameters)
            for name in RATE_PARAMETERS}
     assert got == RATE_PARAMETERS
+
+
+# The public members of the row-set classes are a contract too: the solvers,
+# the problem builders and outside samplers read them.
+ROW_SET_MEMBERS = {
+    "RowBatch": {"owner", "idx", "lo", "hi", "rows", "count", "index"},
+    "RowConstraintSet": {"rows", "lo", "hi", "sample", "draw", "draw_batch",
+                         "support", "distances", "normalized"},
+}
+
+
+def test_row_set_members_are_pinned():
+    rows = sasc.RowConstraintSet(np.eye(2), 0.0, 1.0)
+    got = {type(obj).__name__: {name for name in dir(obj)
+                                if not name.startswith("_")}
+           for obj in (rows, rows.support())}
+    assert got == ROW_SET_MEMBERS

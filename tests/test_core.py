@@ -259,6 +259,26 @@ class TestRunSasc:
         with pytest.raises(ConfigurationError, match="omega/\\(mu alpha0\\)"):
             cfg.validate(problem)
 
+    @pytest.mark.parametrize("refused, name", [
+        (lambda p: _cfg(0.5, 2.0, 4, minibatch=0).validate(p), "minibatch"),
+        (lambda p: _cfg(0.5, 2.0, 4, checkpoint_every=0).validate(p),
+         "checkpoint_every"),
+        (lambda p: _cfg(0.5, 2.0, 4, eval_samples=0).validate(p),
+         "eval_samples"),
+        (lambda p: _cfg(0.5, 2.0, 4, epochs=0).validate(p), "epochs"),
+        (lambda p: SascConfig(alpha0=0.5, omega=2.0, m0=4,
+                              sample_budget=3).validate(p), "sample_budget"),
+        (lambda p: dataclasses.replace(p, dim=0), "dim"),
+        (lambda p: run_sasc(p, _cfg(0.5, 2.0, 4), x0=np.zeros(3)), "x0"),
+        (lambda p: rate_constants(_cfg(0.5, 2.0, 4), 1.0, CertificateInputs(),
+                                  np.zeros(2)), "x_star"),
+    ], ids=["minibatch-0", "checkpoint-every-0", "eval-samples-0", "epochs-0",
+            "budget-below-m0", "problem-dim-0", "x0-shape", "no-x-star"])
+    def test_refusal_names_its_setting(self, min_norm_toy, refused, name):
+        problem, _ = min_norm_toy
+        with pytest.raises(ValueError, match=name):
+            refused(problem)
+
     @pytest.mark.parametrize("norm_bound", [0.0, np.nan, np.inf])
     def test_problem_norm_bound_must_be_positive_and_finite(self, min_norm_toy,
                                                            norm_bound):

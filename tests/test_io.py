@@ -230,6 +230,21 @@ class TestConfigFile:
             load_config_file(p)
 
 
+@pytest.mark.parametrize("read, text, line", [
+    (read_trace_csv, TRACE_HEADER + "\n1,0,0.5,0.1,1,1,,0\n2,0,abc,0.1,1,1,,0\n",
+     3),
+    (read_returns_csv, "a,b\n1.0,2.0\n# c\n3.0,x\n", 4),
+    (load_config_file, "m0 = 4\n\n = 5\n", 3),
+], ids=["trace-field", "returns-cell", "config-key"])
+def test_malformed_line_is_named(read, text, line, tmp_path):
+    p = tmp_path / "f.txt"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read(p)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}:")
+
+
 class TestCli:
     def test_bp_smoke_and_reproducibility(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -540,6 +555,26 @@ class TestCli:
         assert cli_main(["bp", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and repr(key) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config, name", [
+        (["bounds", "--m0", "4", "--m-max", "3"], "", "--m-max"),
+        (["bp"], "no_timing = maybe\n", "'no_timing'"),
+        (["bp"], "solver = newton\n", "'solver'"),
+    ], ids=["bounds-m-max-below-m0", "config-flag-not-boolean",
+            "config-solver-choice"])
+    def test_refusal_exits_1_naming_it(self, argv, config, name, tmp_path,
+                                       capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "o.csv"
+        inputs = ["--d", "8", "--n", "200", "--sparsity", "2",
+                  "--budget", "400"] if argv[0] == "bp" else []
+        assert cli_main(argv + inputs + ["--config", str(cfg),
+                                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and name in err
         assert "Traceback" not in err
         assert not out.exists()
 

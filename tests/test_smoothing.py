@@ -9,6 +9,7 @@ from sasc.smoothing import (
     CertificateInputs,
     _CsrRows,
     ConstraintSample,
+    ConstraintSampler,
     RowBatch,
     RowConstraintSet,
     _EvalSet,
@@ -453,3 +454,125 @@ class TestIndexStream:
         assert s.sample(-1).index == 4
         with pytest.raises(IndexError):
             s.sample(5)
+
+
+def _stored(dense, storage):
+    """``dense`` as the rows of a RowConstraintSet: the array, or CSR rows
+    with every entry stored."""
+    if storage == "dense":
+        return dense
+    n, d = dense.shape
+    return _CsrRows(np.arange(n + 1) * d, np.tile(np.arange(d), n),
+                    dense.ravel(), d)
+
+
+def _as_dense(rows):
+    return rows if isinstance(rows, np.ndarray) else np.array(
+        [rows[i] for i in range(rows.shape[0])])
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+class TestBatchRows:
+    def _set(self, storage, n=12, d=4):
+        rng = np.random.default_rng(31)
+        lo = rng.standard_normal(n)
+        return RowConstraintSet(_stored(rng.standard_normal((n, d)), storage),
+                                lo, lo + 0.5)
+
+    def test_support_holds_the_set_arrays(self, storage):
+        s = self._set(storage)
+        sup = s.support()
+        assert sup.rows is s.rows
+        assert sup.lo is s.lo and sup.hi is s.hi
+
+    def test_rows_are_gathered_once_and_kept(self, storage):
+        s = self._set(storage)
+        batch = s.draw_batch(np.random.default_rng(2), 5)
+        rows = batch.rows
+        assert batch.rows is rows
+        assert rows.shape == (5, 4)
+        assert np.array_equal(_as_dense(rows), _as_dense(s.rows)[batch.idx])
+        # a slice or an index array selects again, from the owner's rows
+        assert np.array_equal(_as_dense(batch[1:3].rows),
+                              _as_dense(s.rows)[batch.idx[1:3]])
+        assert np.array_equal(_as_dense(batch[np.array([4, 0])].rows),
+                              _as_dense(s.rows)[batch.idx[[4, 0]]])
+
+    def test_distances_read_every_selection_alike(self, storage):
+        s = self._set(storage)
+        x = np.random.default_rng(3).standard_normal(4)
+        every = s.distances(x)
+        assert np.array_equal(s.distances(x, s.support()), every)
+        idx = np.array([7, 0, 7, 11])
+        batch = RowBatch(s, idx)
+        assert np.array_equal(s.distances(x, idx), every[idx])
+        assert np.array_equal(s.distances(x, batch), every[idx])
+        rows = batch.rows
+        s.distances(x, batch)
+        assert batch.rows is rows
+
+
+class TestEvalSetSamplers:
+    """Held-out sets of samplers that are not row sets."""
+
+    @staticmethod
+    def _samples(set_of):
+        rng = np.random.default_rng(41)
+        rows = rng.standard_normal((15, 3))
+        lo = rng.standard_normal(15)
+        hi = lo + rng.uniform(0.0, 1.0, 15)
+        return [ConstraintSample(rows[i], set_of(lo[i], hi[i]), i)
+                for i in range(15)]
+
+    def test_finite_support_hook_receives_the_drawn_indices(self):
+        samples = self._samples(BoxSet)
+        handed = []
+
+        class Finite(ConstraintSampler):
+            def support(self):
+                return samples
+
+        class Hooked(Finite):
+            def distances(self, x, indices=None):
+                handed.append(indices)
+                return np.array([samples[i].set_proj.distance(
+                    samples[i].apply(x)) for i in indices])
+
+        hooked = _EvalSet(Hooked(), 6, np.random.default_rng(5))
+        plain = _EvalSet(Finite(), 6, np.random.default_rng(5))
+        drawn = np.random.default_rng(5).integers(0, 15, size=6)
+        x = np.random.default_rng(6).standard_normal(3)
+        got = hooked.mean_sq_distance(x)
+        assert len(handed) == 1 and handed[0].tolist() == drawn.tolist()
+        assert [s.index for s in hooked.samples] == drawn.tolist()
+        # without the hook, the per-sample fallback measures the same samples
+        assert plain.mean_sq_distance(x) == got
+
+    def test_custom_set_runs_like_the_box_it_projects_onto(self):
+        from sasc.core import SascConfig, run_sasc
+        from sasc.prox import CustomSet
+
+        def custom(lo, hi):
+            return CustomSet(lambda z: np.minimum(np.maximum(z, lo), hi))
+
+        def problem(set_of):
+            samples = self._samples(set_of)
+
+            class Generic(ConstraintSampler):
+                def draw(self, rng):
+                    return samples[int(rng.integers(len(samples)))]
+
+            return CompositeProblem(
+                dim=3, grad_f=lambda x, batch: 0.0,
+                f_value=lambda x, batch: 0.0, prox_h=l1_prox(0.1),
+                constraints=Generic(),
+                norm_bound=max(sample.norm() for sample in samples))
+
+        cfg = SascConfig(alpha0=0.05, omega=2.0, m0=8, epochs=6, seed=4,
+                         minibatch=2, checkpoint_every=40, eval_samples=30)
+        x_box, trace_box = run_sasc(problem(BoxSet), cfg)
+        x_custom, trace_custom = run_sasc(problem(custom), cfg)
+        assert x_custom.tobytes() == x_box.tobytes()
+        assert (trace_custom.column("feasibility").tobytes()
+                == trace_box.column("feasibility").tobytes())
+        assert trace_box.column("feasibility")[-1] > 0.0
