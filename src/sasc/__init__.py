@@ -47,12 +47,9 @@ from .prox import (
     CustomSet,
     ProxHandle,
     SetProjector,
-    halfspace,
     hyperplane_indicator_prox,
-    interval,
     l1_prox,
     project_hyperplane,
-    singleton,
     soft_threshold,
     zero_prox,
 )

@@ -438,18 +438,19 @@ def _cmd_bounds(o: dict) -> int:
         _check_finite(o, "lipschitz_g")
     _check_finite(o, "m_count", positive=True)
     cfg = _schedule(o, _CASES[o["case"]], epochs=1)
+    if o["m_max"] < cfg.m0:
+        raise UsageError("--m-max must be at least m0")
     # CertificateInputs checks --y-star-norm and --sigma-f
     cert = CertificateInputs(x_star=np.array([o["x0_dist"]]), p_star=0.0,
                              y_star_norm=o["y_star_norm"], sigma_f=o["sigma_f"])
-    consts = rate_constants(cfg, o["norm_bound"], cert, np.zeros(1))
+    x0 = np.zeros(1)
+    consts = rate_constants(cfg, o["norm_bound"], cert, x0)
     print(" ".join(f"{name.upper()}={value:.12g}"
                    for name, value in consts._asdict().items()))
-    if o["m_max"] < cfg.m0:
-        raise UsageError("--m-max must be at least m0")
     grid = np.unique(np.round(np.geomspace(
         cfg.m0, o["m_max"], num=o["m_count"])).astype(int))
-    curves = bound_curves(cfg, consts, grid, lipschitz_g=o["lipschitz_g"],
-                          y_star_norm=o["y_star_norm"])
+    curves = bound_curves(cfg, o["norm_bound"], cert, x0, grid,
+                          lipschitz_g=o["lipschitz_g"])
     lines = ["M,objective_bound,feasibility_bound"]
     lines += [f"{m},{ob:.17g},{fb:.17g}" for m, (ob, fb) in zip(grid, curves)]
     if o["out"]:

@@ -565,17 +565,17 @@ def rate_constants(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
     return Case2Constants(d1, d2, d3)
 
 
-def bound_curves(cfg: SascConfig, constants, M_values,
-                 lipschitz_g: Optional[float] = None,
-                 y_star_norm: float = 0.0):
+def bound_curves(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
+                 x0: Array, M_values, lipschitz_g: Optional[float] = None):
     """Evaluate the rate-bound right-hand sides at each total sample count M.
 
-    ``constants`` are ``rate_constants`` of the same ``cfg``, whose case,
-    m0 and omega the bound reads. Returns a list of (objective_bound,
-    feasibility_bound). When ``lipschitz_g`` is given, the objective bound
-    carries the smoothing surplus of the Lipschitz-term extension (C4 or D3
-    scaled by L_g^2).
+    The constants are ``rate_constants(cfg, norm_bound, cert, x0)``, and the
+    feasibility bound reads ||y*|| from the same ``cert``. Returns a list of
+    (objective_bound, feasibility_bound). When ``lipschitz_g`` is given, the
+    objective bound carries the smoothing surplus of the Lipschitz-term
+    extension (C4 or D3 scaled by L_g^2).
     """
+    constants = rate_constants(cfg, norm_bound, cert, x0)
     m0, omega = cfg.m0, cfg.omega
     out = []
     for M in M_values:
@@ -588,7 +588,7 @@ def bound_curves(cfg: SascConfig, constants, M_values,
             obj = c1 / math.sqrt(M) * bracket
             if lipschitz_g is not None:
                 obj += c4 / math.sqrt(M) * lipschitz_g ** 2
-            feas = (2.0 * c4 * y_star_norm
+            feas = (2.0 * c4 * cert.y_star_norm
                     + 2.0 * math.sqrt(c1 * c4) * math.sqrt(bracket)) / math.sqrt(M)
         else:
             d1, d2, d3 = constants
@@ -596,7 +596,7 @@ def bound_curves(cfg: SascConfig, constants, M_values,
             obj = bracket / M
             if lipschitz_g is not None:
                 obj += d3 / M * lipschitz_g ** 2
-            feas = (2.0 * d3 * y_star_norm
+            feas = (2.0 * d3 * cert.y_star_norm
                     + 2.0 * math.sqrt(d3) * math.sqrt(bracket)) / M
         out.append((obj, feas))
     return out

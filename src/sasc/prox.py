@@ -49,7 +49,12 @@ def _shrink(z: Array, tau: float) -> Array:
 
 
 def project_hyperplane(z: Array, a: Array, b: float) -> Array:
-    """Project z onto the hyperplane {x : <a, x> = b}."""
+    """Project z onto the hyperplane {x : <a, x> = b}.
+
+    The reference that ``hyperplane_indicator_prox`` is tested against: it
+    checks the normal and computes ||a||^2 on every call, where the prox
+    handle does both once.
+    """
     z = np.asarray(z, dtype=float)
     a = np.asarray(a, dtype=float)
     nrm2 = float(a @ a)
@@ -104,21 +109,6 @@ class CustomSet(SetProjector):
 
     def project(self, z):
         return self.project_fn(z)
-
-
-def singleton(value) -> BoxSet:
-    """The one-point set {value}."""
-    return BoxSet(value, value)
-
-
-def interval(lo, hi) -> BoxSet:
-    """The interval [lo, hi]."""
-    return BoxSet(lo, hi)
-
-
-def halfspace(lo) -> BoxSet:
-    """The half-line [lo, inf)."""
-    return BoxSet(lo, np.inf)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from sasc.problems import (
     make_bp_problem,
     make_svm_problem,
 )
-from sasc.prox import halfspace, interval, l1_prox, singleton
+from sasc.prox import BoxSet, l1_prox
 from sasc.smoothing import (
     CertificateInputs,
     feasibility_metric,
@@ -51,10 +51,8 @@ def _report(num, ok, detail):
 
 def _feasibility_bound(cfg, problem, cert, m_values):
     """The paper's general-convex feasibility bound after M total samples."""
-    consts = rate_constants(cfg, problem.norm_bound, cert,
-                            np.zeros(problem.dim))
     return np.array([feas for _, feas in bound_curves(
-        cfg, consts, m_values, y_star_norm=cert.y_star_norm)])
+        cfg, problem.norm_bound, cert, np.zeros(problem.dim), m_values)])
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +146,9 @@ def test_c03_smoothed_gradient_check():
     t0 = time.perf_counter()
     worst_rel = 0.0
     cases = [
-        ("singleton", singleton(0.7), []),
-        ("interval", interval(-0.2, 0.2), [-0.2, 0.2]),
-        ("halfspace", halfspace(1.0), [1.0]),
+        ("singleton", BoxSet(0.7, 0.7), []),
+        ("interval", BoxSet(-0.2, 0.2), [-0.2, 0.2]),
+        ("halfspace", BoxSet(1.0, np.inf), [1.0]),
         ("generic prox", l1_prox(1.0), None),  # kinks depend on beta
     ]
     for _, inner, kinks in cases:

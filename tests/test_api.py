@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import types
 
@@ -20,9 +21,9 @@ PUBLIC_NAMES = {
     "gen_synthetic_returns", "make_bp_least_squares_problem",
     "make_bp_problem", "make_min_norm_hyperplane_problem",
     "make_portfolio_problem", "make_svm_problem", "reference_solution",
-    "BoxSet", "CustomSet", "ProxHandle", "SetProjector", "halfspace",
-    "hyperplane_indicator_prox", "interval", "l1_prox", "project_hyperplane",
-    "singleton", "soft_threshold", "zero_prox",
+    "BoxSet", "CustomSet", "ProxHandle", "SetProjector",
+    "hyperplane_indicator_prox", "l1_prox", "project_hyperplane",
+    "soft_threshold", "zero_prox",
     "CertificateInputs", "ConstraintSample", "ConstraintSampler", "RowBatch",
     "RowConstraintSet", "feasibility_metric", "saddle_point_residuals",
     "moreau_grad", "smoothed_gap",
@@ -46,8 +47,8 @@ RATE_PARAMETERS = {
     "schedule_params": ["cfg", "s", "norm_bound"],
     "schedule_inequalities_check": ["cfg", "norm_bound", "s_max",
                                     "lipschitz_grad"],
-    "bound_curves": ["cfg", "constants", "M_values", "lipschitz_g",
-                     "y_star_norm"],
+    "bound_curves": ["cfg", "norm_bound", "cert", "x0", "M_values",
+                     "lipschitz_g"],
     "rate_constants": ["cfg", "norm_bound", "cert", "x0"],
 }
 
@@ -73,3 +74,29 @@ def test_row_set_members_are_pinned():
                                 if not name.startswith("_")}
            for obj in (rows, rows.support())}
     assert got == ROW_SET_MEMBERS
+
+
+# The benchmark's traced copy of a problem swaps grad_f, f_value, prox_h and
+# constraints with dataclasses.replace and builds a new
+# ProxHandle(evaluate, objective_value, is_projection), so it names these
+# init fields.
+INIT_FIELDS = {
+    "CompositeProblem": ["dim", "grad_f", "f_value", "prox_h", "constraints",
+                         "norm_bound", "mu", "lipschitz_grad", "prox_f",
+                         "min_norm"],
+    "ProxHandle": ["evaluate", "objective_value", "is_projection"],
+}
+
+
+def test_init_fields_are_pinned():
+    got = {name: [f.name for f in dataclasses.fields(getattr(sasc, name))
+                  if f.init]
+           for name in INIT_FIELDS}
+    assert got == INIT_FIELDS
+
+
+# Criterion c04 compares the rate constants with their symbolic evaluation
+# position by position, so the order of the fields is a contract.
+def test_rate_constant_fields_are_pinned():
+    assert sasc.Case1Constants._fields == ("c1", "c2", "c3", "c4")
+    assert sasc.Case2Constants._fields == ("d1", "d2", "d3")

@@ -16,7 +16,7 @@ from sasc.baselines import (
 )
 from sasc.core import CompositeProblem, SascConfig, run_sasc
 from sasc.errors import ConfigurationError, DivergenceError, UnsupportedProblemError
-from sasc.prox import _clip, interval, l1_prox, singleton, zero_prox
+from sasc.prox import BoxSet, _clip, l1_prox, zero_prox
 from sasc.problems import (
     LabeledSparseDataset,
     gen_basis_pursuit,
@@ -133,7 +133,7 @@ class TestSpp:
             row /= np.linalg.norm(row)
             lo = float(rng.uniform(-1, 0))
             hi = float(rng.uniform(0, 1))
-            sample = ConstraintSample(row, interval(lo, hi), 0)
+            sample = ConstraintSample(row, BoxSet(lo, hi), 0)
             z = rng.standard_normal(4) * 3
             p = _project_onto_constraint(z, sample)
             assert sample.set_proj.distance(sample.apply(p)) <= 1e-12
@@ -159,7 +159,8 @@ class TestSpp:
     def test_matrix_constraints_unsupported(self):
         class MatrixSampler:
             def draw(self, rng):
-                return ConstraintSample(np.eye(2), singleton(np.zeros(2)), 0)
+                return ConstraintSample(np.eye(2),
+                                        BoxSet(np.zeros(2), np.zeros(2)), 0)
 
             def draw_batch(self, rng, k):
                 return [self.draw(rng) for _ in range(k)]

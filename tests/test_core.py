@@ -755,40 +755,108 @@ class TestConstants:
 
 
 class TestBoundCurves:
+    # Certificates whose rate constants are round: with ||A|| = 1 at
+    # (alpha0, omega, m0) = (1, 2, 2), C = (2, 1, 0, 8) for C_CERT and
+    # (2, 1, 1, 8) for C_CERT_Y; with ||A||^2 = 1/2 at (1, 2, 4),
+    # D = (3, 1.5, 16) for D_CERT.
+    C_CERT = CertificateInputs(x_star=np.ones(2))
+    C_CERT_Y = CertificateInputs(x_star=np.ones(2), y_star_norm=0.5)
+    D_CERT = CertificateInputs(x_star=np.array([1.5, 0.0]), y_star_norm=0.375)
+    D_NORM = np.sqrt(0.5)
+
+    def test_certificates_give_the_round_constants(self):
+        x0 = np.zeros(2)
+        assert_allclose(rate_constants(_cfg(1.0, 2.0, 2), 1.0, self.C_CERT, x0),
+                        (2.0, 1.0, 0.0, 8.0), rtol=1e-14)
+        assert_allclose(rate_constants(_cfg(1.0, 2.0, 2), 1.0, self.C_CERT_Y,
+                                       x0), (2.0, 1.0, 1.0, 8.0), rtol=1e-14)
+        assert_allclose(rate_constants(_cfg(1.0, 2.0, 4, case=RSC),
+                                       self.D_NORM, self.D_CERT, x0),
+                        (3.0, 1.5, 16.0), rtol=1e-14)
+
     def test_case1_log_term_vanishes_at_m0(self):
-        got = bound_curves(_cfg(1.0, 2.0, 2), (2.0, 1.0, 0.0, 8.0), [2])
+        got = bound_curves(_cfg(1.0, 2.0, 2), 1.0, self.C_CERT, np.zeros(2),
+                           [2])
         assert_allclose(got[0][0], np.sqrt(2.0), rtol=1e-14)
 
+    def test_feasibility_reads_y_star_norm_from_cert(self):
+        # at M = m0: (2 C4 ||y*|| + 2 sqrt(C1 C4 C2)) / sqrt(M)
+        cfg = _cfg(1.0, 2.0, 2)
+        feas0 = bound_curves(cfg, 1.0, self.C_CERT, np.zeros(2), [2])[0][1]
+        feas = bound_curves(cfg, 1.0, self.C_CERT_Y, np.zeros(2), [2])[0][1]
+        assert_allclose(feas0, 8.0 / np.sqrt(2.0), rtol=1e-14)
+        assert_allclose(feas, 16.0 / np.sqrt(2.0), rtol=1e-14)
+
     def test_case2_numerically_decreasing_in_tenfold_m(self):
-        consts = (3.0, 1.5, 16.0)
         Ms = np.unique(np.geomspace(4, 10 ** 5, 40).astype(int))
-        vals = bound_curves(_cfg(1.0, 2.0, 4, case=RSC), consts,
-                            list(Ms) + list(10 * Ms), y_star_norm=1.0)
+        vals = bound_curves(_cfg(1.0, 2.0, 4, case=RSC), self.D_NORM,
+                            self.D_CERT, np.zeros(2), list(Ms) + list(10 * Ms))
         n = len(Ms)
         for i in range(n):
             assert vals[n + i][0] <= vals[i][0] + 1e-12
             assert vals[n + i][1] <= vals[i][1] + 1e-12
 
     def test_zero_extension_term_is_identity(self):
-        c = (2.0, 1.0, 0.5, 8.0)
-        base = bound_curves(_cfg(1.0, 2.0, 2), c, [10, 100])
-        ext0 = bound_curves(_cfg(1.0, 2.0, 2), c, [10, 100], lipschitz_g=0.0)
+        cfg, x0 = _cfg(1.0, 2.0, 2), np.zeros(2)
+        base = bound_curves(cfg, 1.0, self.C_CERT_Y, x0, [10, 100])
+        ext0 = bound_curves(cfg, 1.0, self.C_CERT_Y, x0, [10, 100],
+                            lipschitz_g=0.0)
         assert base == ext0
 
     def test_extension_surplus(self):
-        c1 = (2.0, 1.0, 0.5, 8.0)
-        base = bound_curves(_cfg(1.0, 2.0, 2), c1, [64])[0][0]
-        ext = bound_curves(_cfg(1.0, 2.0, 2), c1, [64], lipschitz_g=3.0)[0][0]
+        cfg, x0 = _cfg(1.0, 2.0, 2), np.zeros(2)
+        base = bound_curves(cfg, 1.0, self.C_CERT_Y, x0, [64])[0][0]
+        ext = bound_curves(cfg, 1.0, self.C_CERT_Y, x0, [64],
+                           lipschitz_g=3.0)[0][0]
         assert_allclose(ext - base, 8.0 / np.sqrt(64) * 9.0, rtol=1e-12)
-        c2 = (3.0, 1.5, 16.0)
-        b2 = bound_curves(_cfg(1.0, 2.0, 4, case=RSC), c2, [64])[0][0]
-        e2 = bound_curves(_cfg(1.0, 2.0, 4, case=RSC), c2, [64],
+        cfg2 = _cfg(1.0, 2.0, 4, case=RSC)
+        b2 = bound_curves(cfg2, self.D_NORM, self.D_CERT, x0, [64])[0][0]
+        e2 = bound_curves(cfg2, self.D_NORM, self.D_CERT, x0, [64],
                           lipschitz_g=3.0)[0][0]
         assert_allclose(e2 - b2, 16.0 / 64 * 9.0, rtol=1e-12)
 
     def test_m_below_first_epoch_rejected(self):
         with pytest.raises(ValueError, match="epoch"):
-            bound_curves(_cfg(1.0, 2.0, 4), (2.0, 1.0, 0.0, 8.0), [3])
+            bound_curves(_cfg(1.0, 2.0, 4), 1.0, self.C_CERT, np.zeros(2), [3])
+
+
+class TestRateBoundsOnMinNormToy:
+    """Every epoch output of a toy run lies within the paper's rate bounds.
+
+    The toy's certificate is exact (x* = e1, P* = 1/2, ||y*|| = 1,
+    sigma_f = 0) and its support is one row, so a run is deterministic and
+    the in-expectation bound applies to that one run.
+    """
+
+    @pytest.mark.parametrize("alpha0, omega, m0, case", [
+        (0.5, 2.0, 2, Case.GENERAL_CONVEX),
+        (0.75, 1.5, 4, Case.GENERAL_CONVEX),
+        (0.5, 2.0, 4, RSC),
+        (0.25, 1.5, 8, RSC),
+    ], ids=["general-0.5-2-2", "general-0.75-1.5-4", "rsc-0.5-2-4",
+            "rsc-0.25-1.5-8"])
+    def test_epoch_outputs_within_bounds(self, min_norm_toy, alpha0, omega,
+                                         m0, case):
+        problem, cert = min_norm_toy
+        cfg = SascConfig(alpha0=alpha0, omega=omega, m0=m0, case=case,
+                         epochs=14, seed=0, checkpoint_every=10 ** 6,
+                         eval_samples=1)
+        ends = []
+
+        def at_epoch_end(st):
+            if st.k == st.m_s:
+                ends.append((st.samples_seen, st.running_avg))
+
+        run_sasc(problem, cfg, callback=at_epoch_end)
+        assert len(ends) == 14
+        bounds = bound_curves(cfg, problem.norm_bound, cert,
+                              np.zeros(problem.dim), [m for m, _ in ends])
+        for (_, x_bar), (obj_bound, feas_bound) in zip(ends, bounds):
+            # the one unit row e1 with target 1: dist = |x_1 - 1|
+            feas = abs(x_bar[0] - 1.0)
+            gap = 0.5 * float(x_bar @ x_bar) - cert.p_star
+            assert feas <= feas_bound
+            assert -cert.y_star_norm * feas - 1e-12 <= gap <= obj_bound
 
 
 class TestScheduleInequalities:

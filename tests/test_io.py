@@ -353,7 +353,7 @@ class TestCli:
         rows = [line.split(",") for line in lines[2:]]
         grid = [int(m) for m, _, _ in rows]
         assert grid[0] == 4 and grid[-1] == 1024
-        want = bound_curves(cfg, consts, grid, lipschitz_g=1.5, y_star_norm=1.0)
+        want = bound_curves(cfg, 1.0, cert, np.zeros(1), grid, lipschitz_g=1.5)
         assert [(float(ob), float(fb)) for _, ob, fb in rows] == want
 
     def test_unknown_subcommand(self, capsys):
@@ -573,10 +573,38 @@ class TestCli:
                   "--budget", "400"] if argv[0] == "bp" else []
         assert cli_main(argv + inputs + ["--config", str(cfg),
                                          "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:") and name in err
-        assert "Traceback" not in err
+        printed = capsys.readouterr()
+        # refused before anything is printed
+        assert printed.out == ""
+        assert printed.err.startswith("usage error:") and name in printed.err
+        assert "Traceback" not in printed.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["1", "2"])
+    def test_check_fails_on_a_negative_slack(self, case, monkeypatch, capsys):
+        from sasc.core import ScheduleCheckReport
+
+        def violated(cfg, norm_bound, s_max):
+            return ScheduleCheckReport(case=cfg.case,
+                                       slacks={"beta_upper": -1e-3})
+
+        monkeypatch.setattr("sasc.cli.schedule_inequalities_check", violated)
+        assert cli_main(["check", "--case", case, "--m0", "4", "--smax", "3",
+                         "--residual-draws", "5"]) == 2
+        out = capsys.readouterr().out
+        assert "beta_upper: worst slack -1.000000e-03" in out
+        assert "CHECK FAILED" in out
+
+    @pytest.mark.parametrize("value, zeroed", [("off", False), ("on", True)])
+    def test_config_no_timing_word(self, value, zeroed, tmp_path):
+        out = tmp_path / "o.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d = 8\nn = 200\nsparsity = 2\nbudget = 400\n"
+                       "checkpoint_every = 100\nvalidation_samples = 50\n"
+                       f"out = {out}\nno_timing = {value}\n")
+        assert cli_main(["bp", "--config", str(cfg)]) == 0
+        wall = read_trace_csv(out).column("wall_time")
+        assert np.all(wall == 0.0) == zeroed
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -668,3 +668,27 @@ class TestSyntheticReturns:
         assert a.shape == (100, 7)
         assert np.array_equal(a, b)
         assert a.mean() > 0.9  # price relatives near 1
+
+
+def _toy_with_rows(n):
+    problem, _ = make_min_norm_hyperplane_problem()
+    rows = RowConstraintSet(np.ones((n, 2)), np.ones(n), np.ones(n))
+    return dataclasses.replace(problem, constraints=rows)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: reference_solution(_toy_with_rows(201), 1e-6),
+     UnsupportedProblemError, "n <= 200"),
+    (lambda: reference_solution(make_min_norm_hyperplane_problem(51)[0], 1e-6),
+     UnsupportedProblemError, "d <= 50"),
+    (lambda: make_min_norm_hyperplane_problem(dim=0), ValueError, "dim"),
+    (lambda: gen_basis_pursuit(d=3, n=1, sparsity=1, rho=0.0, seed=0),
+     ValueError, "zero row after centering"),
+    (lambda: LabeledSparseDataset.from_rows([[0], [1]], [[1.0]],
+                                            np.array([1.0, -1.0]), dim=2),
+     ValueError, "equal length"),
+], ids=["reference-n-above-cap", "reference-d-above-cap", "min-norm-dim-0",
+        "bp-one-row", "dataset-more-index-than-value-lists"])
+def test_builders_refuse_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

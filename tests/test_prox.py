@@ -6,12 +6,9 @@ from sasc.errors import DegenerateConstraintError
 from sasc.prox import (
     BoxSet,
     ProxHandle,
-    halfspace,
     hyperplane_indicator_prox,
-    interval,
     l1_prox,
     project_hyperplane,
-    singleton,
     soft_threshold,
     zero_prox,
 )
@@ -113,28 +110,28 @@ class TestProjectHyperplane:
 
 class TestScalarProjections:
     def test_halfspace(self):
-        assert halfspace(1.0).project(0.4) == 1.0
-        assert halfspace(1.0).project(2.0) == 2.0
-        assert halfspace(1.0).project(-3.0) == 1.0
+        assert BoxSet(1.0, np.inf).project(0.4) == 1.0
+        assert BoxSet(1.0, np.inf).project(2.0) == 2.0
+        assert BoxSet(1.0, np.inf).project(-3.0) == 1.0
 
     def test_interval(self):
         # the bundled slab width 0.2 forces the clamp
-        assert interval(-0.2, 0.2).project(2.0) == 0.2
-        assert interval(-0.2, 0.2).project(0.1) == 0.1
-        assert interval(-0.2, 0.2).project(-5.0) == -0.2
+        assert BoxSet(-0.2, 0.2).project(2.0) == 0.2
+        assert BoxSet(-0.2, 0.2).project(0.1) == 0.1
+        assert BoxSet(-0.2, 0.2).project(-5.0) == -0.2
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            interval(1.0, -1.0)
+            BoxSet(1.0, -1.0)
 
 
 class TestProjectorInvariants:
     # idempotence and nonexpansiveness on 1e4 random pairs, 1e-12 slack
 
     @pytest.mark.parametrize("proj", [
-        singleton(0.7),
-        interval(-0.2, 0.2),
-        halfspace(1.0),
+        BoxSet(0.7, 0.7),
+        BoxSet(-0.2, 0.2),
+        BoxSet(1.0, np.inf),
     ], ids=["singleton", "interval", "halfspace"])
     def test_idempotent_nonexpansive_scalar_sets(self, proj):
         rng = np.random.default_rng(3)
@@ -171,7 +168,7 @@ class TestProjectorInvariants:
                       <= np.linalg.norm(z1 - z2, axis=1) + 1e-12)
 
     def test_distance_properties(self):
-        proj = interval(-0.2, 0.2)
+        proj = BoxSet(-0.2, 0.2)
         assert proj.distance(0.1) == 0.0
         assert_allclose(proj.distance(2.0), 1.8)
         assert proj.distance(np.array([0.0])) == 0.0
@@ -184,6 +181,11 @@ def _linear_prox(c):
 
 
 class TestProxHandles:
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_l1_prox_refuses_nonpositive_weight(self, weight):
+        with pytest.raises(ValueError, match="weight must be positive"):
+            l1_prox(weight)
+
     @pytest.mark.parametrize("handle,step", [
         (l1_prox(1.0), 0.7),
         (_linear_prox(np.array([0.5, -1.0])), 0.3),

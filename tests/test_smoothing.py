@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from sasc.core import CompositeProblem
 from sasc.errors import ConfigurationError, DegenerateConstraintError
-from sasc.prox import BoxSet, halfspace, interval, l1_prox, singleton, zero_prox
+from sasc.prox import BoxSet, l1_prox, zero_prox
 from sasc.smoothing import (
     CertificateInputs,
     _CsrRows,
@@ -22,22 +22,22 @@ from sasc.smoothing import (
 
 class TestMoreauGrad:
     def test_feasible_point_vanishes(self):
-        v, g = moreau_grad(0.1, interval(-0.2, 0.2), 1.0)
+        v, g = moreau_grad(0.1, BoxSet(-0.2, 0.2), 1.0)
         assert v == 0.0 and g == 0.0
 
     def test_interval_clamp_values(self):
         # projection 0.2, distance 1.8; value = dist^2/(2 beta), grad = dist/beta
-        v, g = moreau_grad(2.0, interval(-0.2, 0.2), 1.0)
+        v, g = moreau_grad(2.0, BoxSet(-0.2, 0.2), 1.0)
         assert_allclose([v, g], [1.8 ** 2 / 2.0, 1.8], atol=1e-15)
-        v, g = moreau_grad(2.0, interval(-0.2, 0.2), 0.5)
+        v, g = moreau_grad(2.0, BoxSet(-0.2, 0.2), 0.5)
         assert_allclose([v, g], [1.8 ** 2 / 1.0, 3.6], atol=1e-15)
 
     def test_bad_beta(self):
         with pytest.raises(ValueError, match="beta"):
-            moreau_grad(1.0, singleton(0.0), 0.0)
+            moreau_grad(1.0, BoxSet(0.0, 0.0), 0.0)
 
     @pytest.mark.parametrize("inner", [
-        singleton(0.7), interval(-0.2, 0.2), halfspace(1.0), l1_prox(1.0),
+        BoxSet(0.7, 0.7), BoxSet(-0.2, 0.2), BoxSet(1.0, np.inf), l1_prox(1.0),
     ], ids=["singleton", "interval", "halfspace", "generic-prox"])
     def test_gradient_matches_finite_differences(self, inner):
         rng = np.random.default_rng(11)
@@ -77,7 +77,7 @@ class TestMoreauGrad:
     def test_lipschitz_bound(self):
         # gradient of the smoothed term is (1/beta)-Lipschitz
         rng = np.random.default_rng(12)
-        for inner in (singleton(0.3), interval(-0.2, 0.2), halfspace(1.0)):
+        for inner in (BoxSet(0.3, 0.3), BoxSet(-0.2, 0.2), BoxSet(1.0, np.inf)):
             for beta in (0.25, 1.0, 3.0):
                 z1 = rng.uniform(-6, 6, size=10_000)
                 z2 = rng.uniform(-6, 6, size=10_000)
@@ -393,6 +393,17 @@ class TestRowConstraintSet:
         # one gathered block, handed to the hook at every evaluation
         assert all(h is handed[0] for h in handed)
         assert np.array_equal(handed[0].lo, s.lo[idx])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: RowConstraintSet(np.eye(2), np.array([1.0, 0.0]),
+                              np.array([0.0, 0.0])), ValueError, "lo exceeds hi"),
+    (lambda: moreau_grad(1.0, object(), 1.0), TypeError,
+     "unsupported inner term"),
+], ids=["row-set-lo-above-hi", "moreau-grad-unsupported-inner"])
+def test_refuses_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def _random_rows(n, d=3, seed=0):
