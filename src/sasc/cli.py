@@ -264,11 +264,9 @@ def _check_solver_settings(cmd: str, o: dict) -> None:
 
 
 def _schedule(o: dict, case: Case, **run) -> SascConfig:
-    """The validated SascConfig of the options' alpha0, omega and m0."""
-    cfg = SascConfig(alpha0=o["alpha0"], omega=o["omega"], m0=o["m0"],
-                     case=case, **run)
-    cfg.validate()
-    return cfg
+    """The SascConfig of the options' alpha0, omega and m0, checked when built."""
+    return SascConfig(alpha0=o["alpha0"], omega=o["omega"], m0=o["m0"],
+                      case=case, **run)
 
 
 def _check_finite(o: dict, dest: str, positive: bool = False) -> None:
@@ -415,15 +413,15 @@ def _cmd_check(o: dict) -> int:
     _check_finite(o, "smax", positive=True)
     _check_finite(o, "residual_draws", positive=True)
     cfg = _schedule(o, _CASES[o["case"]], epochs=1)
-    report = schedule_inequalities_check(cfg, o["norm_bound"], o["smax"])
+    slacks = schedule_inequalities_check(cfg, o["norm_bound"], o["smax"])
     print(f"schedule inequalities (case {o['case']}, s <= {o['smax']}):")
-    for name, slack in report.slacks.items():
+    for name, slack in slacks.items():
         print(f"  {name}: worst slack {slack:.6e}")
     worst_residual = _residual_suite_worst_slacks(o["residual_draws"], o["seed"])
     print(f"saddle-point residual suite ({o['residual_draws']} draws):")
     for i, slack in enumerate(worst_residual, start=1):
         print(f"  residual_{i}: worst slack {slack:.6e}")
-    overall = min(report.min_slack, float(np.min(worst_residual)))
+    overall = min(min(slacks.values()), float(np.min(worst_residual)))
     print(f"minimum slack overall: {overall:.6e}")
     if overall < -1e-9:
         print("CHECK FAILED: an inequality is violated beyond tolerance")

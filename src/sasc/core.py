@@ -31,9 +31,9 @@ from .smoothing import (
     ConstraintSampler,
     RowBatch,
     _batches,
+    _chunks,
     _CsrRows,
     _EvalSet,
-    _row_draws,
 )
 
 
@@ -100,6 +100,9 @@ class SascConfig:
     steps, so with ``minibatch`` > 1 the trace's sample counter advances by
     the batch size per step. ``checkpoint_every`` and ``eval_samples``
     control how often and on how many held-out draws the trace is evaluated.
+    The settings are checked when the config is built; ``run_sasc`` checks
+    them again with ``validate(problem)``, which adds the two conditions
+    that need the problem.
     """
 
     alpha0: float
@@ -112,6 +115,9 @@ class SascConfig:
     minibatch: int = 1
     checkpoint_every: int = 100
     eval_samples: int = 1000
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self, problem: Optional[CompositeProblem] = None) -> None:
         if not 0 < self.alpha0 < math.inf:
@@ -246,8 +252,9 @@ def sasc_inner_step(x: Array, sample, alpha_s: float, beta_s: float,
     the adjoint, averages it over the batch, adds the objective gradient
     over the same batch, and applies prox of alpha_s * h.
     """
-    if alpha_s <= 0 or beta_s <= 0:
-        raise ValueError("sasc_inner_step: alpha_s and beta_s must be positive")
+    if not (0 < alpha_s < math.inf and 0 < beta_s < math.inf):
+        raise ValueError("sasc_inner_step: alpha_s and beta_s must be "
+                         f"positive and finite, got {alpha_s} and {beta_s}")
     batch = [sample] if isinstance(sample, ConstraintSample) else sample
     d = _direction(x, batch, beta_s, problem)
     return problem.prox_h.evaluate(x - alpha_s * d, alpha_s)
@@ -417,7 +424,10 @@ class _ScaledIterate:
         self.bound = float(np.abs(x).max())
 
     def draws(self, rng: np.random.Generator, steps: int):
-        return _row_draws(self.sampler, rng, steps)
+        """Yield (row, lo, hi) of ``steps`` one-row draws, as Python scalars."""
+        for chunk in _chunks(self.sampler, rng, steps, 1):
+            yield from zip(chunk.idx.tolist(), chunk.lo.tolist(),
+                           chunk.hi.tolist())
 
     def step(self, draw, alpha: float, beta: float) -> bool:
         """One step on the drawn (row, lo, hi); False when x is not finite."""
@@ -602,30 +612,19 @@ def bound_curves(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
     return out
 
 
-@dataclass
-class ScheduleCheckReport:
-    """Worst observed slack per schedule inequality (nonnegative = holds)."""
-
-    case: Case
-    slacks: dict[str, float]
-
-    @property
-    def min_slack(self) -> float:
-        return min(self.slacks.values())
-
-
 def schedule_inequalities_check(cfg: SascConfig, norm_bound: float,
                                 s_max: int,
                                 lipschitz_grad: Optional[float] = None
-                                ) -> ScheduleCheckReport:
+                                ) -> dict[str, float]:
     """Verify every printed schedule inequality of ``cfg.case`` for s = 0..s_max.
 
     Covers the per-epoch smoothness bound, the step-mass lower bound, the two
     partial-sum bounds, the geometric-decay bound (restricted strongly convex
     regime only), and the two step-size conditions of the inner-loop descent
     argument. ``lipschitz_grad`` defaults to 3/(4 alpha0), the largest value
-    admitted by the step-size rule. Report-only: negative slacks are returned,
-    not raised.
+    admitted by the step-size rule. Returns the worst slack of each
+    inequality by name (nonnegative means it holds). Report-only: negative
+    slacks are returned, not raised.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
@@ -675,4 +674,4 @@ def schedule_inequalities_check(cfg: SascConfig, norm_bound: float,
         sum_a2m += alpha ** 2 * m
         t_bam = c * (t_bam + beta * alpha * m)
         t_a2m = c * (t_a2m + alpha ** 2 * m)
-    return ScheduleCheckReport(case=cfg.case, slacks=worst)
+    return worst

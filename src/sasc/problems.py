@@ -93,7 +93,8 @@ class LabeledSparseDataset:
                   dim: int) -> "LabeledSparseDataset":
         """Dataset from per-row index and value sequences."""
         if len(index_lists) != len(value_lists):
-            raise ValueError("rows and labels must have equal length")
+            raise ValueError(
+                "index lists and value lists must have equal length")
         lengths = [len(idx) for idx in index_lists]
         if lengths != [len(vals) for vals in value_lists]:
             raise ValueError("every row needs as many values as indices")
@@ -130,8 +131,6 @@ class BasisPursuitInstance:
     rows: Array
     targets: Array
     x_star: Array
-    rho: float
-    sparsity: int
 
 
 def ar1_covariance(d: int, rho: float) -> Array:
@@ -171,8 +170,7 @@ def gen_basis_pursuit(d: int, n: int, sparsity: int, rho: float,
         raise ValueError("degenerate zero row after centering")
     rows = centered / norms[:, None]
     targets = rows @ x_star
-    return BasisPursuitInstance(rows=rows, targets=targets, x_star=x_star,
-                                rho=rho, sparsity=sparsity)
+    return BasisPursuitInstance(rows=rows, targets=targets, x_star=x_star)
 
 
 def auto_alpha0(instance: BasisPursuitInstance) -> float:

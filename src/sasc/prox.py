@@ -26,8 +26,9 @@ def soft_threshold(z: Array, tau: float) -> Array:
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("soft_threshold: input has non-finite components")
-    if tau <= 0:
-        raise ValueError(f"soft_threshold: tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(
+            f"soft_threshold: tau must be positive and finite, got {tau}")
     return _shrink(z, tau)
 
 
@@ -137,13 +138,15 @@ def zero_prox() -> ProxHandle:
 
 def l1_prox(weight: float = 1.0) -> ProxHandle:
     """phi = weight * ||.||_1: prox is soft thresholding."""
-    if weight <= 0:
-        raise ValueError(f"l1_prox: weight must be positive, got {weight}")
+    if not 0 < weight < np.inf:
+        raise ValueError(
+            f"l1_prox: weight must be positive and finite, got {weight}")
 
     def evaluate(z, step):
         # no finiteness scan: the solvers check every iterate themselves
-        if step <= 0:
-            raise ValueError(f"l1_prox: step must be positive, got {step}")
+        if not 0 < step < np.inf:
+            raise ValueError(
+                f"l1_prox: step must be positive and finite, got {step}")
         return _shrink(np.asarray(z, dtype=float), step * weight)
 
     return ProxHandle(
@@ -160,6 +163,9 @@ def hyperplane_indicator_prox(a: Array, b: float) -> ProxHandle:
     if not 0.0 < nrm2 < np.inf:
         raise DegenerateConstraintError(
             "hyperplane_indicator_prox: normal must be nonzero and finite")
+    if not -np.inf < b < np.inf:
+        raise ValueError(
+            f"hyperplane_indicator_prox: offset b must be finite, got {b}")
     return ProxHandle(
         evaluate=lambda z, step: z - ((a @ z - b) / nrm2) * a,
         objective_value=lambda x: 0.0 if abs(float(a @ x) - b) <= 1e-9 else np.inf,

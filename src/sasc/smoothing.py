@@ -188,6 +188,8 @@ class RowConstraintSet(ConstraintSampler):
         self.rows = rows
         self.lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
         self.hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("RowConstraintSet: lo and hi must not be NaN")
         if np.any(self.lo > self.hi):
             raise ValueError("RowConstraintSet: lo exceeds hi for some row")
 
@@ -272,20 +274,15 @@ def _chunks(sampler: ConstraintSampler, rng: np.random.Generator,
             steps: int, per_step: int):
     """Yield the draws of ``steps`` steps of ``per_step`` samples, in chunks.
 
-    The first step is drawn alone. When it comes back as a RowBatch, the
-    rest come in chunks of at most ``_CHUNK`` indices; a chunk consumes
+    A row set, recognised by its support (a RowBatch), is drawn in chunks
+    of at most ``_CHUNK`` indices from its first step on; a chunk consumes
     ``rng`` exactly as its per-step draws would. Any other sampler is drawn
     one step at a time, so nothing is drawn ahead of the step that uses it.
     """
-    steps_per_draw = 1
-    k = 0
-    while k < steps:
-        n = min(steps_per_draw, steps - k)
-        chunk = sampler.draw_batch(rng, n * per_step)
-        if isinstance(chunk, RowBatch):
-            steps_per_draw = max(1, _CHUNK // per_step)
-        yield chunk
-        k += n
+    steps_per_draw = (max(1, _CHUNK // per_step)
+                      if isinstance(sampler.support(), RowBatch) else 1)
+    for k in range(0, steps, steps_per_draw):
+        yield sampler.draw_batch(rng, min(steps_per_draw, steps - k) * per_step)
 
 
 def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
@@ -293,7 +290,8 @@ def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
     """Yield ``steps`` batches of ``per_step`` draws each, in stream order.
 
     Each step's RowBatch is built straight from views of its chunk's
-    ``idx``, ``lo`` and ``hi``, with no ``RowBatch.__getitem__`` dispatch.
+    ``idx``, ``lo`` and ``hi``, with no ``RowBatch.__getitem__`` dispatch;
+    a chunk of any other kind is sliced one step at a time.
     """
     for chunk in _chunks(sampler, rng, steps, per_step):
         if isinstance(chunk, RowBatch):
@@ -306,17 +304,6 @@ def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
                 yield chunk[j:j + per_step]
 
 
-def _row_draws(sampler: ConstraintSampler, rng: np.random.Generator,
-               steps: int):
-    """Yield (row, lo, hi) of ``steps`` one-row draws, as Python scalars.
-
-    The same chunks, and so the same stream, as ``_batches`` with one draw
-    per step; the sampler must hand out RowBatches.
-    """
-    for chunk in _chunks(sampler, rng, steps, 1):
-        yield from zip(chunk.idx.tolist(), chunk.lo.tolist(), chunk.hi.tolist())
-
-
 def moreau_grad(z, inner, beta: float):
     """Value and gradient of the Moreau/Nesterov smoothing of a set or function.
 
@@ -325,8 +312,9 @@ def moreau_grad(z, inner, beta: float):
     p = prox_{beta g}(z) gives grad = (z - p) / beta and the envelope value
     g(p) + ||z - p||^2 / (2 beta). The gradient is (1/beta)-Lipschitz.
     """
-    if beta <= 0:
-        raise ValueError(f"moreau_grad: beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(
+            f"moreau_grad: beta must be positive and finite, got {beta}")
     z = np.asarray(z, dtype=float)
     if isinstance(inner, ProxHandle):
         p = inner.evaluate(z, beta)
@@ -434,8 +422,9 @@ def feasibility_metric(x: Array, sampler: ConstraintSampler,
 def _gap_and_msd(x: Array, beta: float, problem, cert: CertificateInputs,
                  n_samples: int, seed: int, caller: str):
     """(P(x) - P(x_star), E[dist^2]) on one seeded held-out set."""
-    if beta <= 0:
-        raise ValueError(f"{caller}: beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(
+            f"{caller}: beta must be positive and finite, got {beta}")
     held_out = _EvalSet(problem.constraints, n_samples,
                         np.random.default_rng(seed), problem)
     return held_out.objective(x) - cert.p_star, held_out.mean_sq_distance(x)

@@ -268,12 +268,20 @@ class TestRunSasc:
         (lambda p: _cfg(0.5, 2.0, 4, epochs=0).validate(p), "epochs"),
         (lambda p: SascConfig(alpha0=0.5, omega=2.0, m0=4,
                               sample_budget=3).validate(p), "sample_budget"),
+        # a config is checked when built, so the rate functions, which take
+        # no problem, never see a schedule that run_sasc would refuse
+        (lambda p: SascConfig(alpha0=0.5, omega=1.0, m0=4, epochs=1), "omega"),
+        (lambda p: SascConfig(alpha0=-1.0, omega=2.0, m0=4, epochs=1),
+         "alpha0"),
+        (lambda p: SascConfig(alpha0=np.nan, omega=2.0, m0=4, epochs=1),
+         "alpha0"),
         (lambda p: dataclasses.replace(p, dim=0), "dim"),
         (lambda p: run_sasc(p, _cfg(0.5, 2.0, 4), x0=np.zeros(3)), "x0"),
         (lambda p: rate_constants(_cfg(0.5, 2.0, 4), 1.0, CertificateInputs(),
                                   np.zeros(2)), "x_star"),
     ], ids=["minibatch-0", "checkpoint-every-0", "eval-samples-0", "epochs-0",
-            "budget-below-m0", "problem-dim-0", "x0-shape", "no-x-star"])
+            "budget-below-m0", "built-omega-1", "built-alpha0-negative",
+            "built-alpha0-nan", "problem-dim-0", "x0-shape", "no-x-star"])
     def test_refusal_names_its_setting(self, min_norm_toy, refused, name):
         problem, _ = min_norm_toy
         with pytest.raises(ValueError, match=name):
@@ -549,10 +557,39 @@ class TestRowKernel:
         cfg = SascConfig(alpha0=0.01, omega=2.0, m0=700, epochs=3, seed=1,
                          minibatch=3, checkpoint_every=10 ** 6, eval_samples=1)
         _, trace = run_sasc(counted, cfg)
-        # epochs of 700, 1400 and 2800 steps: each opens with one step, then
-        # chunks of at most 1365 steps of 3
-        assert sizes == [3, 2097, 3, 4095, 102, 3, 4095, 4095, 207]
+        # epochs of 700, 1400 and 2800 steps, each drawn in chunks of at
+        # most 1365 steps of 3 from its first step on
+        assert sizes == [2100, 4095, 105, 4095, 4095, 210]
         assert sum(sizes) == trace.records[-1].samples
+
+    def test_a_row_set_handing_out_lists_steps_one_step_at_a_time(self):
+        # the support marks a row set, so each epoch is drawn in one chunk;
+        # the chunk is a list of samples, sliced into one-sample steps
+        problem, cfg = _small_bp()
+        rows = problem.constraints
+        sizes, batches = [], []
+
+        class ListRows(ConstraintSampler):
+            def draw_batch(self, rng, k):
+                sizes.append(k)
+                return list(rows.draw_batch(rng, k))
+
+            def support(self):
+                return rows.support()
+
+        def grad_f(x, batch):
+            batches.append(batch)
+            return problem.grad_f(x, batch)
+
+        listed = dataclasses.replace(problem, constraints=ListRows(),
+                                     grad_f=grad_f)
+        cfg = dataclasses.replace(cfg, m0=500)
+        x_rows, _ = run_sasc(problem, cfg)
+        x_list, trace = run_sasc(listed, cfg)
+        assert x_list.tobytes() == x_rows.tobytes()
+        assert sizes == [500, 750]
+        assert len(batches) == trace.records[-1].samples
+        assert all(type(b) is list and len(b) == 1 for b in batches)
 
 
 def _forwarding_copy(problem, calls):
@@ -863,19 +900,19 @@ class TestScheduleInequalities:
     def test_hand_value_s3(self):
         # M_3 = 2 + 4 + 8 + 16 = 30; beta_3 = 4 * 2^{-3/2}; bound 8/sqrt(30)
         cfg = _cfg(1.0, 2.0, 2)
-        report = schedule_inequalities_check(cfg, 1.0, 3)
+        slacks = schedule_inequalities_check(cfg, 1.0, 3)
         beta3 = 4.0 * 2.0 ** -1.5
         bound3 = 8.0 / np.sqrt(30.0)
         assert beta3 < bound3
-        assert report.min_slack >= 0.0
-        assert report.slacks["beta_upper"] <= bound3 - beta3 + 1e-12
+        assert min(slacks.values()) >= 0.0
+        assert slacks["beta_upper"] <= bound3 - beta3 + 1e-12
 
     def test_s0_definitional_slack(self):
         for case in Case:
-            report = schedule_inequalities_check(_cfg(0.3, 3.0, 5, case=case),
+            slacks = schedule_inequalities_check(_cfg(0.3, 3.0, 5, case=case),
                                                  2.0, 1)
-            assert report.slacks["step_size_rule"] == 0.0
-            assert report.min_slack >= -1e-12
+            assert slacks["step_size_rule"] == 0.0
+            assert min(slacks.values()) >= -1e-12
 
     def test_sweep_grid_both_cases(self):
         worst = np.inf
@@ -884,8 +921,8 @@ class TestScheduleInequalities:
                 for alpha0 in (0.1, 1.0):
                     for case in Case:
                         cfg = _cfg(alpha0, omega, m0, case=case)
-                        rep = schedule_inequalities_check(cfg, 1.0, 40)
-                        worst = min(worst, rep.min_slack)
+                        slacks = schedule_inequalities_check(cfg, 1.0, 40)
+                        worst = min(worst, min(slacks.values()))
         assert worst >= -1e-9
 
     def test_smax_validation(self):

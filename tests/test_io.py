@@ -582,11 +582,8 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["1", "2"])
     def test_check_fails_on_a_negative_slack(self, case, monkeypatch, capsys):
-        from sasc.core import ScheduleCheckReport
-
         def violated(cfg, norm_bound, s_max):
-            return ScheduleCheckReport(case=cfg.case,
-                                       slacks={"beta_upper": -1e-3})
+            return {"beta_upper": -1e-3}
 
         monkeypatch.setattr("sasc.cli.schedule_inequalities_check", violated)
         assert cli_main(["check", "--case", case, "--m0", "4", "--smax", "3",

@@ -686,7 +686,7 @@ def _toy_with_rows(n):
      ValueError, "zero row after centering"),
     (lambda: LabeledSparseDataset.from_rows([[0], [1]], [[1.0]],
                                             np.array([1.0, -1.0]), dim=2),
-     ValueError, "equal length"),
+     ValueError, "index lists and value lists"),
 ], ids=["reference-n-above-cap", "reference-d-above-cap", "min-norm-dim-0",
         "bp-one-row", "dataset-more-index-than-value-lists"])
 def test_builders_refuse_bad_input(call, error, match):

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sasc.core import CompositeProblem
+from sasc.core import CompositeProblem, sasc_inner_step
 from sasc.errors import ConfigurationError, DegenerateConstraintError
-from sasc.prox import BoxSet, l1_prox, zero_prox
+from sasc.problems import make_min_norm_hyperplane_problem
+from sasc.prox import (
+    BoxSet,
+    hyperplane_indicator_prox,
+    l1_prox,
+    soft_threshold,
+    zero_prox,
+)
 from sasc.smoothing import (
     CertificateInputs,
     _CsrRows,
@@ -404,6 +411,39 @@ class TestRowConstraintSet:
 def test_refuses_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+_TOY, _TOY_CERT = make_min_norm_hyperplane_problem()
+
+
+# a `<= 0` test lets NaN through, and an infinite weight, step or smoothing
+# turns the result into NaN or zeros; each boundary refuses both
+@pytest.mark.parametrize("call, match", [
+    (lambda: l1_prox(np.nan), "weight"),
+    (lambda: l1_prox(np.inf), "weight"),
+    (lambda: l1_prox(1.0).evaluate(np.ones(2), np.nan), "step"),
+    (lambda: soft_threshold(np.ones(2), np.nan), "tau"),
+    (lambda: moreau_grad(1.0, BoxSet(0.0, 0.0), np.nan), "beta"),
+    (lambda: sasc_inner_step(np.zeros(2), _TOY.constraints.sample(0),
+                             np.nan, 1.0, _TOY), "alpha_s"),
+    (lambda: smoothed_gap(np.zeros(2), np.nan, _TOY, _TOY_CERT, 1, 0), "beta"),
+    (lambda: saddle_point_residuals(np.zeros(2), np.nan, _TOY, _TOY_CERT, 1, 0),
+     "beta"),
+    (lambda: hyperplane_indicator_prox(np.ones(2), np.nan), "offset"),
+    (lambda: RowConstraintSet(np.eye(2), [0.0, np.nan], 1.0), "NaN"),
+    (lambda: RowConstraintSet(np.eye(2), 0.0, [np.nan, 1.0]), "NaN"),
+], ids=["l1-weight-nan", "l1-weight-inf", "l1-step-nan", "shrink-tau-nan",
+        "moreau-beta-nan", "inner-step-alpha-nan", "smoothed-gap-beta-nan",
+        "residuals-beta-nan", "plane-offset-nan", "row-set-lo-nan",
+        "row-set-hi-nan"])
+def test_refuses_nan_and_inf(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_infinite_row_endpoints_stay_legal():
+    rows = RowConstraintSet(np.eye(2), [-np.inf, 0.0], [1.0, np.inf])
+    assert np.array_equal(rows.distances(np.array([2.0, -1.0])), [1.0, 1.0])
 
 
 def _random_rows(n, d=3, seed=0):
