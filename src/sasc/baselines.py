@@ -22,7 +22,7 @@ from .smoothing import _CHUNK, RowBatch, _batches
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineConfig:
     """Fixed-step baseline parameters.
 

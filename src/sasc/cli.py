@@ -127,8 +127,6 @@ _OPTIONS = {
         ("--passes", "passes", "float", 1.0, False, None, "data passes"),
         ("--epochs", "epochs", "int", None, False, None, "epoch count"),
         ("--budget", "budget", "int", None, False, None, "sample budget"),
-        ("--iterations", "iterations", "int", None, False, None,
-         "pegasos steps (default: the sample budget)"),
     ] + _COMMON_RUN,
     "check": [
         ("--case", "case", "int", 1, False, (1, 2), "schedule regime"),
@@ -248,7 +246,7 @@ _READ_BY = {
     "epochs": ("sasc",), "minibatch": ("sasc",),
     "reference": ("sasc",), "reference_tol": ("sasc",),
     "mu": ("spp",), "step": ("sgd",),
-    "lam": ("pegasos",), "iterations": ("pegasos",),
+    "lam": ("pegasos",),
     "validation_samples": ("sasc", "spp", "sgd"),
 }
 
@@ -287,7 +285,7 @@ def _solve(o: dict, n: int, problem, case: Case = Case.GENERAL_CONVEX,
 
     The sample budget is --budget, else floor(--passes * n). A
     restricted-strongly-convex schedule needs m0 >= omega / (mu alpha0), so
-    m0 is raised to that least value.
+    m0 is raised to that least value in a copy of the config, checked again.
     """
     solver, samples = o["solver"], o["budget"]
     if samples is None:
@@ -303,11 +301,9 @@ def _solve(o: dict, n: int, problem, case: Case = Case.GENERAL_CONVEX,
             checkpoint_every=o["checkpoint_every"],
             eval_samples=o["validation_samples"])
         if case is Case.RESTRICTED_STRONGLY_CONVEX:
-            cfg.m0 = max(cfg.m0,
-                         math.ceil(cfg.omega / (problem.mu * cfg.alpha0)))
+            cfg = dataclasses.replace(cfg, m0=max(
+                cfg.m0, math.ceil(cfg.omega / (problem.mu * cfg.alpha0))))
         return run_sasc(problem, cfg, cert=cert)
-    if o.get("iterations") is not None:
-        samples = o["iterations"]
     if solver == "pegasos":
         lam = o["lam"] if o["lam"] is not None else 1.0 / n
         return run_pegasos(problem, lam, samples, seed=o["seed"],

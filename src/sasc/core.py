@@ -27,7 +27,6 @@ from .errors import ConfigurationError, DivergenceError
 from .prox import Array, ProxHandle, _clip
 from .smoothing import (
     CertificateInputs,
-    ConstraintSample,
     ConstraintSampler,
     RowBatch,
     _batches,
@@ -50,10 +49,10 @@ class CompositeProblem:
 
     One draw xi drives both f and the constraint, so ``grad_f(x, batch)``
     and ``f_value(x, batch)`` receive the batch the solver drew and return
-    the mean over it: a ``RowBatch`` for a ``RowConstraintSet``, else the
-    sequence of ``ConstraintSample`` that the sampler's ``draw_batch``
-    returned. A single draw is a batch of one, the held-out evaluation
-    passes its whole set, and a deterministic f ignores the argument.
+    the mean over it: a ``RowBatch`` for a row set (a sampler whose support
+    is one), else the list of ``ConstraintSample`` from ``draw_batch``. A
+    single draw is a batch of one, the held-out evaluation passes its whole
+    set, and a deterministic f ignores the argument.
     ``norm_bound`` must dominate the operator norm of every constraint the
     sampler can produce; ``mu`` is the restricted strong-convexity modulus
     when available, ``lipschitz_grad`` the Lipschitz constant of the
@@ -91,7 +90,7 @@ class CompositeProblem:
                 "finite and lipschitz_grad equal to it")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SascConfig:
     """Run parameters: initial step/smoothness scale, epoch growth, budget.
 
@@ -100,9 +99,9 @@ class SascConfig:
     steps, so with ``minibatch`` > 1 the trace's sample counter advances by
     the batch size per step. ``checkpoint_every`` and ``eval_samples``
     control how often and on how many held-out draws the trace is evaluated.
-    The settings are checked when the config is built; ``run_sasc`` checks
-    them again with ``validate(problem)``, which adds the two conditions
-    that need the problem.
+    The config is frozen and checked when built (a ``dataclasses.replace``
+    copy too); ``run_sasc`` checks it again with ``validate(problem)``,
+    which adds the two conditions that need the problem.
     """
 
     alpha0: float
@@ -242,20 +241,19 @@ def schedule_params(cfg: SascConfig, s: int, norm_bound: float):
     return alpha_s, beta_s, m_s
 
 
-def sasc_inner_step(x: Array, sample, alpha_s: float, beta_s: float,
+def sasc_inner_step(x: Array, batch, alpha_s: float, beta_s: float,
                     problem: CompositeProblem) -> Array:
     """One stochastic proximal-gradient step on the smoothed problem.
 
-    ``sample`` is one ConstraintSample or a batch of them, such as the
-    RowBatch that ``RowConstraintSet.draw_batch`` returns. Forms z = A(xi) x,
-    pulls the smoothed-penalty gradient (z - proj(z)) / beta_s back through
-    the adjoint, averages it over the batch, adds the objective gradient
-    over the same batch, and applies prox of alpha_s * h.
+    ``batch`` is a RowBatch of a row set or a list of ConstraintSample; a
+    single draw is the batch ``[sample]``. Forms z = A(xi) x, pulls the
+    smoothed-penalty gradient (z - proj(z)) / beta_s back through the
+    adjoint, averages it over the batch, adds the objective gradient over
+    the same batch, and applies prox of alpha_s * h.
     """
     if not (0 < alpha_s < math.inf and 0 < beta_s < math.inf):
         raise ValueError("sasc_inner_step: alpha_s and beta_s must be "
                          f"positive and finite, got {alpha_s} and {beta_s}")
-    batch = [sample] if isinstance(sample, ConstraintSample) else sample
     d = _direction(x, batch, beta_s, problem)
     return problem.prox_h.evaluate(x - alpha_s * d, alpha_s)
 

@@ -52,6 +52,8 @@ class LabeledSparseDataset:
         self.indices = self.indices.astype(np.int64, copy=False)
         self.data = np.asarray(self.data, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         n, nnz = len(self.labels), len(self.indices)
         if self.indptr.shape != (n + 1,):
             raise ValueError("rows and labels must have equal length")

@@ -60,11 +60,11 @@ class ConstraintSampler:
         """All samples of a finite-support distribution (uniform), else None."""
         return None
 
-    def distances(self, x: Array, indices=None) -> Optional[Array]:
-        """Vectorized dist(A(xi_i) x, b(xi_i)) over the support (hook).
+    def distances(self, x: Array, batch=None) -> Optional[Array]:
+        """Vectorized dist(A(xi_i) x, b(xi_i)) over ``batch`` (hook).
 
-        ``indices`` is None for the whole support, else an index array or,
-        for a RowConstraintSet, a RowBatch of its rows.
+        ``batch`` is a batch of this sampler's draws; None means the whole
+        support. Returning None makes the caller measure sample by sample.
         """
         return None
 
@@ -215,18 +215,14 @@ class RowConstraintSet(ConstraintSampler):
         """Every row once, in order: a RowBatch over the set's own arrays."""
         return RowBatch(self, np.arange(len(self)), self.lo, self.hi, self.rows)
 
-    def distances(self, x: Array, indices=None) -> Array:
-        """dist(rows[i] x, [lo_i, hi_i]) over every row, or over ``indices``.
+    def distances(self, x: Array, batch: Optional[RowBatch] = None) -> Array:
+        """dist(rows[i] x, [lo_i, hi_i]) over every row, or over ``batch``.
 
-        ``indices`` is None for the support, an index array, or a RowBatch
-        of this set, whose rows a caller measuring them again keeps gathered.
+        ``batch`` is a RowBatch of this set, whose rows a caller measuring
+        them again keeps gathered; None means the support.
         """
-        if indices is None:
+        if batch is None:
             batch = self.support()
-        elif isinstance(indices, RowBatch):
-            batch = indices
-        else:
-            batch = RowBatch(self, indices)
         z = batch.rows @ x
         return np.maximum(np.maximum(batch.lo - z, z - batch.hi), 0.0)
 
@@ -275,14 +271,23 @@ def _chunks(sampler: ConstraintSampler, rng: np.random.Generator,
     """Yield the draws of ``steps`` steps of ``per_step`` samples, in chunks.
 
     A row set, recognised by its support (a RowBatch), is drawn in chunks
-    of at most ``_CHUNK`` indices from its first step on; a chunk consumes
-    ``rng`` exactly as its per-step draws would. Any other sampler is drawn
-    one step at a time, so nothing is drawn ahead of the step that uses it.
+    of at most ``_CHUNK`` indices from its first step on, each a RowBatch
+    (listed samples are read by their ``index``) that consumes ``rng``
+    exactly as its per-step draws would. Any other sampler is drawn one
+    step at a time, so nothing is drawn ahead of the step that uses it.
     """
-    steps_per_draw = (max(1, _CHUNK // per_step)
-                      if isinstance(sampler.support(), RowBatch) else 1)
+    support = sampler.support()
+    row_set = isinstance(support, RowBatch)
+    steps_per_draw = max(1, _CHUNK // per_step) if row_set else 1
     for k in range(0, steps, steps_per_draw):
-        yield sampler.draw_batch(rng, min(steps_per_draw, steps - k) * per_step)
+        chunk = sampler.draw_batch(rng, min(steps_per_draw, steps - k) * per_step)
+        if row_set and not isinstance(chunk, RowBatch):
+            idx = [sample.index for sample in chunk]
+            if None in idx:
+                raise ValueError("a row set's draw_batch must return a "
+                                 "RowBatch or samples that carry their index")
+            chunk = RowBatch(support.owner, np.array(idx, dtype=np.int64))
+        yield chunk
 
 
 def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
@@ -291,7 +296,7 @@ def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
 
     Each step's RowBatch is built straight from views of its chunk's
     ``idx``, ``lo`` and ``hi``, with no ``RowBatch.__getitem__`` dispatch;
-    a chunk of any other kind is sliced one step at a time.
+    any other chunk is one step's batch already.
     """
     for chunk in _chunks(sampler, rng, steps, per_step):
         if isinstance(chunk, RowBatch):
@@ -300,8 +305,7 @@ def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
                 e = j + per_step
                 yield RowBatch(owner, idx[j:e], lo[j:e], hi[j:e])
         else:
-            for j in range(0, len(chunk), per_step):
-                yield chunk[j:j + per_step]
+            yield chunk
 
 
 def moreau_grad(z, inner, beta: float):
@@ -360,10 +364,10 @@ class _EvalSet:
     draws from ``rng`` (which is read only then). ``problem`` supplies
     ``f_value``, called once on the whole set, and ``prox_h`` for the
     objective; the feasibility metric needs only the sampler.
-    Distances go through the sampler's vectorized ``distances`` hook, with a
-    per-sample fallback when it returns None. A row set's held-out set is one
-    RowBatch, handed to both ``f_value`` and the hook, so its rows are
-    gathered once per run.
+    Distances go through the sampler's vectorized ``distances`` hook, which
+    is handed the held-out batch itself, with a per-sample fallback when it
+    returns None. A row set's held-out set is one RowBatch, handed to both
+    ``f_value`` and the hook, so its rows are gathered once per run.
     """
 
     def __init__(self, sampler: ConstraintSampler, n_samples: int,
@@ -372,7 +376,6 @@ class _EvalSet:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         self.sampler = sampler
         self.problem = problem
-        self.selection = None   # the hook's ``indices``; None means all of it
         sup = sampler.support()
         if sup is not None and len(sup) == 0:
             raise ValueError("sampler has empty support")
@@ -381,15 +384,13 @@ class _EvalSet:
         elif n_samples >= len(sup):
             self.samples = sup
         else:
-            self.selection = rng.integers(0, len(sup), size=n_samples)
-            self.samples = (sup[self.selection] if isinstance(sup, RowBatch)
-                            else [sup[int(i)] for i in self.selection])
-        if isinstance(self.samples, RowBatch):
-            self.selection = self.samples
+            pick = rng.integers(0, len(sup), size=n_samples)
+            self.samples = (sup[pick] if isinstance(sup, RowBatch)
+                            else [sup[int(i)] for i in pick])
 
     def mean_sq_distance(self, x: Array) -> float:
         vectorized = getattr(self.sampler, "distances", None)
-        d = vectorized(x, self.selection) if vectorized is not None else None
+        d = vectorized(x, self.samples) if vectorized is not None else None
         if d is None:
             d = np.array([s.set_proj.distance(s.apply(x)) for s in self.samples])
         return float(np.mean(d ** 2))

@@ -82,6 +82,8 @@ def parse_libsvm(path, dim: Optional[int] = None) -> LabeledSparseDataset:
             labels.append(label)
     if not labels:
         raise ValueError(f"no data rows in {path}")
+    if not indices:
+        raise ValueError(f"no feature entries in {path}")
     data, labels = np.frombuffer(data, dtype=float), np.frombuffer(labels, dtype=float)
     if not (np.isfinite(data).all() and np.isfinite(labels).all()):
         raise ParseError("non-finite value", _first_nonfinite_line(path))

@@ -59,6 +59,26 @@ def test_rate_function_parameters_are_pinned():
     assert got == RATE_PARAMETERS
 
 
+# Samplers and solvers trade batches only: a step takes one, and the
+# distances hook is handed one (None for the whole support).
+BATCH_PARAMETERS = {
+    "sasc_inner_step": ["x", "batch", "alpha_s", "beta_s", "problem"],
+    "ConstraintSampler.distances": ["self", "x", "batch"],
+    "RowConstraintSet.distances": ["self", "x", "batch"],
+}
+
+
+def test_batch_parameters_are_pinned():
+    def parameters(path):
+        obj = sasc
+        for name in path.split("."):
+            obj = getattr(obj, name)
+        return list(inspect.signature(obj).parameters)
+
+    got = {path: parameters(path) for path in BATCH_PARAMETERS}
+    assert got == BATCH_PARAMETERS
+
+
 # The public members of the row-set classes are a contract too: the solvers,
 # the problem builders and outside samplers read them.
 ROW_SET_MEMBERS = {

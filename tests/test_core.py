@@ -103,32 +103,32 @@ class TestInnerStep:
     def test_fixed_point_when_feasible_and_flat(self):
         prob = _single_constraint_problem([1.0, 0.0], 0.5)
         x = np.array([0.5, -2.0])  # satisfies the constraint
-        out = sasc_inner_step(x, prob.constraints.sample(0), 0.3, 1.2, prob)
+        out = sasc_inner_step(x, [prob.constraints.sample(0)], 0.3, 1.2, prob)
         assert_allclose(out, x, atol=1e-15)
 
     def test_l1_step_derivation_beta_half(self):
         # z = 0, penalty gradient (0 - 1)/0.5 = -2, pre-prox [2, 0], shrink by 1
         prob = _single_constraint_problem([1.0, 0.0], 1.0, prox_h=l1_prox(1.0))
-        out = sasc_inner_step(np.zeros(2), prob.constraints.sample(0), 1.0, 0.5,
+        out = sasc_inner_step(np.zeros(2), [prob.constraints.sample(0)], 1.0, 0.5,
                               prob)
         assert_allclose(out, [1.0, 0.0], atol=1e-15)
 
     def test_l1_step_derivation_beta_one(self):
         prob = _single_constraint_problem([1.0, 0.0], 1.0, prox_h=l1_prox(1.0))
-        out = sasc_inner_step(np.zeros(2), prob.constraints.sample(0), 1.0, 1.0,
+        out = sasc_inner_step(np.zeros(2), [prob.constraints.sample(0)], 1.0, 1.0,
                               prob)
         assert_allclose(out, [0.0, 0.0], atol=1e-15)
 
     def test_shape_mismatch(self):
         prob = _single_constraint_problem([1.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            sasc_inner_step(np.zeros(3), prob.constraints.sample(0), 1.0, 1.0,
+            sasc_inner_step(np.zeros(3), [prob.constraints.sample(0)], 1.0, 1.0,
                             prob)
 
     def test_bad_steps(self):
         prob = _single_constraint_problem([1.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            sasc_inner_step(np.zeros(2), prob.constraints.sample(0), 0.0, 1.0,
+            sasc_inner_step(np.zeros(2), [prob.constraints.sample(0)], 0.0, 1.0,
                             prob)
 
 
@@ -329,8 +329,7 @@ def _per_sample_run(problem, cfg):
         for _ in range(m):
             samples = [problem.constraints.draw(rng)
                        for _ in range(cfg.minibatch)]
-            x = sasc_inner_step(x, samples[0] if len(samples) == 1 else samples,
-                                alpha, beta, problem)
+            x = sasc_inner_step(x, samples, alpha, beta, problem)
             avg += x
         x_bar = avg / m
         if cfg.case is Case.RESTRICTED_STRONGLY_CONVEX:
@@ -434,6 +433,25 @@ def _least_squares_per_sample_f(inst):
         problem, grad_f=lambda x, samples: np.mean(
             [grad_one(x, s) for s in samples], axis=0))
     return problem, per_sample
+
+
+class _ListRows(ConstraintSampler):
+    """A row set's sampler whose draw_batch hands out a list of samples.
+
+    Its support is the row set's RowBatch, so the solvers treat it as a row
+    set. ``sizes`` collects the size of every draw.
+    """
+
+    def __init__(self, rows, sizes=None):
+        self.rows = rows
+        self.sizes = [] if sizes is None else sizes
+
+    def draw_batch(self, rng, k):
+        self.sizes.append(k)
+        return list(self.rows.draw_batch(rng, k))
+
+    def support(self):
+        return self.rows.support()
 
 
 class TestRowKernel:
@@ -564,24 +582,17 @@ class TestRowKernel:
 
     def test_a_row_set_handing_out_lists_steps_one_step_at_a_time(self):
         # the support marks a row set, so each epoch is drawn in one chunk;
-        # the chunk is a list of samples, sliced into one-sample steps
+        # the chunk is a list of samples, read as the RowBatch of their
+        # indices and split into one-row steps
         problem, cfg = _small_bp()
-        rows = problem.constraints
         sizes, batches = [], []
-
-        class ListRows(ConstraintSampler):
-            def draw_batch(self, rng, k):
-                sizes.append(k)
-                return list(rows.draw_batch(rng, k))
-
-            def support(self):
-                return rows.support()
+        listed_rows = _ListRows(problem.constraints, sizes)
 
         def grad_f(x, batch):
             batches.append(batch)
             return problem.grad_f(x, batch)
 
-        listed = dataclasses.replace(problem, constraints=ListRows(),
+        listed = dataclasses.replace(problem, constraints=listed_rows,
                                      grad_f=grad_f)
         cfg = dataclasses.replace(cfg, m0=500)
         x_rows, _ = run_sasc(problem, cfg)
@@ -589,7 +600,20 @@ class TestRowKernel:
         assert x_list.tobytes() == x_rows.tobytes()
         assert sizes == [500, 750]
         assert len(batches) == trace.records[-1].samples
-        assert all(type(b) is list and len(b) == 1 for b in batches)
+        assert all(type(b) is RowBatch and len(b) == 1 for b in batches)
+
+    def test_listed_samples_without_an_index_are_refused(self):
+        problem, cfg = _small_bp()
+
+        class Unindexed(_ListRows):
+            def draw_batch(self, rng, k):
+                return [dataclasses.replace(sample, index=None)
+                        for sample in super().draw_batch(rng, k)]
+
+        unindexed = dataclasses.replace(
+            problem, constraints=Unindexed(problem.constraints))
+        with pytest.raises(ValueError, match="draw_batch"):
+            run_sasc(unindexed, cfg)
 
 
 def _forwarding_copy(problem, calls):
@@ -696,6 +720,22 @@ class TestScaledStep:
             errors.append((exc.value.epoch, exc.value.step))
         # the scaled and the plain step diverge at the same step
         assert errors[0] == errors[1] == (0, 650)
+
+    @pytest.mark.parametrize("build", [
+        lambda toy: (toy[0], SascConfig(alpha0=0.5, omega=2.0, m0=4, epochs=3,
+                                        checkpoint_every=5, eval_samples=1)),
+        lambda toy: _sparse_svm(),
+    ], ids=["min-norm-toy", "sparse-svm"])
+    def test_a_row_set_handing_out_lists_takes_the_scaled_step(
+            self, min_norm_toy, build):
+        problem, cfg = build(min_norm_toy)
+        listed = dataclasses.replace(
+            problem, constraints=_ListRows(problem.constraints))
+        x_rows, trace = run_sasc(problem, cfg)
+        x_list, trace_list = run_sasc(listed, cfg)
+        assert x_list.tobytes() == x_rows.tobytes()
+        assert trace_list.column("feasibility").tobytes() == \
+            trace.column("feasibility").tobytes()
 
     def test_min_norm_needs_mu_equal_to_lipschitz_grad(self, min_norm_toy):
         problem, _ = min_norm_toy

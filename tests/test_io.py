@@ -106,6 +106,13 @@ class TestParseLibsvm:
         with pytest.raises(ValueError, match=f"no data rows in {p}"):
             parse_libsvm(p)
 
+    def test_no_feature_entries_rejected(self, tmp_path):
+        # labels alone leave no dimension to train in
+        p = tmp_path / "d.txt"
+        p.write_text("+1\n-1\n")
+        with pytest.raises(ValueError, match=f"no feature entries in {p}"):
+            parse_libsvm(p)
+
     def test_dim_override(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1 2:1\n")
@@ -371,12 +378,11 @@ class TestCli:
         ["bp", "--solver", "spp", "--validation-samples", "0"],
         ["bp", "--solver", "spp", "--mu", "0"],
         ["svm", "--solver", "pegasos", "--checkpoint-every", "0"],
-        ["svm", "--solver", "pegasos", "--iterations", "0"],
+        ["svm", "--solver", "pegasos", "--budget", "0"],
         ["svm", "--solver", "pegasos", "--lambda", "0"],
         ["bp", "--solver", "spp", "--epochs", "3"],
         ["bp", "--solver", "sgd", "--epochs", "3"],
         ["svm", "--solver", "pegasos", "--epochs", "3"],
-        ["svm", "--solver", "sasc", "--iterations", "5", "--budget", "100"],
         ["bp", "--solver", "spp", "--minibatch", "0"],
         ["bp", "--solver", "spp", "--minibatch", "4"],
         ["svm", "--solver", "pegasos", "--validation-samples", "0"],
@@ -407,7 +413,7 @@ class TestCli:
     ], ids=["spp-checkpoint-every", "sgd-checkpoint-every",
             "spp-validation-samples", "spp-mu", "pegasos-checkpoint-every",
             "pegasos-iterations", "pegasos-lambda", "spp-epochs",
-            "sgd-epochs", "pegasos-epochs", "sasc-iterations",
+            "sgd-epochs", "pegasos-epochs",
             "spp-minibatch", "spp-minibatch-above-1",
             "pegasos-validation-samples",
             "portfolio-epsilon", "bp-dimension",
@@ -495,6 +501,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"no data rows in {empty}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_libsvm_file_without_entries_is_data_error(self, tmp_path,
+                                                       capsys):
+        data = tmp_path / "train.libsvm"
+        data.write_text("+1\n-1\n")
+        out = tmp_path / "o.csv"
+        assert cli_main(["svm", "--data", str(data), "--solver", "pegasos",
+                         "--budget", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"no feature entries in {data}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("cmd,solver", [("bp", "sasc"), ("bp", "spp"),
@@ -623,7 +640,7 @@ class TestCli:
         test.write_text("+1 1:1.0 9:5.0\n-1 1:-2.0\n")
         out = tmp_path / "o.csv"
         rc = cli_main(["svm", "--data", str(train), "--test", str(test),
-                       "--solver", "pegasos", "--iterations", "50",
+                       "--solver", "pegasos", "--budget", "50",
                        "--checkpoint-every", "25", "--out", str(out)])
         assert rc == 0
         errs = read_trace_csv(out).column("feasibility")

@@ -687,8 +687,11 @@ def _toy_with_rows(n):
     (lambda: LabeledSparseDataset.from_rows([[0], [1]], [[1.0]],
                                             np.array([1.0, -1.0]), dim=2),
      ValueError, "index lists and value lists"),
+    (lambda: LabeledSparseDataset([0, 0], [], [], [1.0], -3),
+     ValueError, "dim must be >= 1"),
 ], ids=["reference-n-above-cap", "reference-d-above-cap", "min-norm-dim-0",
-        "bp-one-row", "dataset-more-index-than-value-lists"])
+        "bp-one-row", "dataset-more-index-than-value-lists",
+        "dataset-dim-below-1"])
 def test_builders_refuse_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -349,7 +349,7 @@ class TestRowConstraintSet:
             def support(self):
                 return [sample]
 
-            def distances(self, x, indices=None):
+            def distances(self, x, batch=None):
                 return None
 
         prob = CompositeProblem(
@@ -357,7 +357,7 @@ class TestRowConstraintSet:
             f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
             constraints=OneMatrix(), norm_bound=1.0)
         x = np.array([1.0, 0.5, -2.0])
-        out = sasc_inner_step(x, sample, 0.5, 1.0, prob)
+        out = sasc_inner_step(x, [sample], 0.5, 1.0, prob)
         # z = [.75,.5], proj = [.5,.25], adjoint pullback = [.1875,.25,0]
         assert_allclose(out, [0.90625, 0.375, -2.0], atol=1e-15)
 
@@ -368,9 +368,9 @@ class TestRowConstraintSet:
         b = rng_rows.standard_normal(9)
         s = RowConstraintSet(rows, b, b)
         x = rng_rows.standard_normal(3)
-        idx = np.arange(9)
-        d_vec = s.distances(x, idx)
-        d_ref = [s.sample(i).set_proj.distance(s.sample(i).apply(x)) for i in idx]
+        batch = s.draw_batch(rng_rows, 12)
+        d_vec = s.distances(x, batch)
+        d_ref = [sample.set_proj.distance(sample.apply(x)) for sample in batch]
         assert_allclose(d_vec, d_ref, atol=1e-14)
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -387,16 +387,16 @@ class TestRowConstraintSet:
             def support(self):
                 return s.support()
 
-            def distances(self, x, indices=None):
-                handed.append(indices)
-                return s.distances(x, indices)
+            def distances(self, x, batch=None):
+                handed.append(batch)
+                return s.distances(x, batch)
 
         held_out = _EvalSet(Forwarding(), 7, np.random.default_rng(3))
         idx = np.random.default_rng(3).integers(0, n, size=7)
         for _ in range(3):
             x = rng.standard_normal(d)
             got = held_out.mean_sq_distance(x)
-            assert got == float(np.mean(s.distances(x, idx) ** 2))
+            assert got == float(np.mean(s.distances(x, RowBatch(s, idx)) ** 2))
         # one gathered block, handed to the hook at every evaluation
         assert all(h is handed[0] for h in handed)
         assert np.array_equal(handed[0].lo, s.lo[idx])
@@ -556,8 +556,8 @@ class TestBatchRows:
         assert np.array_equal(s.distances(x, s.support()), every)
         idx = np.array([7, 0, 7, 11])
         batch = RowBatch(s, idx)
-        assert np.array_equal(s.distances(x, idx), every[idx])
         assert np.array_equal(s.distances(x, batch), every[idx])
+        assert np.array_equal(s.distances(x, batch[1:3]), every[idx[1:3]])
         rows = batch.rows
         s.distances(x, batch)
         assert batch.rows is rows
@@ -575,7 +575,7 @@ class TestEvalSetSamplers:
         return [ConstraintSample(rows[i], set_of(lo[i], hi[i]), i)
                 for i in range(15)]
 
-    def test_finite_support_hook_receives_the_drawn_indices(self):
+    def test_finite_support_hook_receives_the_drawn_samples(self):
         samples = self._samples(BoxSet)
         handed = []
 
@@ -584,19 +584,41 @@ class TestEvalSetSamplers:
                 return samples
 
         class Hooked(Finite):
-            def distances(self, x, indices=None):
-                handed.append(indices)
-                return np.array([samples[i].set_proj.distance(
-                    samples[i].apply(x)) for i in indices])
+            def distances(self, x, batch=None):
+                handed.append(batch)
+                return np.array([s.set_proj.distance(s.apply(x))
+                                 for s in batch])
 
         hooked = _EvalSet(Hooked(), 6, np.random.default_rng(5))
         plain = _EvalSet(Finite(), 6, np.random.default_rng(5))
         drawn = np.random.default_rng(5).integers(0, 15, size=6)
         x = np.random.default_rng(6).standard_normal(3)
         got = hooked.mean_sq_distance(x)
-        assert len(handed) == 1 and handed[0].tolist() == drawn.tolist()
-        assert [s.index for s in hooked.samples] == drawn.tolist()
+        assert len(handed) == 1 and handed[0] is hooked.samples
+        assert [s.index for s in handed[0]] == drawn.tolist()
         # without the hook, the per-sample fallback measures the same samples
+        assert plain.mean_sq_distance(x) == got
+
+    def test_infinite_sampler_hook_receives_the_held_out_samples(self):
+        samples = self._samples(BoxSet)
+        handed = []
+
+        class Infinite(ConstraintSampler):
+            def draw(self, rng):
+                return samples[int(rng.integers(len(samples)))]
+
+        class Hooked(Infinite):
+            def distances(self, x, batch=None):
+                handed.append(batch)
+                return np.array([s.set_proj.distance(s.apply(x))
+                                 for s in batch])
+
+        hooked = _EvalSet(Hooked(), 6, np.random.default_rng(5))
+        plain = _EvalSet(Infinite(), 6, np.random.default_rng(5))
+        x = np.random.default_rng(6).standard_normal(3)
+        got = hooked.mean_sq_distance(x)
+        assert len(handed) == 1 and handed[0] is hooked.samples
+        assert len(handed[0]) == 6
         assert plain.mean_sq_distance(x) == got
 
     def test_custom_set_runs_like_the_box_it_projects_onto(self):
