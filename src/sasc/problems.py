@@ -9,6 +9,7 @@ instances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ class LabeledSparseDataset:
         self.indices = self.indices.astype(np.int64, copy=False)
         self.data = np.asarray(self.data, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
+        try:
+            self.dim = operator.index(self.dim)
+        except TypeError:
+            raise ValueError(
+                f"dim must be an integer, got {self.dim!r}") from None
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         n, nnz = len(self.labels), len(self.indices)

@@ -56,6 +56,14 @@ class TestParseLibsvm:
             parse_libsvm(p)
         assert err.value.line == 2
 
+    def test_fault_found_late_is_not_named_before_an_earlier_one(self, tmp_path):
+        # line 1 is faulty although only finiteness refuses it
+        p = tmp_path / "d.txt"
+        p.write_text("1 1:nan\n1 3:1 2:1\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_libsvm(p)
+        assert err.value.line == 1
+
     def test_non_ascending_reports_line(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1 1:1\n1 5:2 3:1\n")
@@ -119,6 +127,8 @@ class TestParseLibsvm:
         assert parse_libsvm(p, dim=10).dim == 10
         with pytest.raises(ValueError, match="dim"):
             parse_libsvm(p, dim=1)
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            parse_libsvm(p, dim=2.5)
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -689,9 +689,12 @@ def _toy_with_rows(n):
      ValueError, "index lists and value lists"),
     (lambda: LabeledSparseDataset([0, 0], [], [], [1.0], -3),
      ValueError, "dim must be >= 1"),
+    (lambda: LabeledSparseDataset([0, 1, 2], [0, 1], [1.0, 2.0], [1.0, -1.0],
+                                  2.5),
+     ValueError, "dim must be an integer, got 2.5"),
 ], ids=["reference-n-above-cap", "reference-d-above-cap", "min-norm-dim-0",
         "bp-one-row", "dataset-more-index-than-value-lists",
-        "dataset-dim-below-1"])
+        "dataset-dim-below-1", "dataset-dim-not-integral"])
 def test_builders_refuse_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()
