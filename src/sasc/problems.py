@@ -27,7 +27,13 @@ from .prox import (
     l1_prox,
     zero_prox,
 )
-from .smoothing import CertificateInputs, RowConstraintSet, _CsrRows, _EvalSet
+from .smoothing import (
+    CertificateInputs,
+    RowConstraintSet,
+    _CsrRows,
+    _EvalSet,
+    _row_norms,
+)
 
 
 @dataclass
@@ -71,9 +77,12 @@ class LabeledSparseDataset:
             raise ValueError("sparse index out of range")
         if not (np.isfinite(self.data).all() and np.isfinite(self.labels).all()):
             raise ValueError("sparse values and labels must be finite")
-        entry_rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        same_row = entry_rows[1:] == entry_rows[:-1]
-        if np.any(np.diff(self.indices)[same_row] <= 0):
+        # a pair that does not ascend counts unless a row starts between
+        # its entries; the mask is the only array the check builds
+        bad = self.indices[1:] <= self.indices[:-1]
+        starts = self.indptr[1:-1]
+        bad[starts[(starts > 0) & (starts < nnz)] - 1] = False
+        if bad.any():
             raise ValueError("sparse indices must be strictly ascending")
 
     def __len__(self) -> int:
@@ -134,7 +143,11 @@ class LabeledSparseDataset:
 
 @dataclass(frozen=True)
 class BasisPursuitInstance:
-    """Measurement rows (centered, unit norm), exact targets, planted signal."""
+    """Measurement rows (centered, unit norm), exact targets, planted signal.
+
+    The rows are unit norm by the package's one row-norm rule, the one
+    ``RowConstraintSet.normalized`` uses; ``targets`` are ``rows @ x_star``.
+    """
 
     rows: Array
     targets: Array
@@ -154,7 +167,10 @@ def gen_basis_pursuit(d: int, n: int, sparsity: int, rho: float,
     Rows are i.i.d. Gaussian with AR(1) covariance rho^|i-j| (via the Cholesky
     factor), then each feature column is centered by its empirical mean and
     each row scaled to unit l2 norm; targets are computed afterwards so the
-    planted vector solves the system exactly.
+    planted vector solves the system exactly. Centering and scaling work in
+    place, and the norms come from the rule of ``RowConstraintSet.normalized``,
+    so the rows are bit for bit those that ``normalized`` makes of the
+    centered block.
     """
     if not (0 < sparsity <= d):
         raise ConfigurationError(f"sparsity must lie in 1..d, got {sparsity}")
@@ -167,18 +183,17 @@ def gen_basis_pursuit(d: int, n: int, sparsity: int, rho: float,
         chol = np.linalg.cholesky(ar1_covariance(d, rho))
     except np.linalg.LinAlgError as exc:  # unreachable for |rho| < 1
         raise ValueError(f"covariance factorization failed: {exc}") from exc
-    raw = rng.standard_normal((n, d)) @ chol.T
+    rows = rng.standard_normal((n, d)) @ chol.T
     support = rng.choice(d, size=sparsity, replace=False)
     x_star = np.zeros(d)
     x_star[support] = rng.standard_normal(sparsity)
 
-    centered = raw - raw.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=1)
+    rows -= rows.mean(axis=0)
+    norms = _row_norms(rows)
     if np.any(norms == 0.0):
         raise ValueError("degenerate zero row after centering")
-    rows = centered / norms[:, None]
-    targets = rows @ x_star
-    return BasisPursuitInstance(rows=rows, targets=targets, x_star=x_star)
+    rows /= norms[:, None]
+    return BasisPursuitInstance(rows=rows, targets=rows @ x_star, x_star=x_star)
 
 
 def auto_alpha0(instance: BasisPursuitInstance) -> float:

@@ -41,8 +41,9 @@ class ConstraintSample:
         return self.row.T @ v
 
     def norm(self) -> float:
+        """l2 norm of a vector row (by ``_row_norms``), spectral of a matrix."""
         if self.row.ndim == 1:
-            return float(np.linalg.norm(self.row))
+            return float(_row_norms(self.row[None, :])[0])
         return float(np.linalg.norm(self.row, 2))
 
 
@@ -122,6 +123,26 @@ class _CsrRows:
     def __rmatmul__(self, g: Array) -> Array:
         weights = np.repeat(g, np.diff(self.indptr)) * self.data
         return np.bincount(self.indices, weights, minlength=self.shape[1])
+
+
+def _row_norms(rows) -> Array:
+    """The l2 norm of every row of a dense (n, d) array or of ``_CsrRows``.
+
+    A row's norm is the square root of the left-to-right sum of the squares
+    of its stored entries. A stored zero adds exactly 0, so dense and CSR
+    storage give the same bits. Dense rows are summed column by column into
+    one n-vector, so no (n, d) scratch is built.
+    """
+    if isinstance(rows, _CsrRows):
+        # bincount adds each row's squares in storage order
+        n = rows.shape[0]
+        sq = np.bincount(np.repeat(np.arange(n), np.diff(rows.indptr)),
+                         rows.data * rows.data, minlength=n)
+    else:
+        sq = np.zeros(rows.shape[0])
+        for col in rows.T:
+            sq += col * col
+    return np.sqrt(sq)
 
 
 class RowBatch(Sequence):
@@ -230,21 +251,16 @@ class RowConstraintSet(ConstraintSampler):
     def normalized(rows, lo, hi) -> "RowConstraintSet":
         """Build the set with every row, dense or ``_CsrRows``, at unit norm.
 
-        A row's norm is the square root of the left-to-right sum of the
-        squares of its stored entries. A stored zero adds exactly 0, so dense
-        and CSR storage give the same bits. Zero rows are dropped when 0 lies
-        in their target set (they constrain nothing); otherwise they raise.
+        The norms come from ``_row_norms``, so dense and CSR storage give
+        the same bits. Zero rows are dropped when 0 lies in their target set
+        (they constrain nothing); otherwise they raise.
         """
         csr = isinstance(rows, _CsrRows)
         rows = rows if csr else np.asarray(rows, dtype=float)
         n = rows.shape[0]
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
-        values = rows.data if csr else rows.ravel()
-        counts = np.diff(rows.indptr) if csr else np.full(n, rows.shape[1])
-        # bincount adds each row's squares in storage order
-        nrm = np.sqrt(np.bincount(np.repeat(np.arange(n), counts),
-                                  values * values, minlength=n))
+        nrm = _row_norms(rows)
         zero = nrm == 0.0
         if not np.all((lo[zero] <= 0.0) & (hi[zero] >= 0.0)):
             raise DegenerateConstraintError(

@@ -1,5 +1,8 @@
 import dataclasses
 import inspect
+import pathlib
+import re
+import textwrap
 import types
 
 import numpy as np
@@ -120,3 +123,19 @@ def test_init_fields_are_pinned():
 def test_rate_constant_fields_are_pinned():
     assert sasc.Case1Constants._fields == ("c1", "c2", "c3", "c4")
     assert sasc.Case2Constants._fields == ("d1", "d2", "d3")
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # the bound_curves snippet and the library quick tour, each run on its
+    # own in a scratch directory with np and sasc already imported
+    blocks = re.findall(r"^( *)```python\n(.*?)^\1```", README.read_text(),
+                        flags=re.M | re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    for _, code in blocks:
+        exec(compile(textwrap.dedent(code), str(README), "exec"),
+             {"np": np, "sasc": sasc})
+    assert (tmp_path / "trace.csv").exists()

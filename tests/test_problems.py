@@ -58,6 +58,22 @@ class TestGenerator:
         assert np.max(np.abs(np.linalg.norm(inst.rows, axis=1) - 1.0)) <= 1e-12
         assert np.max(np.abs(inst.rows.mean(axis=0))) < 0.1  # centered columns
 
+    def test_rows_are_the_normalized_rows_of_the_centered_block(self):
+        # d = 50: np.linalg.norm's pairwise sum differs from the left-to-right
+        # sum on some rows, and the rows must still be bit for bit those that
+        # RowConstraintSet.normalized makes of the centered block
+        d, n, rho, seed = 50, 2000, 0.9, 3
+        inst = gen_basis_pursuit(d, n, 5, rho, seed)
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, d)) @ np.linalg.cholesky(
+            ar1_covariance(d, rho)).T
+        centered = raw - raw.mean(axis=0)
+        sequential = np.sqrt(np.cumsum(centered ** 2, axis=1)[:, -1])
+        assert np.any(np.linalg.norm(centered, axis=1) != sequential)
+        want = RowConstraintSet.normalized(centered, inst.targets, inst.targets)
+        assert inst.rows.tobytes() == want.rows.tobytes()
+        assert inst.targets.tobytes() == (want.rows @ inst.x_star).tobytes()
+
     def test_determinism(self):
         a = gen_basis_pursuit(20, 50, 3, 0.5, seed=42)
         b = gen_basis_pursuit(20, 50, 3, 0.5, seed=42)
@@ -474,6 +490,59 @@ class TestDataset:
             ds.row(3)
         with pytest.raises(ValueError, match="as many values"):
             LabeledSparseDataset.from_rows([[0, 1]], [[1.0]], [1.0], 2)
+
+    @staticmethod
+    def _csr(indptr, indices, dim=6):
+        return LabeledSparseDataset(np.array(indptr),
+                                    np.array(indices, dtype=np.int64),
+                                    np.ones(len(indices)),
+                                    np.ones(len(indptr) - 1), dim)
+
+    def test_ascending_check_across_empty_rows(self):
+        # a descending pair is allowed only when a row starts between its
+        # entries, however many empty rows lie there
+        self._csr([0, 1, 1, 1, 2], [3, 1])
+        self._csr([0, 0, 2, 2, 3], [1, 4, 0])
+        self._csr([0, 2, 2, 2], [1, 4])
+        for indptr, indices in (([0, 0, 2, 2], [4, 1]),
+                                ([0, 1, 1, 3], [3, 2, 2]),
+                                ([0, 0, 0, 3], [0, 5, 5])):
+            with pytest.raises(ValueError, match="ascending"):
+                self._csr(indptr, indices)
+
+    def test_ascending_check_matches_a_row_by_row_check(self):
+        rng = np.random.default_rng(28)
+        outcomes = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 8))
+            counts = rng.integers(0, 4, size=n) * (rng.random(n) < 0.6)
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            indices = rng.integers(0, 6, size=indptr[-1])
+            ascending = all(np.all(np.diff(indices[p:q]) > 0)
+                            for p, q in zip(indptr[:-1], indptr[1:]))
+            outcomes.add(ascending)
+            if ascending:
+                self._csr(indptr, indices)
+            else:
+                with pytest.raises(ValueError, match="ascending"):
+                    self._csr(indptr, indices)
+        assert outcomes == {True, False}
+
+    def test_ascending_check_builds_no_per_entry_row_ids(self):
+        # 1,000,000 entries: a row id or a difference per entry alone would
+        # take as much memory as the indices
+        n, d, k = 50_000, 1_000, 20
+        rng = np.random.default_rng(29)
+        cols = np.arange(k) * (d // k) + rng.integers(0, d // k, size=(n, k))
+        indptr, indices = np.arange(n + 1) * k, cols.ravel()
+        data, labels = rng.standard_normal(n * k), np.ones(n)
+        tracemalloc.start()
+        try:
+            LabeledSparseDataset(indptr, indices, data, labels, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * indices.nbytes, peak / indices.nbytes
 
     def test_from_dense_keeps_explicit_zeros(self):
         rows = np.array([[0.0, 2.0], [0.0, 0.0]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -306,6 +308,28 @@ class TestRowConstraintSet:
         assert np.array_equal(s.rows[0], [0.0, 1.0])
         assert np.array_equal(s.rows[1], [0.6, 0.8])
         assert_allclose(s.hi, [1.5, 0.8])
+
+    def test_normalized_dense_rows_build_no_scratch_block(self):
+        # the bp shape: the norms are summed column by column, so the only
+        # (n, d) array built is the normalized rows themselves
+        rows = np.random.default_rng(30).standard_normal((20_000, 50))
+        tracemalloc.start()
+        try:
+            s = RowConstraintSet.normalized(rows, -1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * s.rows.nbytes, peak / s.rows.nbytes
+
+    def test_sample_norm_is_the_row_norm_rule(self):
+        # d = 200: a BLAS dot differs from the left-to-right sum on some rows
+        rows = np.random.default_rng(31).standard_normal((60, 200))
+        s = RowConstraintSet(rows, -1.0, 1.0)
+        sequential = np.sqrt(np.cumsum(rows ** 2, axis=1)[:, -1]).tolist()
+        assert [float(np.linalg.norm(r)) for r in rows] != sequential
+        assert [s.sample(i).norm() for i in range(60)] == sequential
+        assert RowConstraintSet.normalized(rows, -1.0, 1.0).hi.tolist() == [
+            1.0 / v for v in sequential]
 
     def test_normalized_rejects_fatal_zero_rows(self):
         rows = np.array([[0.0, 0.0]])
