@@ -9,6 +9,7 @@ from .core import (
     Case2Constants,
     CompositeProblem,
     ConvergenceTrace,
+    ObjectiveStructure,
     SascConfig,
     ScheduleState,
     TraceRecord,

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .prox import Array, ProxHandle, _clip
+from .prox import Array, ProxHandle, _clip, _shrink
 from .smoothing import (
     CertificateInputs,
     ConstraintSampler,
@@ -43,6 +43,41 @@ class Case(Enum):
     RESTRICTED_STRONGLY_CONVEX = "restricted_strongly_convex"
 
 
+_F_KINDS = ("zero", "half_sq_norm", "custom")
+_H_KINDS = ("zero", "l1", "custom")
+
+
+@dataclass(frozen=True)
+class ObjectiveStructure:
+    """The declared kinds of f and h, read by ``run_sasc`` to pick its step.
+
+    ``f`` is "zero", "half_sq_norm" (f(x, xi) = (mu/2)||x||^2 for every
+    draw, with the problem's ``mu``) or "custom"; ``h`` is "zero", "l1"
+    (``l1_weight`` * ||x||_1) or "custom". A declared kind promises that
+    ``grad_f``, ``f_value`` and ``prox_h`` compute it, so a step may use the
+    kind's arithmetic in place of the callables. "custom", the default,
+    promises nothing: every step calls them.
+    """
+
+    f: str = "custom"
+    h: str = "custom"
+    l1_weight: Optional[float] = None
+
+    def __post_init__(self):
+        if self.f not in _F_KINDS:
+            raise ValueError("ObjectiveStructure: f must be one of "
+                             f"{_F_KINDS}, got {self.f!r}")
+        if self.h not in _H_KINDS:
+            raise ValueError("ObjectiveStructure: h must be one of "
+                             f"{_H_KINDS}, got {self.h!r}")
+        if (self.h == "l1") != (self.l1_weight is not None):
+            raise ValueError(
+                "ObjectiveStructure: l1_weight is given exactly when h is l1")
+        if self.h == "l1" and not 0 < self.l1_weight < math.inf:
+            raise ValueError("ObjectiveStructure: l1_weight must be positive "
+                             f"and finite, got {self.l1_weight}")
+
+
 @dataclass
 class CompositeProblem:
     """A composite objective with almost-sure scalar/linear inclusion constraints.
@@ -59,11 +94,10 @@ class CompositeProblem:
     averaged gradient (0 when the smooth part is absent or linear).
     ``prox_f(x, step)`` optionally provides an exact prox of step * f for
     the proximal-point baseline, which falls back to a gradient step on a
-    batch of one without it. ``min_norm`` declares f(x, xi) = (mu/2)||x||^2
-    for every draw and h = 0, so that the problem asks for the least-norm
-    point of the constraint set; ``grad_f``, ``f_value`` and ``prox_h``
-    must then agree with it, and ``lipschitz_grad`` must equal ``mu``.
-    ``run_sasc`` steps such a problem's single rows in scaled form.
+    batch of one without it. ``structure`` declares the kinds of f and h
+    (``ObjectiveStructure``); a "half_sq_norm" f needs ``mu`` positive and
+    finite and ``lipschitz_grad`` equal to it, a "zero" f needs
+    ``lipschitz_grad`` 0. ``run_sasc`` reads it to pick its one-row step.
     """
 
     dim: int
@@ -75,7 +109,7 @@ class CompositeProblem:
     mu: Optional[float] = None
     lipschitz_grad: float = 0.0
     prox_f: Optional[Callable] = None
-    min_norm: bool = False
+    structure: ObjectiveStructure = ObjectiveStructure()
 
     def __post_init__(self):
         if self.dim < 1:
@@ -83,11 +117,16 @@ class CompositeProblem:
         if not 0 < self.norm_bound < math.inf:
             raise ValueError(
                 "CompositeProblem: norm_bound must be positive and finite")
-        if self.min_norm and not (self.mu is not None and 0 < self.mu < math.inf
-                                  and self.lipschitz_grad == self.mu):
+        f = self.structure.f
+        if f == "half_sq_norm" and not (self.mu is not None
+                                        and 0 < self.mu < math.inf
+                                        and self.lipschitz_grad == self.mu):
             raise ValueError(
-                "CompositeProblem: a min_norm problem needs mu positive and "
+                "CompositeProblem: a half_sq_norm f needs mu positive and "
                 "finite and lipschitz_grad equal to it")
+        if f == "zero" and self.lipschitz_grad != 0.0:
+            raise ValueError(
+                "CompositeProblem: a zero f needs lipschitz_grad 0")
 
 
 @dataclass(frozen=True)
@@ -258,6 +297,24 @@ def sasc_inner_step(x: Array, batch, alpha_s: float, beta_s: float,
     return problem.prox_h.evaluate(x - alpha_s * d, alpha_s)
 
 
+def _row_multiplier(vals: Array, x: Array, lo: float, hi: float,
+                    beta: float, scale: float = 1.0) -> float:
+    """g = (z - clip(z, lo, hi)) / beta at z = scale (vals . x), on floats.
+
+    One row's smoothed-penalty multiplier: every one-row step takes it from
+    here. ``vals`` are the row's stored entries and ``x`` the matching
+    entries of the iterate; ``scale`` is 1 except for the scaled iterate.
+    """
+    z = scale * float(vals.dot(x))
+    return (z - _clip(z, lo, hi)) / beta
+
+
+def _row_penalty(row: Array, x: Array, lo: float, hi: float, beta: float):
+    """(g, g row): one dense row's multiplier and its penalty gradient."""
+    g = _row_multiplier(row, x, lo, hi, beta)
+    return g, g * row
+
+
 def _direction(x: Array, batch, beta_s: float,
                problem: CompositeProblem) -> Array:
     """Mean step direction over a batch; one vectorized step for row batches.
@@ -265,12 +322,12 @@ def _direction(x: Array, batch, beta_s: float,
     A RowBatch of B rows R = ``batch.rows`` with endpoints lo, hi gives
     z = R x, g = (z - clip(z, lo, hi)) / (B beta_s) and
     d = grad_f(x, batch) + R^T g. One dense row takes the same arithmetic
-    on Python floats: z is the dot of x with a view of the row, and R^T g is
-    g times the row, with no row copy or ufuncs on one-element arrays. That
-    is bit for bit the same d, save that a zero entry of g times the row
-    keeps its sign where the block product gives +0.0; the two differ only
-    where grad_f returns -0.0. Any other batch sums the penalty gradients of
-    its samples.
+    on Python floats (``_row_penalty``): z is the dot of x with a view of
+    the row, and R^T g is g times the row, with no row copy or ufuncs on
+    one-element arrays. That is bit for bit the same d, save that a zero
+    entry of g times the row keeps its sign where the block product gives
+    +0.0; the two differ only where grad_f returns -0.0. Any other batch
+    sums the penalty gradients of its samples.
     """
     if not isinstance(batch, RowBatch):
         penalty = None
@@ -281,10 +338,9 @@ def _direction(x: Array, batch, beta_s: float,
         return problem.grad_f(x, batch) + penalty / len(batch)
     rows = batch.owner.rows
     if len(batch.idx) == 1 and isinstance(rows, np.ndarray):
-        row = rows[batch.idx[0]]
-        z = float(row @ x)
-        lo, hi = float(batch.lo[0]), float(batch.hi[0])
-        return problem.grad_f(x, batch) + ((z - _clip(z, lo, hi)) / beta_s) * row
+        _, penalty = _row_penalty(rows[batch.idx[0]], x, float(batch.lo[0]),
+                                  float(batch.hi[0]), beta_s)
+        return problem.grad_f(x, batch) + penalty
     R = batch.rows
     z = R @ x
     g = (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta_s * len(z))
@@ -378,16 +434,86 @@ class _Iterate:
         return self.total / k
 
 
+# Below this bound on max |entry| every entry of the stepped array is finite
+# and no row product can overflow; above it a step checks the array in full.
+_V_BOUND = 1e150
 # The scaled iterate folds its scale into v once the scale falls below this:
 # well before it underflows, and while S v and c (both of order |x| S / s)
 # stay within a few hundred ulps of the sum they stand for.
 _FOLD_BELOW = 1e-3
-# Below this bound on max |v| every entry of v is finite and no row product
-# can overflow; above it the step checks v in full (and folds).
-_V_BOUND = 1e150
 
 
-class _ScaledIterate:
+class _OneRow:
+    """What the one-row iterates share: scalar draws and a finiteness bound.
+
+    ``draws`` yields each step's (row, lo, hi) as Python scalars, read from
+    the row set's chunks, so no RowBatch is built per step. ``bound``
+    dominates max |entry| of the array a step moves: a step that moves it
+    by coef times a row adds |coef| times ``max_value``, the largest stored
+    |row entry| (read once per run from the rows' max and min, with no
+    n x d scratch). Only past ``_V_BOUND`` is the array checked in full,
+    and the bound restarts from it; so finiteness costs no O(d) pass.
+    """
+
+    def __init__(self, problem: CompositeProblem, rows):
+        self.sampler = problem.constraints
+        values = rows.data if isinstance(rows, _CsrRows) else rows
+        self.max_value = max(float(values.max()), -float(values.min()))
+
+    def draws(self, rng: np.random.Generator, steps: int):
+        """Yield (row, lo, hi) of ``steps`` one-row draws, as Python scalars."""
+        for chunk in _chunks(self.sampler, rng, steps, 1):
+            yield from zip(chunk.idx.tolist(), chunk.lo.tolist(),
+                           chunk.hi.tolist())
+
+    def _past_bound(self, coef: float) -> bool:
+        """Grow the bound by a step of coef times a row; True past _V_BOUND."""
+        self.bound += abs(coef) * self.max_value
+        return not self.bound < _V_BOUND
+
+    def _rebound(self, a: Array) -> bool:
+        """Restart the bound from max |a|; False when a is not finite."""
+        self.bound = float(np.abs(a).max())
+        return self.bound < math.inf
+
+
+class _RowIterate(_OneRow, _Iterate):
+    """x itself, for f = 0 and h = 0 or weight ||x||_1, one dense row per step.
+
+    A step is x <- shrink(x - alpha (g row), alpha weight), with g the
+    row's multiplier and no shrink when h = 0: the plain step's arithmetic
+    in the plain step's order, with no RowBatch, ``grad_f`` or prox handle
+    call. It only drops the plain step's 0.0 + (the zero f's gradient),
+    which can flip the sign of a zero entry of x but never moves x_bar. The
+    shrink never grows an entry, so the bound grows by alpha |g| times the
+    largest |row entry|.
+    """
+
+    def __init__(self, problem: CompositeProblem, rows: Array):
+        super().__init__(problem, rows)
+        self.rows = rows
+        self.weight = problem.structure.l1_weight     # None when h = 0
+
+    def start(self, x: Array) -> None:
+        super().start(x)
+        self._rebound(x)
+
+    def step(self, draw, alpha: float, beta: float) -> bool:
+        """One step on the drawn (row, lo, hi); False when x is not finite."""
+        i, lo, hi = draw
+        g, d = _row_penalty(self.rows[i], self.x, lo, hi, beta)
+        np.multiply(d, alpha, out=d)
+        x = np.subtract(self.x, d, out=d)
+        if self.weight is not None:
+            x = _shrink(x, alpha * self.weight)
+        self.x = x
+        if self._past_bound(alpha * g) and not self._rebound(x):
+            return False
+        self.total += x
+        return True
+
+
+class _ScaledIterate(_OneRow):
     """x = s v and the epoch's running sum S v - c, in O(nnz) per step.
 
     For f = (mu/2)||x||^2, h = 0 and one row per step. A step computes
@@ -397,35 +523,25 @@ class _ScaledIterate:
     times the scale sum S before the step, and S then adds the new s. So x
     and the running sum are exact in real arithmetic, and a step touches
     only the row's entries. The scale is folded into v (and S v into c)
-    once it falls below ``_FOLD_BELOW``. Finiteness is checked exactly
-    without an O(d) pass: ``bound`` dominates max |v| (it grows by |coef|
-    times the largest stored |value|), and only past ``_V_BOUND`` is v
-    checked in full. Dense rows step the same way, with every column stored.
+    once it falls below ``_FOLD_BELOW``, or once the bound on max |v|
+    passes ``_V_BOUND``, before v is checked in full. Dense rows step the
+    same way, with every column stored.
     """
 
     def __init__(self, problem: CompositeProblem, rows):
-        self.sampler = problem.constraints
+        super().__init__(problem, rows)
         self.mu = problem.mu
         if isinstance(rows, _CsrRows):
             self.entries = rows.entries
-            values = rows.data
         else:
             self.entries = lambda i: (slice(None), rows[i])
-            values = rows
-        self.max_value = max(float(values.max()), -float(values.min()))
 
     def start(self, x: Array) -> None:
         self.v = x.copy()
         self.c = np.zeros_like(x)
         self.scale = 1.0
         self.scale_sum = 0.0
-        self.bound = float(np.abs(x).max())
-
-    def draws(self, rng: np.random.Generator, steps: int):
-        """Yield (row, lo, hi) of ``steps`` one-row draws, as Python scalars."""
-        for chunk in _chunks(self.sampler, rng, steps, 1):
-            yield from zip(chunk.idx.tolist(), chunk.lo.tolist(),
-                           chunk.hi.tolist())
+        self._rebound(x)
 
     def step(self, draw, alpha: float, beta: float) -> bool:
         """One step on the drawn (row, lo, hi); False when x is not finite."""
@@ -433,23 +549,19 @@ class _ScaledIterate:
         cols, vals = self.entries(i)
         v = self.v
         v_cols = v[cols]
-        z = self.scale * float(vals.dot(v_cols))
-        g = (z - _clip(z, lo, hi)) / beta
+        g = _row_multiplier(vals, v_cols, lo, hi, beta, self.scale)
         scale = self.scale = self.scale * (1.0 - alpha * self.mu)
+        coef = alpha * g / scale
         if g != 0.0:
-            coef = alpha * g / scale
             delta = coef * vals
             v[cols] = v_cols - delta
             c = self.c
             c[cols] = c[cols] - self.scale_sum * delta
-            self.bound += abs(coef) * self.max_value
         self.scale_sum += scale
-        if not self.bound < _V_BOUND:
-            if not np.isfinite(v).all():
-                return False
+        if self._past_bound(coef):
             self._fold()
-            self.bound = float(np.abs(v).max())
-        elif scale < _FOLD_BELOW:
+            return self._rebound(v)
+        if scale < _FOLD_BELOW:
             self._fold()
         return True
 
@@ -467,17 +579,26 @@ class _ScaledIterate:
         return (self.scale_sum * self.v - self.c) / k
 
 
-def _scaled_rows(problem: CompositeProblem, cfg: SascConfig):
-    """The rows a run steps on in scaled form, or None for the plain step.
+def _iterate(problem: CompositeProblem, cfg: SascConfig):
+    """The iterate a run steps, chosen by the problem's declared structure.
 
-    Scaled form needs a min_norm problem, one row per step and a row set.
-    The row set is recognised by its support, a RowBatch, so a sampler
-    that forwards to one (as the benchmark's traced copy does) is too.
+    With one row per step on a row set (recognised by its support, a
+    RowBatch, so a sampler that forwards to one, as the benchmark's traced
+    copy does, is too): a half_sq_norm f with h = 0 steps in scaled form,
+    and a zero f with h = 0 or l1 on dense rows steps x itself. Every other
+    run takes the plain step on its batches.
     """
-    if not problem.min_norm or cfg.minibatch != 1:
-        return None
-    support = problem.constraints.support()
-    return support.rows if isinstance(support, RowBatch) else None
+    st = problem.structure
+    scaled = st.f == "half_sq_norm" and st.h == "zero"
+    zero_f = st.f == "zero" and st.h in ("zero", "l1")
+    if cfg.minibatch == 1 and (scaled or zero_f):
+        support = problem.constraints.support()
+        rows = support.rows if isinstance(support, RowBatch) else None
+        if scaled and rows is not None:
+            return _ScaledIterate(problem, rows)
+        if zero_f and isinstance(rows, np.ndarray):
+            return _RowIterate(problem, rows)
+    return _Iterate(problem, cfg.minibatch)
 
 
 def run_sasc(problem: CompositeProblem, cfg: SascConfig,
@@ -491,20 +612,20 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
     schedule from the epoch average. Checkpoints are taken every
     ``cfg.checkpoint_every`` samples on the running epoch average, evaluated
     against a held-out validation sample set so that measurement never
-    perturbs the training stream. A min_norm problem on a row set with one
-    row per step keeps x in scaled form (``_ScaledIterate``), so a step
-    costs O(nnz) of its row; the arithmetic differs from the plain step in
-    the last bits. Output is bit-identical for identical (problem data,
-    cfg, seed).
+    perturbs the training stream. One row per step on a row set takes a
+    one-row iterate when the problem's structure allows (``_iterate``): a
+    min-norm problem keeps x in scaled form (``_ScaledIterate``), whose
+    arithmetic differs from the plain step in the last bits; a zero f with
+    h = 0 or l1 steps x on Python scalars (``_RowIterate``), with the plain
+    step's bits. Output is bit-identical for identical (problem data, cfg,
+    seed).
     """
     cfg.validate(problem)
     x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
     rng, rec = _seeded_run(problem, cfg, None if cert is None else cert.x_star)
-    rows = _scaled_rows(problem, cfg)
-    it = (_Iterate(problem, cfg.minibatch) if rows is None
-          else _ScaledIterate(problem, rows))
+    it = _iterate(problem, cfg)
     seen = 0
     for s in range(cfg.planned_epochs()):
         alpha_s, beta_s, m_s = schedule_params(cfg, s, problem.norm_bound)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, _direction
+from .core import CompositeProblem, ObjectiveStructure, _direction
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -98,12 +98,6 @@ class LabeledSparseDataset:
         """labels[i] * <row i, x> for every row; an empty row gives 0."""
         rows = _CsrRows(self.indptr, self.indices, self.data, self.dim)
         return self.labels * (rows @ x)
-
-    def to_dense(self) -> Array:
-        dense = np.zeros((len(self), self.dim))
-        dense[np.repeat(np.arange(len(self)), np.diff(self.indptr)),
-              self.indices] = self.data
-        return dense
 
     @staticmethod
     def from_rows(index_lists, value_lists, labels: Array,
@@ -202,7 +196,11 @@ def auto_alpha0(instance: BasisPursuitInstance) -> float:
 
 
 def make_bp_problem(instance: BasisPursuitInstance) -> CompositeProblem:
-    """min ||x||_1 subject to a^T x = b almost surely over the measurements."""
+    """min ||x||_1 subject to a^T x = b almost surely over the measurements.
+
+    Declared as f = 0 and h = ||x||_1, so ``run_sasc`` steps its single rows
+    on Python scalars with no call of the callables below.
+    """
     h = l1_prox(1.0)
     return CompositeProblem(
         dim=instance.rows.shape[1],
@@ -214,6 +212,7 @@ def make_bp_problem(instance: BasisPursuitInstance) -> CompositeProblem:
         norm_bound=1.0,
         lipschitz_grad=0.0,
         prox_f=lambda x, step: x,
+        structure=ObjectiveStructure(f="zero", h="l1", l1_weight=1.0),
     )
 
 
@@ -294,7 +293,10 @@ def make_svm_problem(dataset: LabeledSparseDataset) -> CompositeProblem:
 
 def _half_sq_norm_problem(dim: int,
                           constraints: RowConstraintSet) -> CompositeProblem:
-    """min (1/2)||x||^2 over unit-norm constraint rows: mu = L = 1, h = 0."""
+    """min (1/2)||x||^2 over unit-norm constraint rows: mu = L = 1, h = 0.
+
+    Declared as such, so ``run_sasc`` steps its single rows in scaled form.
+    """
     return CompositeProblem(
         dim=dim,
         grad_f=lambda x, batch: x,
@@ -305,7 +307,7 @@ def _half_sq_norm_problem(dim: int,
         mu=1.0,
         lipschitz_grad=1.0,
         prox_f=lambda x, step: x / (1.0 + step),
-        min_norm=True,
+        structure=ObjectiveStructure(f="half_sq_norm", h="zero"),
     )
 
 

@@ -125,19 +125,33 @@ class _CsrRows:
         return np.bincount(self.indices, weights, minlength=self.shape[1])
 
 
+# Most entries squared at once when a wide dense block is summed row-wise
+_NORM_BLOCK = 1 << 16
+
+
 def _row_norms(rows) -> Array:
     """The l2 norm of every row of a dense (n, d) array or of ``_CsrRows``.
 
     A row's norm is the square root of the left-to-right sum of the squares
     of its stored entries. A stored zero adds exactly 0, so dense and CSR
     storage give the same bits. Dense rows are summed column by column into
-    one n-vector, so no (n, d) scratch is built.
+    one n-vector, so no (n, d) scratch is built; rows wider than they are
+    many are summed row-wise instead (``cumsum``, an add.accumulate, so
+    left to right as well), over blocks of about ``_NORM_BLOCK`` entries,
+    so that a few wide rows cost a few numpy calls, not one per column.
     """
     if isinstance(rows, _CsrRows):
         # bincount adds each row's squares in storage order
         n = rows.shape[0]
         sq = np.bincount(np.repeat(np.arange(n), np.diff(rows.indptr)),
                          rows.data * rows.data, minlength=n)
+    elif rows.shape[1] > rows.shape[0]:
+        n = rows.shape[0]
+        step = max(1, _NORM_BLOCK // rows.shape[1])
+        sq = np.empty(n)
+        for k in range(0, n, step):
+            block = rows[k:k + step]
+            sq[k:k + step] = np.cumsum(block * block, axis=1)[:, -1]
     else:
         sq = np.zeros(rows.shape[0])
         for col in rows.T:

@@ -30,6 +30,15 @@ def bp_dual_certificate(instance):
     return -n * (rows @ u), cert
 
 
+def dense_rows(dataset):
+    """A LabeledSparseDataset's rows as a dense (n, d) array, row by row."""
+    dense = np.zeros((len(dataset), dataset.dim))
+    for i in range(len(dataset)):
+        cols, vals = dataset.row(i)
+        dense[i, cols] = vals
+    return dense
+
+
 def loglog_slope(samples, values, m_min=1000):
     samples = np.asarray(samples, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -14,7 +14,8 @@ import sasc
 PUBLIC_NAMES = {
     "BaselineConfig", "run_pegasos", "run_projected_sgd", "run_spp",
     "Case", "Case1Constants", "Case2Constants", "CompositeProblem",
-    "ConvergenceTrace", "SascConfig", "ScheduleState", "TraceRecord",
+    "ConvergenceTrace", "ObjectiveStructure", "SascConfig", "ScheduleState",
+    "TraceRecord",
     "bound_curves", "rate_constants", "run_sasc",
     "sasc_inner_step", "schedule_inequalities_check", "schedule_params",
     "ConfigurationError", "DegenerateConstraintError", "DivergenceError",
@@ -102,11 +103,11 @@ def test_row_set_members_are_pinned():
 # The benchmark's traced copy of a problem swaps grad_f, f_value, prox_h and
 # constraints with dataclasses.replace and builds a new
 # ProxHandle(evaluate, objective_value, is_projection), so it names these
-# init fields.
+# init fields; the structure record rides along unchanged.
 INIT_FIELDS = {
     "CompositeProblem": ["dim", "grad_f", "f_value", "prox_h", "constraints",
                          "norm_bound", "mu", "lipschitz_grad", "prox_f",
-                         "min_norm"],
+                         "structure"],
     "ProxHandle": ["evaluate", "objective_value", "is_projection"],
 }
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import least_squares_grad_one
+from conftest import dense_rows, least_squares_grad_one
 from sasc.baselines import (
     BaselineConfig,
     _project_onto_constraint,
@@ -400,7 +400,7 @@ class TestPegasos:
         test = gen_separable_svm(12, 200, margin=0.3, seed=22)
         if sparsify:
             # rows of varying length, some of them empty
-            dense = train.to_dense()
+            dense = dense_rows(train)
             keep = np.abs(dense) > 1.0
             train = LabeledSparseDataset.from_rows(
                 [np.flatnonzero(k) for k in keep],

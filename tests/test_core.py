@@ -10,8 +10,10 @@ from sasc.core import (
     _FOLD_BELOW,
     Case,
     CompositeProblem,
+    ObjectiveStructure,
     SascConfig,
     _direction,
+    _seeded_run,
     bound_curves,
     rate_constants,
     run_sasc,
@@ -583,7 +585,9 @@ class TestRowKernel:
     def test_a_row_set_handing_out_lists_steps_one_step_at_a_time(self):
         # the support marks a row set, so each epoch is drawn in one chunk;
         # the chunk is a list of samples, read as the RowBatch of their
-        # indices and split into one-row steps
+        # indices and split into one-row steps; the copy declares custom
+        # kinds, so its plain steps hand grad_f the batches, and it steps
+        # as the declared problem's one-row iterate does
         problem, cfg = _small_bp()
         sizes, batches = [], []
         listed_rows = _ListRows(problem.constraints, sizes)
@@ -593,7 +597,8 @@ class TestRowKernel:
             return problem.grad_f(x, batch)
 
         listed = dataclasses.replace(problem, constraints=listed_rows,
-                                     grad_f=grad_f)
+                                     grad_f=grad_f,
+                                     structure=ObjectiveStructure())
         cfg = dataclasses.replace(cfg, m0=500)
         x_rows, _ = run_sasc(problem, cfg)
         x_list, trace = run_sasc(listed, cfg)
@@ -690,8 +695,8 @@ class TestScaledStep:
         cfg = dataclasses.replace(cfg, m0=400)
         scaled, plain = [], []
         run_sasc(problem, cfg, callback=scaled.append)
-        run_sasc(dataclasses.replace(problem, min_norm=False), cfg,
-                 callback=plain.append)
+        run_sasc(dataclasses.replace(problem, structure=ObjectiveStructure()),
+                 cfg, callback=plain.append)
         assert len(scaled) == len(plain) == 400 + 600
         for got, want in zip(scaled, plain):
             assert (got.s, got.k, got.samples_seen) == \
@@ -705,7 +710,8 @@ class TestScaledStep:
                                   epochs=3)
         x_bar, _ = run_sasc(problem, cfg)
         assert x_bar.tobytes() == _scaled_reference_run(problem, cfg).tobytes()
-        plain, _ = run_sasc(dataclasses.replace(problem, min_norm=False), cfg)
+        plain, _ = run_sasc(
+            dataclasses.replace(problem, structure=ObjectiveStructure()), cfg)
         assert _rel_err(x_bar, plain) <= 1e-12
 
     def test_divergence_names_its_epoch_and_step(self):
@@ -714,7 +720,8 @@ class TestScaledStep:
         problem, cfg = _small_svm()
         understated = dataclasses.replace(problem, norm_bound=0.01)
         errors = []
-        for p in (understated, dataclasses.replace(understated, min_norm=False)):
+        for p in (understated, dataclasses.replace(
+                understated, structure=ObjectiveStructure())):
             with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
                 run_sasc(p, cfg)
             errors.append((exc.value.epoch, exc.value.step))
@@ -740,8 +747,147 @@ class TestScaledStep:
     def test_min_norm_needs_mu_equal_to_lipschitz_grad(self, min_norm_toy):
         problem, _ = min_norm_toy
         for mu, L in ((None, 1.0), (0.0, 0.0), (1.0, 2.0), (np.inf, np.inf)):
-            with pytest.raises(ValueError, match="min_norm"):
+            with pytest.raises(ValueError, match="half_sq_norm"):
                 dataclasses.replace(problem, mu=mu, lipschitz_grad=L)
+
+
+def _plain_bp_run(problem, cfg, x_ref=None):
+    """run_sasc's (x_bar, trace) on a bp-like problem by a plain loop.
+
+    Every step draws one row index, takes ``_direction`` on that row as a
+    one-sample list, applies ``prox_h.evaluate`` and checks the new x in
+    full with ``np.isfinite``; checkpoints are recorded on the running
+    average as run_sasc records them, on the same held-out set.
+    """
+    rng, rec = _seeded_run(problem, cfg, x_ref)
+    rows = problem.constraints
+    x = np.zeros(problem.dim)
+    seen = 0
+    for s in range(cfg.planned_epochs()):
+        alpha, beta, m = schedule_params(cfg, s, problem.norm_bound)
+        total = np.zeros_like(x)
+        for k in range(m):
+            sample = rows.sample(int(rng.integers(len(rows))))
+            x = problem.prox_h.evaluate(
+                x - alpha * _direction(x, [sample], beta, problem), alpha)
+            if not np.isfinite(x).all():
+                raise DivergenceError(epoch=s, step=k)
+            total += x
+            seen += 1
+            if seen >= rec.due:
+                rec.record(total / (k + 1), seen, s, alpha, beta)
+        x_bar = total / m
+    return x_bar, rec.finish(x_bar, seen, s, alpha, beta)
+
+
+_TRACE_COLUMNS = ("samples", "epoch", "objective", "feasibility", "beta",
+                  "alpha", "dist_to_ref")
+
+
+def _bp(seed, h):
+    """A small bp instance and run; h = "zero" drops the l1 term."""
+    inst = gen_basis_pursuit(20, 300, 3, 0.9, seed=seed)
+    problem = make_bp_problem(inst)
+    if h == "zero":
+        problem = dataclasses.replace(
+            problem, prox_h=zero_prox(),
+            structure=ObjectiveStructure(f="zero", h="zero"))
+    cfg = SascConfig(alpha0=0.05, omega=2.0, m0=200, epochs=4, seed=seed,
+                     checkpoint_every=97, eval_samples=50)
+    return problem, cfg, inst.x_star
+
+
+class TestRowIterate:
+    """One-row steps of a zero f with h = 0 or l1, on Python scalars."""
+
+    @pytest.mark.parametrize("h", ["l1", "zero"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run_is_the_plain_loop_bit_for_bit(self, seed, h):
+        problem, cfg, x_star = _bp(seed, h)
+        x_bar, trace = run_sasc(problem, cfg,
+                                cert=CertificateInputs(x_star=x_star))
+        want_x, want = _plain_bp_run(problem, cfg, x_star)
+        assert x_bar.tobytes() == want_x.tobytes()
+        assert len(trace) == len(want) > 4 * cfg.epochs
+        for name in _TRACE_COLUMNS:
+            assert trace.column(name).tobytes() == \
+                want.column(name).tobytes(), name
+
+    @pytest.mark.parametrize("norm_bound, where", [(0.05, (1, 11)),
+                                                   (0.01, (0, 106))])
+    def test_divergence_names_the_plain_loops_epoch_and_step(self, norm_bound,
+                                                             where):
+        # an understated norm_bound makes beta far too small: the penalty
+        # step overshoots and x grows until it is no longer finite, which
+        # the one-row iterate sees only once its bound passes _V_BOUND
+        problem, cfg, _ = _bp(0, "l1")
+        problem = dataclasses.replace(problem, norm_bound=norm_bound)
+        cfg = dataclasses.replace(cfg, alpha0=0.5)
+        errors = []
+        for run in (run_sasc, _plain_bp_run):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+                run(problem, cfg)
+            errors.append((exc.value.epoch, exc.value.step))
+        assert errors[0] == errors[1] == where
+
+    def test_custom_kinds_take_the_plain_step(self):
+        # the same callables with nothing declared: every step calls grad_f
+        # and the prox handle, as before the record existed, and x_bar keeps
+        # its bits
+        problem, cfg, _ = _bp(0, "l1")
+        calls = {}
+        custom = dataclasses.replace(_forwarding_copy(problem, calls),
+                                     structure=ObjectiveStructure())
+        x_bar, trace = run_sasc(custom, cfg)
+        steps = trace.records[-1].samples
+        assert calls["grad_f"] == calls["prox"] == steps
+        assert x_bar.tobytes() == _plain_bp_run(problem, cfg)[0].tobytes()
+
+    def test_traced_copy_takes_the_same_path(self):
+        # the outside-in tracer's copy: replaced callables, a forwarding
+        # sampler and the structure record carried along unchanged
+        problem, cfg, _ = _bp(0, "l1")
+        calls = {}
+        x_bar, trace = run_sasc(problem, cfg)
+        x_copy, trace_copy = run_sasc(_forwarding_copy(problem, calls), cfg)
+        assert x_copy.tobytes() == x_bar.tobytes()
+        assert trace_copy.column("objective").tobytes() == \
+            trace.column("objective").tobytes()
+        assert "grad_f" not in calls and "prox" not in calls
+        assert calls["distances"] == calls["f_value"] == len(trace)
+
+    def test_sparse_rows_take_the_plain_step(self):
+        # the one-row iterate reads dense rows; CSR rows of a zero-f, l1
+        # problem step through the batches as before
+        problem, cfg, _ = _bp(1, "l1")
+        dense = problem.constraints
+        nnz = np.flatnonzero(dense.rows.ravel() != 0.0)
+        d = problem.dim
+        csr = RowConstraintSet(
+            _CsrRows(np.arange(len(dense) + 1) * d, nnz % d,
+                     dense.rows.ravel()[nnz], d), dense.lo, dense.hi)
+        calls = {}
+        sparse = _forwarding_copy(
+            dataclasses.replace(problem, constraints=csr), calls)
+        x_sparse, _ = run_sasc(sparse, cfg)
+        assert calls["grad_f"] > 0
+        assert_allclose(x_sparse, run_sasc(problem, cfg)[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("kinds, message", [
+        (dict(f="linear"), "f must be"),
+        (dict(h="box"), "h must be"),
+        (dict(h="l1"), "l1_weight"),
+        (dict(h="zero", l1_weight=1.0), "l1_weight"),
+        (dict(h="l1", l1_weight=np.inf), "l1_weight"),
+    ])
+    def test_structure_is_checked_when_built(self, kinds, message):
+        with pytest.raises(ValueError, match=message):
+            ObjectiveStructure(**kinds)
+
+    def test_zero_f_needs_a_zero_lipschitz_constant(self):
+        problem, _, _ = _bp(0, "l1")
+        with pytest.raises(ValueError, match="zero f"):
+            dataclasses.replace(problem, lipschitz_grad=1.0)
 
 
 def _sym_case1(alpha0, m0, omega, nb, y, sf, r0):

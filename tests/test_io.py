@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import dense_rows
 from sasc.cli import cli_main
 from sasc.core import (
     Case,
@@ -37,7 +38,7 @@ class TestParseLibsvm:
         assert list(ds.row(0)[0]) == [2, 6]  # 0-based internally
         assert_allclose(ds.row(0)[1], [0.5, 1.2])
         assert len(ds.row(1)[0]) == 0  # all-zero sample
-        dense = ds.to_dense()
+        dense = dense_rows(ds)
         assert dense[0, 2] == 0.5 and dense[0, 6] == 1.2
         assert dense[2, 0] == 2.5
 

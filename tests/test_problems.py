@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from conftest import bp_dual_certificate
+from conftest import bp_dual_certificate, dense_rows
 from sasc.baselines import BaselineConfig, run_spp
 from sasc.core import Case, SascConfig, run_sasc
 from sasc.errors import (
@@ -231,7 +231,7 @@ class TestSvmProblem:
         prob = make_svm_problem(ds)
         sampler = prob.constraints
         d = sampler.distances(np.zeros(5))
-        rows = ds.to_dense()
+        rows = dense_rows(ds)
         norms = np.linalg.norm(rows, axis=1)
         assert_allclose(d * norms, np.ones(30), atol=1e-12)
 
@@ -265,7 +265,7 @@ class TestSvmProblem:
         ds = gen_separable_svm(6, 200, margin=0.8, seed=14)
         # recover the planted direction from the construction invariant:
         # every labeled point has b <a, w> >= margin for some unit w
-        rows, labels = ds.to_dense(), ds.labels
+        rows, labels = dense_rows(ds), ds.labels
         # a feasible scaled point exists, so the hard-margin problem is sound
         prob = make_svm_problem(ds)
         # search a separator with the reference oracle on a small slice
@@ -284,7 +284,7 @@ class TestSvmProblem:
         labels = np.where(rng.standard_normal(120) > 0, 1.0, -1.0)
         ds = LabeledSparseDataset.from_rows(idx_lists, val_lists, labels, 40)
         got = make_svm_problem(ds).constraints
-        want = RowConstraintSet.normalized(labels[:, None] * ds.to_dense(),
+        want = RowConstraintSet.normalized(labels[:, None] * dense_rows(ds),
                                            1.0, np.inf)
         dense = np.array([got.rows[i] for i in range(len(got))])
         assert np.array_equal(dense, want.rows)
@@ -302,7 +302,7 @@ class TestSvmProblem:
         ds = LabeledSparseDataset.from_rows(
             [np.flatnonzero(r) for r in dense],
             [r[r != 0.0] for r in dense], labels, d)
-        labeled = labels[:, None] * ds.to_dense()
+        labeled = labels[:, None] * dense_rows(ds)
         sequential = np.sqrt(np.cumsum(labeled ** 2, axis=1)[:, -1])
         assert np.any(np.linalg.norm(labeled, axis=1) != sequential)
         got = make_svm_problem(ds).constraints
@@ -325,7 +325,7 @@ def _full_storage_svm(seed):
     ds = gen_separable_svm(12, 300, margin=0.3, seed=seed)
     sparse = make_svm_problem(ds)
     dense = dataclasses.replace(sparse, constraints=RowConstraintSet.normalized(
-        ds.labels[:, None] * ds.to_dense(), 1.0, np.inf))
+        ds.labels[:, None] * dense_rows(ds), 1.0, np.inf))
     return sparse, dense
 
 
@@ -392,7 +392,8 @@ class TestCsrRows:
             val_lists.append(rng.standard_normal(k))
         ds = LabeledSparseDataset.from_rows(idx_lists, val_lists,
                                             np.ones(60), 30)
-        rows, dense = _CsrRows(ds.indptr, ds.indices, ds.data, 30), ds.to_dense()
+        rows = _CsrRows(ds.indptr, ds.indices, ds.data, 30)
+        dense = dense_rows(ds)
         assert np.any(np.diff(ds.indptr) == 0)
         for _ in range(40):
             idx = rng.integers(0, 60, size=batch)
@@ -442,7 +443,7 @@ class TestDataset:
         rows = rng.standard_normal((6, 4))
         labels = np.where(rng.standard_normal(6) > 0, 1.0, -1.0)
         ds = LabeledSparseDataset.from_dense(rows, labels)
-        assert np.array_equal(ds.to_dense(), rows)
+        assert np.array_equal(dense_rows(ds), rows)
         assert_allclose(ds.margins(np.ones(4)), labels * rows.sum(axis=1))
 
     def test_csr_validation(self):

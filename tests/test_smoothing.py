@@ -22,6 +22,7 @@ from sasc.smoothing import (
     RowBatch,
     RowConstraintSet,
     _EvalSet,
+    _row_norms,
     feasibility_metric,
     saddle_point_residuals,
     moreau_grad,
@@ -148,6 +149,17 @@ class TestNormalizeConstraint:
         for csr in (False, True):
             with pytest.raises(DegenerateConstraintError):
                 _one_row([0.0, 0.0, 0.0], 1.0, 1.0, csr)
+
+    @pytest.mark.parametrize("shape", [(1, 50), (1, 1000), (7, 1000),
+                                       (200, 50), (3, 100_000), (20_000, 50)])
+    def test_row_norms_are_the_column_loop_bit_for_bit(self, shape):
+        # wide blocks are summed row-wise, tall ones column by column; both
+        # must add each row's squares left to right
+        rows = np.random.default_rng(shape[1]).standard_normal(shape)
+        sq = np.zeros(shape[0])
+        for col in rows.T:
+            sq += col * col
+        assert _row_norms(rows).tobytes() == np.sqrt(sq).tobytes()
 
 
 def _two_point_problem():
