@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import CompositeProblem, _Recorder, _seeded_run
+from .core import CompositeProblem, _declared_f, _Recorder, _seeded_run
 from .errors import ConfigurationError, DivergenceError, UnsupportedProblemError
 from .prox import Array, _clip
 from .smoothing import _CHUNK, RowBatch, _batches
@@ -103,20 +103,23 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
 
     Each iteration draws one realization for the objective and one for the
     constraint: z = prox applied to the full objective at fixed step mu
-    (the problem's exact ``prox_f`` when it has one, else a gradient step on
-    the first draw as a batch of one, followed by prox of h), then
+    (the exact prox of f that the problem's structure record declares, or
+    for a custom f a gradient step on the first draw as a batch of one,
+    followed by prox of h), then
     x = projection of z onto the second draw's constraint set. The fixed
     step caps the attainable accuracy. Both indices come from the solvers'
     shared stream (``smoothing._batches``); for a row set the projection
     reads the drawn row in place, with no sample objects.
     """
     mu = cfg.step
+    declared = _declared_f(problem.structure, problem.mu)
+    prox = None if declared is None else declared.prox
     rng, rec = _seeded_run(problem, cfg)
     x = np.zeros(problem.dim)
     pairs = _batches(problem.constraints, rng, cfg.iterations, 2)
     for t, pair in enumerate(pairs, start=1):
-        if problem.prox_f is not None:
-            z = problem.prox_f(x, mu)
+        if prox is not None:
+            z = prox(x, mu)
         else:
             z = x - mu * problem.grad_f(x, pair[:1])
         z = problem.prox_h.evaluate(z, mu)
@@ -146,6 +149,8 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
     one generator call each, which consumes ``rng`` exactly as one scalar
     draw per step; each step reads its row as a slice of the CSR arrays.
     The settings are checked as a ``BaselineConfig``, whose ``step`` is lam.
+    A held-out set may be narrower than the training set (its missing
+    columns count as zeros), never wider.
     """
     BaselineConfig("pegasos", step=lam, iterations=iterations, seed=seed,
                    checkpoint_every=checkpoint_every)
@@ -153,6 +158,9 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must lie in {-1, +1}")
     holdout = dataset if eval_dataset is None else eval_dataset
+    if holdout.dim > dataset.dim:
+        raise ValueError(f"eval_dataset has dim {holdout.dim}, wider than "
+                         f"the training set's dim {dataset.dim}")
 
     def evaluate(x):
         margins = holdout.margins(x)

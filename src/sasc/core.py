@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .prox import Array, ProxHandle, _clip, _shrink
+from .prox import Array, ProxHandle, _clip, _shrink, l1_prox, zero_prox
 from .smoothing import (
     CertificateInputs,
     ConstraintSampler,
@@ -43,25 +44,28 @@ class Case(Enum):
     RESTRICTED_STRONGLY_CONVEX = "restricted_strongly_convex"
 
 
-_F_KINDS = ("zero", "half_sq_norm", "custom")
+_F_KINDS = ("zero", "linear", "half_sq_norm", "custom")
 _H_KINDS = ("zero", "l1", "custom")
 
 
 @dataclass(frozen=True)
 class ObjectiveStructure:
-    """The declared kinds of f and h, read by ``run_sasc`` to pick its step.
+    """The declared kinds of f and h: the one statement of a declared objective.
 
-    ``f`` is "zero", "half_sq_norm" (f(x, xi) = (mu/2)||x||^2 for every
-    draw, with the problem's ``mu``) or "custom"; ``h`` is "zero", "l1"
-    (``l1_weight`` * ||x||_1) or "custom". A declared kind promises that
-    ``grad_f``, ``f_value`` and ``prox_h`` compute it, so a step may use the
-    kind's arithmetic in place of the callables. "custom", the default,
-    promises nothing: every step calls them.
+    ``f`` is "zero", "linear" (f(x, xi) = <c, x> for every draw),
+    "half_sq_norm" (f(x, xi) = (mu/2)||x||^2 for every draw, with the
+    problem's ``mu``) or "custom"; ``h`` is "zero", "l1"
+    (``l1_weight`` * ||x||_1) or "custom". ``CompositeProblem`` derives a
+    declared kind's callables from the record, and ``run_sasc`` reads it to
+    pick its step. "custom", the default, declares nothing: the problem
+    hands in its own callables and every step calls them. ``c`` is kept as
+    a tuple of floats, so the record compares and hashes as a value.
     """
 
     f: str = "custom"
     h: str = "custom"
     l1_weight: Optional[float] = None
+    c: Optional[tuple] = None
 
     def __post_init__(self):
         if self.f not in _F_KINDS:
@@ -76,9 +80,57 @@ class ObjectiveStructure:
         if self.h == "l1" and not 0 < self.l1_weight < math.inf:
             raise ValueError("ObjectiveStructure: l1_weight must be positive "
                              f"and finite, got {self.l1_weight}")
+        if (self.f == "linear") != (self.c is not None):
+            raise ValueError(
+                "ObjectiveStructure: c is given exactly when f is linear")
+        if self.c is not None:
+            c = np.asarray(self.c, dtype=float)
+            if c.ndim != 1 or not np.isfinite(c).all():
+                raise ValueError("ObjectiveStructure: c must be a finite vector")
+            object.__setattr__(self, "c", tuple(c.tolist()))
 
 
-@dataclass
+class _DeclaredF(NamedTuple):
+    """A declared f: its two callables, the prox of step * f, and L."""
+
+    grad_f: Callable
+    f_value: Callable
+    prox: Callable
+    lipschitz_grad: float
+
+
+def _declared_f(st: ObjectiveStructure,
+                mu: Optional[float]) -> Optional[_DeclaredF]:
+    """The f that ``st`` declares, with the problem's ``mu``; None if custom."""
+    if st.f == "zero":
+        return _DeclaredF(lambda x, batch: 0.0, lambda x, batch: 0.0,
+                          lambda x, step: x, 0.0)
+    if st.f == "linear":
+        c = np.array(st.c)
+        c.flags.writeable = False
+        return _DeclaredF(lambda x, batch: c, lambda x, batch: float(c @ x),
+                          lambda x, step: x - step * c, 0.0)
+    if st.f == "half_sq_norm":
+        return _DeclaredF(lambda x, batch: mu * x,
+                          lambda x, batch: 0.5 * mu * float(x @ x),
+                          lambda x, step: x / (1.0 + step * mu), mu)
+    return None
+
+
+# What CompositeProblem derived, by id. A dataclasses.replace copy hands it
+# back in and derives afresh from its own record; other callables are kept.
+_DERIVED = weakref.WeakValueDictionary()
+
+
+def _derived(handed, derived):
+    """``derived``, unless the caller handed in a callable of its own."""
+    if handed is not None and _DERIVED.get(id(handed)) is not handed:
+        return handed
+    _DERIVED[id(derived)] = derived
+    return derived
+
+
+@dataclass(kw_only=True)
 class CompositeProblem:
     """A composite objective with almost-sure scalar/linear inclusion constraints.
 
@@ -92,23 +144,24 @@ class CompositeProblem:
     sampler can produce; ``mu`` is the restricted strong-convexity modulus
     when available, ``lipschitz_grad`` the Lipschitz constant of the
     averaged gradient (0 when the smooth part is absent or linear).
-    ``prox_f(x, step)`` optionally provides an exact prox of step * f for
-    the proximal-point baseline, which falls back to a gradient step on a
-    batch of one without it. ``structure`` declares the kinds of f and h
-    (``ObjectiveStructure``); a "half_sq_norm" f needs ``mu`` positive and
-    finite and ``lipschitz_grad`` equal to it, a "zero" f needs
-    ``lipschitz_grad`` 0. ``run_sasc`` reads it to pick its one-row step.
+    ``structure`` declares the kinds of f and h (``ObjectiveStructure``).
+    A declared f gives ``grad_f``, ``f_value`` and ``lipschitz_grad`` (0 for
+    a zero or linear f; ``mu``, which must be positive and finite, for a
+    half-square one; a value handed in is not read), and a declared h gives
+    ``prox_h``; only a custom kind needs them handed in. A callable handed
+    in with a declared kind is kept and must compute it, as the wrappers of
+    the benchmark's traced copy do; a ``dataclasses.replace`` copy derives
+    the others afresh from its own record and ``mu``.
     """
 
     dim: int
-    grad_f: Callable
-    f_value: Callable
-    prox_h: ProxHandle
+    grad_f: Optional[Callable] = None
+    f_value: Optional[Callable] = None
+    prox_h: Optional[ProxHandle] = None
     constraints: ConstraintSampler
     norm_bound: float
     mu: Optional[float] = None
     lipschitz_grad: float = 0.0
-    prox_f: Optional[Callable] = None
     structure: ObjectiveStructure = ObjectiveStructure()
 
     def __post_init__(self):
@@ -117,16 +170,25 @@ class CompositeProblem:
         if not 0 < self.norm_bound < math.inf:
             raise ValueError(
                 "CompositeProblem: norm_bound must be positive and finite")
-        f = self.structure.f
-        if f == "half_sq_norm" and not (self.mu is not None
-                                        and 0 < self.mu < math.inf
-                                        and self.lipschitz_grad == self.mu):
-            raise ValueError(
-                "CompositeProblem: a half_sq_norm f needs mu positive and "
-                "finite and lipschitz_grad equal to it")
-        if f == "zero" and self.lipschitz_grad != 0.0:
-            raise ValueError(
-                "CompositeProblem: a zero f needs lipschitz_grad 0")
+        st = self.structure
+        if st.f == "half_sq_norm" and not (self.mu is not None
+                                           and 0 < self.mu < math.inf):
+            raise ValueError("CompositeProblem: a half_sq_norm f needs mu "
+                             "positive and finite")
+        if st.c is not None and len(st.c) != self.dim:
+            raise ValueError(f"CompositeProblem: c has {len(st.c)} entries, "
+                             f"dim is {self.dim}")
+        f = _declared_f(st, self.mu)
+        if f is not None:
+            self.grad_f = _derived(self.grad_f, f.grad_f)
+            self.f_value = _derived(self.f_value, f.f_value)
+            self.lipschitz_grad = f.lipschitz_grad
+        if st.h != "custom":
+            self.prox_h = _derived(self.prox_h, zero_prox() if st.h == "zero"
+                                   else l1_prox(st.l1_weight))
+        for name in ("grad_f", "f_value", "prox_h"):
+            if getattr(self, name) is None:
+                raise ValueError(f"CompositeProblem: a custom kind needs {name}")
 
 
 @dataclass(frozen=True)

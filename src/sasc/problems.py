@@ -21,12 +21,7 @@ from .errors import (
     NoConvergenceError,
     UnsupportedProblemError,
 )
-from .prox import (
-    Array,
-    hyperplane_indicator_prox,
-    l1_prox,
-    zero_prox,
-)
+from .prox import Array, hyperplane_indicator_prox
 from .smoothing import (
     CertificateInputs,
     RowConstraintSet,
@@ -199,19 +194,13 @@ def make_bp_problem(instance: BasisPursuitInstance) -> CompositeProblem:
     """min ||x||_1 subject to a^T x = b almost surely over the measurements.
 
     Declared as f = 0 and h = ||x||_1, so ``run_sasc`` steps its single rows
-    on Python scalars with no call of the callables below.
+    on Python scalars.
     """
-    h = l1_prox(1.0)
     return CompositeProblem(
         dim=instance.rows.shape[1],
-        grad_f=lambda x, batch: 0.0,
-        f_value=lambda x, batch: 0.0,
-        prox_h=h,
         constraints=RowConstraintSet(instance.rows, instance.targets,
                                      instance.targets),
         norm_bound=1.0,
-        lipschitz_grad=0.0,
-        prox_f=lambda x, step: x,
         structure=ObjectiveStructure(f="zero", h="l1", l1_weight=1.0),
     )
 
@@ -238,19 +227,19 @@ def make_bp_least_squares_problem(instance: BasisPursuitInstance
         dim=instance.rows.shape[1],
         grad_f=grad,
         f_value=value,
-        prox_h=zero_prox(),
         constraints=RowConstraintSet(instance.rows, b, b),
         norm_bound=1.0,
         lipschitz_grad=1.0,
+        structure=ObjectiveStructure(h="zero"),
     )
 
 
 def make_portfolio_problem(returns: Array, epsilon: float) -> CompositeProblem:
     """Maximize mean return on the budget plane with per-day deviation slabs.
 
-    f(x) = -<a_avg, x> with a_avg the column mean; h enforces sum(x) = 1
-    (shorts allowed); each day i contributes |<a_i - a_avg, x>| <= epsilon,
-    stored row-normalized.
+    f(x) = -<a_avg, x> with a_avg the column mean, declared linear; h, a
+    custom prox, enforces sum(x) = 1 (shorts allowed); each day i
+    contributes |<a_i - a_avg, x>| <= epsilon, stored row-normalized.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2 or returns.shape[0] < 2:
@@ -265,13 +254,10 @@ def make_portfolio_problem(returns: Array, epsilon: float) -> CompositeProblem:
     constraints = RowConstraintSet.normalized(returns - a_avg, -epsilon, epsilon)
     return CompositeProblem(
         dim=d,
-        grad_f=lambda x, batch: -a_avg,
-        f_value=lambda x, batch: -float(a_avg @ x),
         prox_h=hyperplane_indicator_prox(np.ones(d), 1.0),
         constraints=constraints,
         norm_bound=1.0,
-        lipschitz_grad=0.0,
-        prox_f=lambda x, step: x + step * a_avg,
+        structure=ObjectiveStructure(f="linear", c=-a_avg),
     )
 
 
@@ -299,14 +285,9 @@ def _half_sq_norm_problem(dim: int,
     """
     return CompositeProblem(
         dim=dim,
-        grad_f=lambda x, batch: x,
-        f_value=lambda x, batch: 0.5 * float(x @ x),
-        prox_h=zero_prox(),
         constraints=constraints,
         norm_bound=1.0,
         mu=1.0,
-        lipschitz_grad=1.0,
-        prox_f=lambda x, step: x / (1.0 + step),
         structure=ObjectiveStructure(f="half_sq_norm", h="zero"),
     )
 

@@ -103,11 +103,12 @@ def test_row_set_members_are_pinned():
 # The benchmark's traced copy of a problem swaps grad_f, f_value, prox_h and
 # constraints with dataclasses.replace and builds a new
 # ProxHandle(evaluate, objective_value, is_projection), so it names these
-# init fields; the structure record rides along unchanged.
+# init fields; the structure record rides along unchanged. A declared kind
+# derives grad_f, f_value and prox_h from the record, so the problem's
+# fields are keyword-only and those three optional; f's prox is no field.
 INIT_FIELDS = {
     "CompositeProblem": ["dim", "grad_f", "f_value", "prox_h", "constraints",
-                         "norm_bound", "mu", "lipschitz_grad", "prox_f",
-                         "structure"],
+                         "norm_bound", "mu", "lipschitz_grad", "structure"],
     "ProxHandle": ["evaluate", "objective_value", "is_projection"],
 }
 
@@ -117,6 +118,7 @@ def test_init_fields_are_pinned():
                   if f.init]
            for name in INIT_FIELDS}
     assert got == INIT_FIELDS
+    assert all(f.kw_only for f in dataclasses.fields(sasc.CompositeProblem))
 
 
 # Criterion c04 compares the rate constants with their symbolic evaluation

@@ -14,7 +14,13 @@ from sasc.baselines import (
     run_projected_sgd,
     run_spp,
 )
-from sasc.core import CompositeProblem, SascConfig, run_sasc
+from sasc.core import (
+    CompositeProblem,
+    ObjectiveStructure,
+    SascConfig,
+    _declared_f,
+    run_sasc,
+)
 from sasc.errors import ConfigurationError, DivergenceError, UnsupportedProblemError
 from sasc.prox import BoxSet, _clip, l1_prox, zero_prox
 from sasc.problems import (
@@ -29,7 +35,7 @@ from sasc.problems import (
 from sasc.smoothing import ConstraintSample, RowConstraintSet
 
 
-def _unconstrained_problem(dim, grad, fval, prox_h=None, prox_f=None):
+def _unconstrained_problem(dim, grad, fval, prox_h=None):
     """A problem whose constraint stream is a single always-satisfied row."""
     rows = np.zeros((1, dim))
     rows[0, 0] = 1.0
@@ -37,7 +43,7 @@ def _unconstrained_problem(dim, grad, fval, prox_h=None, prox_f=None):
         dim=dim, grad_f=grad, f_value=fval,
         prox_h=prox_h or zero_prox(),
         constraints=RowConstraintSet(rows, -np.inf, np.inf),
-        norm_bound=1.0, prox_f=prox_f)
+        norm_bound=1.0)
 
 
 class TestProjectedSgd:
@@ -113,14 +119,13 @@ class TestProjectedSgd:
 
 class TestSpp:
     def test_hyperplane_projection_step(self):
-        # flat objective: one iteration is the pure constraint projection
+        # flat objective, declared zero so f's prox is the identity: one
+        # iteration is the pure constraint projection
         inst_rows = np.array([[1.0, 0.0]])
         prob = CompositeProblem(
-            dim=2, grad_f=lambda x, xi=None: 0.0,
-            f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
-            constraints=RowConstraintSet(inst_rows, np.array([1.0]),
-                                         np.array([1.0])),
-            norm_bound=1.0, prox_f=lambda x, step: x)
+            dim=2, constraints=RowConstraintSet(inst_rows, np.array([1.0]),
+                                                np.array([1.0])),
+            norm_bound=1.0, structure=ObjectiveStructure(f="zero", h="zero"))
         cfg = BaselineConfig("spp", step=1e-3, iterations=1, seed=0,
                             checkpoint_every=1, eval_samples=1)
         x, _ = run_spp(prob, cfg)
@@ -144,11 +149,9 @@ class TestSpp:
     def test_feasible_point_is_fixed(self):
         rows = np.array([[1.0, 0.0]])
         prob = CompositeProblem(
-            dim=2, grad_f=lambda x, xi=None: 0.0,
-            f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
-            constraints=RowConstraintSet(rows, np.array([0.5]),
-                                         np.array([0.5])),
-            norm_bound=1.0, prox_f=lambda x, step: x)
+            dim=2, constraints=RowConstraintSet(rows, np.array([0.5]),
+                                                np.array([0.5])),
+            norm_bound=1.0, structure=ObjectiveStructure(f="zero", h="zero"))
         cfg = BaselineConfig("spp", step=1e-2, iterations=20, seed=0,
                             checkpoint_every=20, eval_samples=1)
         x, trace = run_spp(prob, cfg)
@@ -206,16 +209,17 @@ def _per_sample_spp(problem, cfg, grad_one):
     """run_spp's final iterate from two draws and one projection per iteration.
 
     ``grad_one(x, sample)`` is the gradient of f on one drawn sample, used
-    when the problem has no ``prox_f``.
+    when f is custom; a declared f steps by the prox its record gives.
     """
+    declared = _declared_f(problem.structure, problem.mu)
     rng_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
     rng = np.random.default_rng(rng_ss)
     x = np.zeros(problem.dim)
     for _ in range(cfg.iterations):
         xi_obj = problem.constraints.draw(rng)
         xi_con = problem.constraints.draw(rng)
-        if problem.prox_f is not None:
-            z = problem.prox_f(x, cfg.step)
+        if declared is not None:
+            z = declared.prox(x, cfg.step)
         else:
             z = x - cfg.step * grad_one(x, xi_obj)
         z = problem.prox_h.evaluate(z, cfg.step)
@@ -369,6 +373,29 @@ class TestPegasos:
                                eval_dataset=test, checkpoint_every=500)
         errs = trace.column("feasibility")
         assert np.all((errs >= 0) & (errs <= 1))
+
+    def test_holdout_wider_than_training_set_is_refused_at_entry(self):
+        train = gen_separable_svm(5, 40, margin=0.5, seed=11)
+        wide = gen_separable_svm(8, 20, margin=0.5, seed=12)
+        with pytest.raises(ValueError, match="dim 8.*dim 5"):
+            run_pegasos(train, lam=0.1, iterations=50, seed=0,
+                        eval_dataset=wide, checkpoint_every=10)
+
+    def test_narrower_holdout_counts_missing_columns_as_zeros(self):
+        train = gen_separable_svm(5, 40, margin=0.5, seed=11)
+        narrow = gen_separable_svm(3, 20, margin=0.5, seed=12)
+        # the same held-out rows widened to the training dim with zeros
+        padded = LabeledSparseDataset(narrow.indptr, narrow.indices,
+                                      narrow.data, narrow.labels, 5)
+        runs = [run_pegasos(train, lam=0.1, iterations=50, seed=0,
+                            eval_dataset=held_out, checkpoint_every=10)
+                for held_out in (narrow, padded)]
+        (x, trace), (x_padded, trace_padded) = runs
+        assert x.tobytes() == x_padded.tobytes()
+        assert trace.column("feasibility").tobytes() == \
+            trace_padded.column("feasibility").tobytes()
+        assert trace.column("objective").tobytes() == \
+            trace_padded.column("objective").tobytes()
 
     @staticmethod
     def _reference(rows, labels, lam, iterations, seed, holdout, every):

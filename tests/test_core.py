@@ -745,10 +745,17 @@ class TestScaledStep:
             trace.column("feasibility").tobytes()
 
     def test_min_norm_needs_mu_equal_to_lipschitz_grad(self, min_norm_toy):
+        # a half-square f needs mu, and its lipschitz_grad is mu: a value
+        # handed in is not read, and a copy with another mu re-derives it
         problem, _ = min_norm_toy
-        for mu, L in ((None, 1.0), (0.0, 0.0), (1.0, 2.0), (np.inf, np.inf)):
+        for mu in (None, 0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="half_sq_norm"):
-                dataclasses.replace(problem, mu=mu, lipschitz_grad=L)
+                dataclasses.replace(problem, mu=mu)
+        copy = dataclasses.replace(problem, mu=2.0, lipschitz_grad=5.0)
+        assert copy.lipschitz_grad == copy.mu == 2.0
+        x = np.array([3.0, -1.0])
+        assert copy.grad_f(x, None).tolist() == [6.0, -2.0]
+        assert copy.f_value(x, None) == 10.0
 
 
 def _plain_bp_run(problem, cfg, x_ref=None):
@@ -790,8 +797,7 @@ def _bp(seed, h):
     problem = make_bp_problem(inst)
     if h == "zero":
         problem = dataclasses.replace(
-            problem, prox_h=zero_prox(),
-            structure=ObjectiveStructure(f="zero", h="zero"))
+            problem, structure=ObjectiveStructure(f="zero", h="zero"))
     cfg = SascConfig(alpha0=0.05, omega=2.0, m0=200, epochs=4, seed=seed,
                      checkpoint_every=97, eval_samples=50)
     return problem, cfg, inst.x_star
@@ -874,20 +880,72 @@ class TestRowIterate:
         assert_allclose(x_sparse, run_sasc(problem, cfg)[0], rtol=1e-12)
 
     @pytest.mark.parametrize("kinds, message", [
-        (dict(f="linear"), "f must be"),
+        (dict(f="quadratic"), "f must be"),
         (dict(h="box"), "h must be"),
         (dict(h="l1"), "l1_weight"),
         (dict(h="zero", l1_weight=1.0), "l1_weight"),
         (dict(h="l1", l1_weight=np.inf), "l1_weight"),
+        (dict(f="linear"), "c is given"),
+        (dict(f="zero", c=[1.0]), "c is given"),
+        (dict(f="linear", c=[1.0, np.nan]), "finite vector"),
+        (dict(f="linear", c=np.ones((2, 2))), "finite vector"),
     ])
     def test_structure_is_checked_when_built(self, kinds, message):
         with pytest.raises(ValueError, match=message):
             ObjectiveStructure(**kinds)
 
     def test_zero_f_needs_a_zero_lipschitz_constant(self):
+        # derived from the record: a value handed in is not read
         problem, _, _ = _bp(0, "l1")
-        with pytest.raises(ValueError, match="zero f"):
-            dataclasses.replace(problem, lipschitz_grad=1.0)
+        assert dataclasses.replace(problem, lipschitz_grad=1.0) \
+            .lipschitz_grad == 0.0
+
+
+class TestDeclaredStructure:
+    """A declared kind's callables come from the record and nowhere else."""
+
+    @pytest.mark.parametrize("minibatch", [1, 2])
+    def test_redeclared_weight_is_stepped_and_reported(self, minibatch):
+        # a copy that swaps the record derives its prox from the new one:
+        # it steps as a problem built with weight 2, and every checkpoint
+        # reports 2 ||x||_1 of the point it measures
+        problem, cfg, _ = _bp(0, "l1")
+        weight2 = ObjectiveStructure(f="zero", h="l1", l1_weight=2.0)
+        copy = dataclasses.replace(problem, structure=weight2)
+        built = CompositeProblem(dim=problem.dim,
+                                 constraints=problem.constraints,
+                                 norm_bound=problem.norm_bound,
+                                 structure=weight2)
+        cfg = dataclasses.replace(cfg, minibatch=minibatch)
+        states = {}
+        x_bar, trace = run_sasc(copy, cfg, callback=lambda st: states.update(
+            {st.samples_seen: st.running_avg}))
+        assert x_bar.tobytes() == run_sasc(built, cfg)[0].tobytes()
+        assert x_bar.tobytes() != run_sasc(problem, cfg)[0].tobytes()
+        for rec in trace.records:
+            point = states[rec.samples]
+            assert rec.objective == 2.0 * float(np.sum(np.abs(point)))
+
+    def test_custom_kinds_need_their_callables(self):
+        rows = RowConstraintSet(np.eye(2), 0.0, 1.0)
+        for missing, structure in (
+                ("grad_f", ObjectiveStructure(h="zero")),
+                ("prox_h", ObjectiveStructure(f="zero"))):
+            with pytest.raises(ValueError, match=missing):
+                CompositeProblem(dim=2, constraints=rows, norm_bound=1.0,
+                                 structure=structure)
+
+    def test_linear_c_is_a_value_of_the_problems_dim(self):
+        c = np.array([1.0, -2.0, 0.5])
+        record = ObjectiveStructure(f="linear", c=c)
+        again = ObjectiveStructure(f="linear", c=c.copy())
+        assert record == again and hash(record) == hash(again)
+        assert record != ObjectiveStructure(f="linear", c=-c)
+        assert record.c == (1.0, -2.0, 0.5)
+        with pytest.raises(ValueError, match="c has 3 entries, dim is 2"):
+            CompositeProblem(dim=2, prox_h=zero_prox(),
+                             constraints=RowConstraintSet(np.eye(2), 0.0, 1.0),
+                             norm_bound=1.0, structure=record)
 
 
 def _sym_case1(alpha0, m0, omega, nb, y, sf, r0):

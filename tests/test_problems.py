@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from conftest import bp_dual_certificate, dense_rows
 from sasc.baselines import BaselineConfig, run_spp
-from sasc.core import Case, SascConfig, run_sasc
+from sasc.core import Case, SascConfig, _declared_f, run_sasc
 from sasc.errors import (
     ConfigurationError,
     DegenerateConstraintError,
@@ -317,6 +317,85 @@ class TestSvmProblem:
                                             [1.0, -1.0, 1.0], dim=2)
         with pytest.raises(DegenerateConstraintError):
             make_svm_problem(ds)
+
+
+# The objectives the builders handed in as lambdas before the structure
+# record derived them: (problem, grad_f, f_value, prox of step * f, L).
+def _half_sq_reference(problem):
+    return (problem, lambda x, batch: x,
+            lambda x, batch: 0.5 * float(x @ x),
+            lambda x, step: x / (1.0 + step), 1.0)
+
+
+def _bp_reference():
+    problem = make_bp_problem(gen_basis_pursuit(20, 100, 3, 0.9, seed=0))
+    return (problem, lambda x, batch: 0.0, lambda x, batch: 0.0,
+            lambda x, step: x, 0.0)
+
+
+def _portfolio_reference():
+    returns = gen_synthetic_returns(60, 8, seed=3)
+    a_avg = returns.mean(axis=0)
+    return (make_portfolio_problem(returns, 0.2), lambda x, batch: -a_avg,
+            lambda x, batch: -float(a_avg @ x),
+            lambda x, step: x + step * a_avg, 0.0)
+
+
+_REFERENCES = {
+    "bp": _bp_reference,
+    "portfolio": _portfolio_reference,
+    "svm": lambda: _half_sq_reference(
+        make_svm_problem(gen_separable_svm(6, 40, margin=0.5, seed=1))),
+    "min-norm": lambda: _half_sq_reference(
+        make_min_norm_hyperplane_problem(3)[0]),
+}
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestDeclaredObjectives:
+    """The builders declare their objectives; the derivation keeps the bits."""
+
+    @pytest.mark.parametrize("name", list(_REFERENCES))
+    def test_derived_callables_match_the_lambdas_bit_for_bit(self, name):
+        problem, grad, value, prox, lipschitz = _REFERENCES[name]()
+        declared = _declared_f(problem.structure, problem.mu)
+        assert problem.lipschitz_grad == declared.lipschitz_grad == lipschitz
+        batch = problem.constraints.support()
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            x = rng.standard_normal(problem.dim) * 10.0 ** rng.uniform(-3, 3)
+            # zero entries of both signs
+            x[rng.random(problem.dim) < 0.2] = 0.0
+            x[rng.random(problem.dim) < 0.2] = -0.0
+            step = 10.0 ** rng.uniform(-6, 1)
+            assert _bits(problem.grad_f(x, batch)) == _bits(grad(x, batch))
+            assert _bits(problem.f_value(x, batch)) == _bits(value(x, batch))
+            assert _bits(declared.prox(x, step)) == _bits(prox(x, step))
+
+    @pytest.mark.parametrize("name", list(_REFERENCES))
+    def test_a_zero_objective_matches_the_lambdas(self, name):
+        problem, grad, value, prox, _ = _REFERENCES[name]()
+        for x in (np.zeros(problem.dim), -np.zeros(problem.dim)):
+            got, want = problem.f_value(x, None), value(x, None)
+            if problem.structure.f == "linear":
+                # c @ 0 sums its -0.0 products onto +0.0 where the lambda's
+                # negated dot gives -0.0; the objective the package reports
+                # adds h's value (0.0 or inf) to it, which makes both alike
+                assert got == want == 0.0
+                assert _bits(got + 0.0) == _bits(want + 0.0)
+            else:
+                assert _bits(got) == _bits(want)
+            assert _bits(problem.grad_f(x, None)) == _bits(grad(x, None))
+
+    def test_builders_declare_their_objectives(self):
+        kinds = {name: (build()[0].structure.f, build()[0].structure.h)
+                 for name, build in _REFERENCES.items()}
+        assert kinds == {"bp": ("zero", "l1"), "portfolio": ("linear", "custom"),
+                         "svm": ("half_sq_norm", "zero"),
+                         "min-norm": ("half_sq_norm", "zero")}
 
 
 def _full_storage_svm(seed):
