@@ -3,20 +3,25 @@ point with alternating projections, and the classic subgradient SVM solver.
 
 All three share the trace/checkpoint machinery of the main driver
 (``core._Recorder``) and are deterministic under a fixed seed. Projected SGD
-and the proximal-point method also measure on the driver's kind of held-out
-set (``smoothing._EvalSet``), split from the seed the same way.
+and the proximal-point method are iterates of the driver's one step loop
+(``core._drive``), each run as one epoch, so they share its checkpoint and
+divergence rules, and measure on its kind of held-out set
+(``smoothing._EvalSet``), split from the seed the same way. The SVM solver
+keeps its own loop on the CSR rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .core import CompositeProblem, _declared_f, _Recorder, _seeded_run
+from .core import (_V_BOUND, CompositeProblem, _declared_f, _drive, _Iterate,
+                   _Recorder, _row_penalty, _seeded_run)
 from .errors import ConfigurationError, DivergenceError, UnsupportedProblemError
-from .prox import Array, _clip
+from .prox import Array
 from .smoothing import _CHUNK, RowBatch, _batches
 
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
@@ -53,33 +58,51 @@ class BaselineConfig:
             raise ConfigurationError("eval_samples must be >= 1")
 
 
+def _run_one_epoch(it: _Iterate, cfg: BaselineConfig, method: str):
+    """(x, trace) of ``cfg.iterations`` steps of ``it`` at step ``cfg.step``."""
+    if cfg.method != method:
+        raise ConfigurationError(f"{method!r} solver got a {cfg.method!r} config")
+    rng, rec = _seeded_run(it.problem, cfg)
+    return _drive(it, rng, rec, [(cfg.step, 0.0, cfg.iterations)],
+                  np.zeros(it.problem.dim))
+
+
+class _SgdIterate(_Iterate):
+    """Projected SGD's iterate and running sum: f's gradient, step alpha/sqrt(t).
+
+    Each draw comes with its 1-based step count t.
+    """
+
+    def draws(self, rng: np.random.Generator, steps: int):
+        return enumerate(super().draws(rng, steps), start=1)
+
+    def step(self, draw, alpha: float, beta: float):
+        t, batch = draw
+        eta = alpha / np.sqrt(t)
+        x = self.x = self.problem.prox_h.evaluate(
+            self.x - eta * self.problem.grad_f(self.x, batch), eta)
+        if not np.isfinite(x).all():
+            return None
+        self.total += x
+        return float(eta)
+
+
 def run_projected_sgd(problem: CompositeProblem, cfg: BaselineConfig):
     """x <- proj_K(x - eta_t grad f(x, xi)), eta_t = step / sqrt(t).
 
     The nonsmooth term must be an indicator of a projectable set (or zero);
-    constraints are ignored beyond supplying the randomness stream. Returns
-    the running average of the iterates and its trace; a non-finite iterate
-    raises DivergenceError naming its step.
+    constraints are ignored beyond supplying the randomness stream. Runs as
+    one epoch of ``cfg.iterations`` steps through ``core._drive`` and
+    returns the running average of the iterates and its trace; a non-finite
+    iterate raises DivergenceError naming its 1-based step. ``cfg`` must be
+    an "sgd" config.
     """
     if not problem.prox_h.is_projection:
         raise UnsupportedProblemError(
             "projected SGD needs h to be zero or an indicator of a "
             "projectable set"
         )
-    rng, rec = _seeded_run(problem, cfg)
-    x = np.zeros(problem.dim)
-    avg = np.zeros_like(x)
-    draws = _batches(problem.constraints, rng, cfg.iterations, 1)
-    for t, batch in enumerate(draws, start=1):
-        eta = cfg.step / np.sqrt(t)
-        x = problem.prox_h.evaluate(x - eta * problem.grad_f(x, batch), eta)
-        if not np.isfinite(x).all():
-            raise DivergenceError(epoch=0, step=t)
-        avg += x
-        if t >= rec.due:
-            rec.record(avg / t, t, 0, float(eta))
-    x_bar = avg / cfg.iterations
-    return x_bar, rec.finish(x_bar, cfg.iterations, 0, float(eta))
+    return _run_one_epoch(_SgdIterate(problem, 1), cfg, "sgd")
 
 
 def _project_onto_constraint(z: Array, sample) -> Array:
@@ -90,12 +113,41 @@ def _project_onto_constraint(z: Array, sample) -> Array:
         )
     val = float(sample.row @ z)
     target = float(np.asarray(sample.set_proj.project(val)))
-    return _move_along_row(z, sample.row, val, target)
+    return z - ((val - target) / float(sample.row @ sample.row)) * sample.row
 
 
-def _move_along_row(z: Array, row: Array, val: float, target: float) -> Array:
-    """z shifted along ``row`` so that row^T z moves from ``val`` to ``target``."""
-    return z - ((val - target) / float(row @ row)) * row
+class _SppIterate(_Iterate):
+    """The proximal point and projection of SPP; its mean is its last point.
+
+    Each step draws two rows and counts one sample.
+    """
+
+    def __init__(self, problem: CompositeProblem):
+        super().__init__(problem, 1)
+        declared = _declared_f(problem.structure, problem.mu)
+        self.prox = None if declared is None else declared.prox
+
+    def draws(self, rng: np.random.Generator, steps: int):
+        return _batches(self.problem.constraints, rng, steps, 2)
+
+    def step(self, pair, alpha: float, beta: float):
+        p = self.problem
+        if self.prox is not None:
+            z = self.prox(self.x, alpha)
+        else:
+            z = self.x - alpha * p.grad_f(self.x, pair[:1])
+        z = p.prox_h.evaluate(z, alpha)
+        if isinstance(pair, RowBatch):
+            row = pair.owner.rows[pair.idx[1]]
+            # at beta = ||row||^2 the penalty step is the exact projection
+            self.x = z - _row_penalty(row, z, float(pair.lo[1]),
+                                      float(pair.hi[1]), float(row @ row))[1]
+        else:
+            self.x = _project_onto_constraint(z, pair[1])
+        return alpha if np.isfinite(self.x).all() else None
+
+    def mean(self, k: int) -> Array:
+        return self.x
 
 
 def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
@@ -109,32 +161,13 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     x = projection of z onto the second draw's constraint set. The fixed
     step caps the attainable accuracy. Both indices come from the solvers'
     shared stream (``smoothing._batches``); for a row set the projection
-    reads the drawn row in place, with no sample objects.
+    reads the drawn row in place, with no sample objects. Runs as one epoch
+    of ``cfg.iterations`` steps through ``core._drive``, counting one sample
+    per step, and returns the last iterate and its trace; a non-finite
+    iterate raises DivergenceError naming its 1-based step. ``cfg`` must be
+    an "spp" config.
     """
-    mu = cfg.step
-    declared = _declared_f(problem.structure, problem.mu)
-    prox = None if declared is None else declared.prox
-    rng, rec = _seeded_run(problem, cfg)
-    x = np.zeros(problem.dim)
-    pairs = _batches(problem.constraints, rng, cfg.iterations, 2)
-    for t, pair in enumerate(pairs, start=1):
-        if prox is not None:
-            z = prox(x, mu)
-        else:
-            z = x - mu * problem.grad_f(x, pair[:1])
-        z = problem.prox_h.evaluate(z, mu)
-        if isinstance(pair, RowBatch):
-            row = pair.owner.rows[pair.idx[1]]
-            val = float(row @ z)
-            target = _clip(val, float(pair.lo[1]), float(pair.hi[1]))
-            x = _move_along_row(z, row, val, target)
-        else:
-            x = _project_onto_constraint(z, pair[1])
-        if not np.isfinite(x).all():
-            raise DivergenceError(epoch=0, step=t)
-        if t >= rec.due:
-            rec.record(x, t, 0, mu)
-    return x, rec.finish(x, cfg.iterations, 0, mu)
+    return _run_one_epoch(_SppIterate(problem), cfg, "spp")
 
 
 def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
@@ -150,7 +183,10 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
     draw per step; each step reads its row as a slice of the CSR arrays.
     The settings are checked as a ``BaselineConfig``, whose ``step`` is lam.
     A held-out set may be narrower than the training set (its missing
-    columns count as zeros), never wider.
+    columns count as zeros), never wider. Since |1 - eta_t lam| <= 1, max |x|
+    stays within (1 + ln T) max |entry| / lam; only when that bound (or
+    1/lam) is not below ``core._V_BOUND`` is x checked in full each step, and
+    a non-finite x raises DivergenceError naming its 1-based step.
     """
     BaselineConfig("pegasos", step=lam, iterations=iterations, seed=seed,
                    checkpoint_every=checkpoint_every)
@@ -177,6 +213,8 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
         rng.integers(0, n, size=min(_CHUNK, iterations - start)).tolist()
         for start in range(0, iterations, _CHUNK))
     eta = 1.0 / lam
+    top = float(np.abs(data).max(initial=0.0))
+    scan = not (1.0 + math.log(iterations)) * top * eta < _V_BOUND
     for t, i in enumerate(draws, start=1):
         p, q = ptr[i], ptr[i + 1]
         idx, vals = indices[p:q], data[p:q]
@@ -186,6 +224,8 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
         x *= 1.0 - eta * lam
         if margin < 1.0:
             x[idx] += (eta * b) * vals
+        if scan and not np.isfinite(x).all():
+            raise DivergenceError(epoch=0, step=t)
         if t >= rec.due:
             rec.record(x, t, 0, eta)
     return x, rec.finish(x, iterations, 0, eta)

@@ -465,29 +465,30 @@ class _Iterate:
     """The iterate x of an epoch and the running sum of its values.
 
     Any problem and batch: one step is ``_direction`` and the prox of h.
+    Each step counts ``samples`` samples, its batch size.
     """
 
-    def __init__(self, problem: CompositeProblem, minibatch: int):
+    def __init__(self, problem: CompositeProblem, samples: int):
         self.problem = problem
-        self.minibatch = minibatch
+        self.samples = samples
 
     def start(self, x: Array) -> None:
         self.x = x
         self.total = np.zeros_like(x)
 
     def draws(self, rng: np.random.Generator, steps: int):
-        return _batches(self.problem.constraints, rng, steps, self.minibatch)
+        return _batches(self.problem.constraints, rng, steps, self.samples)
 
-    def step(self, batch, alpha: float, beta: float) -> bool:
-        """One step; False when the new iterate is not finite."""
+    def step(self, batch, alpha: float, beta: float) -> Optional[float]:
+        """One step of size alpha; None when the new iterate is not finite."""
         p = self.problem
         x = p.prox_h.evaluate(self.x - alpha * _direction(self.x, batch, beta, p),
                               alpha)
         self.x = x
         if not np.isfinite(x).all():
-            return False
+            return None
         self.total += x
-        return True
+        return alpha
 
     def point(self) -> Array:
         return self.x.copy()
@@ -516,6 +517,8 @@ class _OneRow:
     n x d scratch). Only past ``_V_BOUND`` is the array checked in full,
     and the bound restarts from it; so finiteness costs no O(d) pass.
     """
+
+    samples = 1
 
     def __init__(self, problem: CompositeProblem, rows):
         self.sampler = problem.constraints
@@ -560,8 +563,8 @@ class _RowIterate(_OneRow, _Iterate):
         super().start(x)
         self._rebound(x)
 
-    def step(self, draw, alpha: float, beta: float) -> bool:
-        """One step on the drawn (row, lo, hi); False when x is not finite."""
+    def step(self, draw, alpha: float, beta: float) -> Optional[float]:
+        """One step on the drawn (row, lo, hi); None when x is not finite."""
         i, lo, hi = draw
         g, d = _row_penalty(self.rows[i], self.x, lo, hi, beta)
         np.multiply(d, alpha, out=d)
@@ -570,9 +573,9 @@ class _RowIterate(_OneRow, _Iterate):
             x = _shrink(x, alpha * self.weight)
         self.x = x
         if self._past_bound(alpha * g) and not self._rebound(x):
-            return False
+            return None
         self.total += x
-        return True
+        return alpha
 
 
 class _ScaledIterate(_OneRow):
@@ -605,8 +608,8 @@ class _ScaledIterate(_OneRow):
         self.scale_sum = 0.0
         self._rebound(x)
 
-    def step(self, draw, alpha: float, beta: float) -> bool:
-        """One step on the drawn (row, lo, hi); False when x is not finite."""
+    def step(self, draw, alpha: float, beta: float) -> Optional[float]:
+        """One step on the drawn (row, lo, hi); None when x is not finite."""
         i, lo, hi = draw
         cols, vals = self.entries(i)
         v = self.v
@@ -622,10 +625,10 @@ class _ScaledIterate(_OneRow):
         self.scale_sum += scale
         if self._past_bound(coef):
             self._fold()
-            return self._rebound(v)
+            return alpha if self._rebound(v) else None
         if scale < _FOLD_BELOW:
             self._fold()
-        return True
+        return alpha
 
     def _fold(self) -> None:
         self.c -= self.scale_sum * self.v
@@ -663,6 +666,36 @@ def _iterate(problem: CompositeProblem, cfg: SascConfig):
     return _Iterate(problem, cfg.minibatch)
 
 
+def _drive(it, rng, rec, epochs, x, restart_from_mean=False, callback=None):
+    """The one step loop of sasc, projected SGD and SPP: (last mean, trace).
+
+    Each epoch (alpha, beta, m) starts ``it`` from x and takes m steps on
+    ``it.draws(rng, m)``, each counting ``it.samples`` samples. A step
+    returns the step size it took, which a due checkpoint records with beta
+    on ``it.mean(k)``, or None when its iterate is not finite: that raises
+    DivergenceError naming the epoch and the step k, the 1-based count of
+    steps taken in the epoch. The next epoch starts from the epoch's mean
+    if ``restart_from_mean``, else from its last point.
+    """
+    seen, samples = 0, it.samples
+    for s, (alpha, beta, m) in enumerate(epochs):
+        it.start(x)
+        for k, draw in enumerate(it.draws(rng, m), start=1):
+            taken = it.step(draw, alpha, beta)
+            if taken is None:
+                raise DivergenceError(epoch=s, step=k)
+            seen += samples
+            if callback is not None:
+                callback(ScheduleState(s, k, alpha, beta, m, it.point(),
+                                       it.mean(k), seen))
+            if seen >= rec.due:
+                rec.record(it.mean(k), seen, s, taken, beta)
+        x_bar = it.mean(m)
+        x = x_bar if restart_from_mean else it.point()
+    # every epochs list holds one epoch at least, so its values exist
+    return x_bar, rec.finish(x_bar, seen, s, taken, beta)
+
+
 def run_sasc(problem: CompositeProblem, cfg: SascConfig,
              cert: Optional[CertificateInputs] = None,
              x0: Optional[Array] = None,
@@ -674,7 +707,8 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
     schedule from the epoch average. Checkpoints are taken every
     ``cfg.checkpoint_every`` samples on the running epoch average, evaluated
     against a held-out validation sample set so that measurement never
-    perturbs the training stream. One row per step on a row set takes a
+    perturbs the training stream. The epochs run through ``_drive``, the
+    baselines' step loop too. One row per step on a row set takes a
     one-row iterate when the problem's structure allows (``_iterate``): a
     min-norm problem keeps x in scaled form (``_ScaledIterate``), whose
     arithmetic differs from the plain step in the last bits; a zero f with
@@ -687,28 +721,12 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
     rng, rec = _seeded_run(problem, cfg, None if cert is None else cert.x_star)
-    it = _iterate(problem, cfg)
-    seen = 0
-    for s in range(cfg.planned_epochs()):
-        alpha_s, beta_s, m_s = schedule_params(cfg, s, problem.norm_bound)
-        it.start(x)
-        for k, draw in enumerate(it.draws(rng, m_s)):
-            if not it.step(draw, alpha_s, beta_s):
-                raise DivergenceError(epoch=s, step=k)
-            seen += cfg.minibatch
-            if callback is not None:
-                callback(ScheduleState(
-                    s=s, k=k + 1, alpha_s=alpha_s, beta_s=beta_s, m_s=m_s,
-                    x=it.point(), running_avg=it.mean(k + 1),
-                    samples_seen=seen))
-            if seen >= rec.due:
-                rec.record(it.mean(k + 1), seen, s, alpha_s, beta_s)
-        x_bar = it.mean(m_s)
-        # restricted strongly convex: restart from the epoch average;
-        # general convex: continue from the last inner iterate
-        x = x_bar if cfg.case is Case.RESTRICTED_STRONGLY_CONVEX else it.point()
-    # validate() guarantees one epoch at least, so the last epoch's values exist
-    return x_bar, rec.finish(x_bar, seen, s, alpha_s, beta_s)
+    epochs = [schedule_params(cfg, s, problem.norm_bound)
+              for s in range(cfg.planned_epochs())]
+    # restricted strongly convex: restart from the epoch average;
+    # general convex: continue from the last inner iterate
+    return _drive(_iterate(problem, cfg), rng, rec, epochs, x,
+                  cfg.case is Case.RESTRICTED_STRONGLY_CONVEX, callback)
 
 
 class Case1Constants(NamedTuple):

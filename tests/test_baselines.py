@@ -366,6 +366,14 @@ class TestPegasos:
         with pytest.raises(ConfigurationError, match="checkpoint_every"):
             run_pegasos(ds, lam=1.0, iterations=1, checkpoint_every=0)
 
+    def test_divergence_names_its_step(self):
+        # 1/lam overflows, so the first step's x is NaN, whose margins are
+        # not <= 0: unchecked, the run would report held-out error 0.0
+        ds = gen_separable_svm(3, 50, margin=0.5, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            run_pegasos(ds, lam=1e-310, iterations=5, checkpoint_every=1)
+        assert (err.value.epoch, err.value.step) == (0, 1)
+
     def test_holdout_error_column(self):
         train = gen_separable_svm(3, 100, margin=0.7, seed=9)
         test = gen_separable_svm(3, 50, margin=0.7, seed=10)
@@ -456,6 +464,15 @@ class TestBaselineConfig:
             BaselineConfig("spp", step=1.0, iterations=1, checkpoint_every=0)
         with pytest.raises(ConfigurationError, match="eval_samples"):
             BaselineConfig("spp", step=1.0, iterations=1, eval_samples=0)
+
+    def test_solvers_refuse_another_methods_config(self):
+        inst = gen_basis_pursuit(10, 100, 2, 0.5, seed=0)
+        with pytest.raises(ConfigurationError, match="'sgd'.*'spp'"):
+            run_projected_sgd(make_bp_least_squares_problem(inst),
+                              BaselineConfig("spp", step=1e-3, iterations=1))
+        with pytest.raises(ConfigurationError, match="'spp'.*'pegasos'"):
+            run_spp(make_bp_problem(inst),
+                    BaselineConfig("pegasos", step=1e-3, iterations=1))
 
     def test_determinism(self):
         inst = gen_basis_pursuit(10, 100, 2, 0.5, seed=0)

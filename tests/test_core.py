@@ -726,7 +726,7 @@ class TestScaledStep:
                 run_sasc(p, cfg)
             errors.append((exc.value.epoch, exc.value.step))
         # the scaled and the plain step diverge at the same step
-        assert errors[0] == errors[1] == (0, 650)
+        assert errors[0] == errors[1] == (0, 651)
 
     @pytest.mark.parametrize("build", [
         lambda toy: (toy[0], SascConfig(alpha0=0.5, omega=2.0, m0=4, epochs=3,
@@ -778,7 +778,7 @@ def _plain_bp_run(problem, cfg, x_ref=None):
             x = problem.prox_h.evaluate(
                 x - alpha * _direction(x, [sample], beta, problem), alpha)
             if not np.isfinite(x).all():
-                raise DivergenceError(epoch=s, step=k)
+                raise DivergenceError(epoch=s, step=k + 1)
             total += x
             seen += 1
             if seen >= rec.due:
@@ -819,8 +819,8 @@ class TestRowIterate:
             assert trace.column(name).tobytes() == \
                 want.column(name).tobytes(), name
 
-    @pytest.mark.parametrize("norm_bound, where", [(0.05, (1, 11)),
-                                                   (0.01, (0, 106))])
+    @pytest.mark.parametrize("norm_bound, where", [(0.05, (1, 12)),
+                                                   (0.01, (0, 107))])
     def test_divergence_names_the_plain_loops_epoch_and_step(self, norm_bound,
                                                              where):
         # an understated norm_bound makes beta far too small: the penalty
