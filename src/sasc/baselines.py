@@ -6,23 +6,27 @@ All three share the trace/checkpoint machinery of the main driver
 and the proximal-point method are iterates of the driver's one step loop
 (``core._drive``), each run as one epoch, so they share its checkpoint and
 divergence rules, and measure on its kind of held-out set
-(``smoothing._EvalSet``), split from the seed the same way. The SVM solver
-keeps its own loop on the CSR rows.
+(``smoothing._EvalSet``), split from the seed the same way. On a row set
+the proximal-point method steps one drawn row on Python scalars, as
+sasc's one-row iterate does (``core._OneRow``). The SVM solver keeps its
+own loop on the CSR rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from typing import Optional
 
 import numpy as np
 
 from .core import (_V_BOUND, CompositeProblem, _declared_f, _drive, _Iterate,
-                   _Recorder, _row_penalty, _seeded_run)
-from .errors import ConfigurationError, DivergenceError, UnsupportedProblemError
-from .prox import Array
-from .smoothing import _CHUNK, RowBatch, _batches
+                   _OneRow, _Recorder, _row_multiplier, _seeded_run)
+from .errors import (ConfigurationError, DegenerateConstraintError,
+                     DivergenceError, UnsupportedProblemError)
+from .prox import Array, _shrink
+from .smoothing import _CHUNK, RowBatch, _batches, _chunks
 
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
 
@@ -119,7 +123,8 @@ def _project_onto_constraint(z: Array, sample) -> Array:
 class _SppIterate(_Iterate):
     """The proximal point and projection of SPP; its mean is its last point.
 
-    Each step draws two rows and counts one sample.
+    Each step draws two samples and counts one; a row set steps as
+    ``_SppRowIterate``.
     """
 
     def __init__(self, problem: CompositeProblem):
@@ -130,24 +135,81 @@ class _SppIterate(_Iterate):
     def draws(self, rng: np.random.Generator, steps: int):
         return _batches(self.problem.constraints, rng, steps, 2)
 
-    def step(self, pair, alpha: float, beta: float):
-        p = self.problem
+    def _prox_f(self, objective, alpha: float) -> Array:
+        """The prox of alpha f at x; a gradient step on ``objective`` if custom."""
         if self.prox is not None:
-            z = self.prox(self.x, alpha)
-        else:
-            z = self.x - alpha * p.grad_f(self.x, pair[:1])
-        z = p.prox_h.evaluate(z, alpha)
-        if isinstance(pair, RowBatch):
-            row = pair.owner.rows[pair.idx[1]]
-            # at beta = ||row||^2 the penalty step is the exact projection
-            self.x = z - _row_penalty(row, z, float(pair.lo[1]),
-                                      float(pair.hi[1]), float(row @ row))[1]
-        else:
-            self.x = _project_onto_constraint(z, pair[1])
+            return self.prox(self.x, alpha)
+        return self.x - alpha * self.problem.grad_f(self.x, objective)
+
+    def step(self, pair, alpha: float, beta: float):
+        z = self.problem.prox_h.evaluate(self._prox_f(pair[:1], alpha), alpha)
+        self.x = _project_onto_constraint(z, pair[1])
         return alpha if np.isfinite(self.x).all() else None
 
     def mean(self, k: int) -> Array:
         return self.x
+
+
+class _SppRowIterate(_OneRow, _SppIterate):
+    """SPP on a row set, with the per-sample step's bits and no per-step objects.
+
+    The projection is x = z - g row, g the row's multiplier at
+    beta = ||row||^2. The bound grows by |g| times the largest |row entry|
+    and, for a linear f, by alpha max |c|; a half-square f and the shrink
+    never grow an entry, and a custom f or h has x checked every step.
+    """
+
+    def __init__(self, problem: CompositeProblem, rows):
+        _SppIterate.__init__(self, problem)
+        _OneRow.__init__(self, problem, rows)
+        self.rows = rows
+        self.sq = [None] * rows.shape[0]
+        st = problem.structure
+        self.h, self.weight = st.h, st.l1_weight
+        # an infinite growth passes the bound, and so scans x, every step
+        self.growth = (math.inf if self.prox is None or st.h == "custom"
+                       else max(map(abs, st.c)) if st.f == "linear" else 0.0)
+
+    def draws(self, rng: np.random.Generator, steps: int):
+        """Yield (objective, row, lo, hi): the constraint draw as scalars, and
+        the objective draw as a batch of one for a custom f, else None."""
+        for chunk in _chunks(self.sampler, rng, steps, 2):
+            objective = (repeat(None) if self.prox is not None else
+                         (chunk[j:j + 1] for j in range(0, len(chunk), 2)))
+            yield from zip(objective, chunk.idx[1::2].tolist(),
+                           chunk.lo[1::2].tolist(), chunk.hi[1::2].tolist())
+
+    def _norm_sq(self, i: int, row: Array, lo: float, hi: float) -> float:
+        """||row i||^2, kept for the run. A zero row whose target holds 0
+        constrains nothing: inf makes its multiplier 0."""
+        sq = float(row @ row)
+        if sq == 0.0:
+            if not lo <= 0.0 <= hi:
+                raise DegenerateConstraintError(
+                    f"spp: constraint row {i} has zero norm and 0 lies "
+                    "outside its target set")
+            sq = math.inf
+        self.sq[i] = sq
+        return sq
+
+    def step(self, draw, alpha: float, beta: float) -> Optional[float]:
+        """One step on the drawn row; None when x is not finite."""
+        objective, i, lo, hi = draw
+        z = self._prox_f(objective, alpha)
+        if self.h == "l1":
+            z = _shrink(z, alpha * self.weight)
+        elif self.h == "custom":
+            z = self.problem.prox_h.evaluate(z, alpha)
+        row = self.rows[i]
+        sq = self.sq[i]
+        if sq is None:
+            sq = self._norm_sq(i, row, lo, hi)
+        g = _row_multiplier(row, z, lo, hi, sq)
+        x = self.x = z - g * row
+        self.bound += alpha * self.growth
+        if self._past_bound(g) and not self._rebound(x):
+            return None
+        return alpha
 
 
 def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
@@ -160,14 +222,22 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     followed by prox of h), then
     x = projection of z onto the second draw's constraint set. The fixed
     step caps the attainable accuracy. Both indices come from the solvers'
-    shared stream (``smoothing._batches``); for a row set the projection
-    reads the drawn row in place, with no sample objects. Runs as one epoch
+    shared stream (``smoothing._chunks``). On a row set a step reads the
+    constraint draw as Python scalars and its row in place, with no sample
+    or batch objects (``_SppRowIterate``): the same bits as the per-sample
+    step, ||row||^2 read once per row per run, and for a declared f and h
+    finiteness kept by a bound on max |x| rather than a full check. A zero
+    row there constrains nothing when its target holds 0 and raises
+    DegenerateConstraintError naming the row otherwise. Runs as one epoch
     of ``cfg.iterations`` steps through ``core._drive``, counting one sample
     per step, and returns the last iterate and its trace; a non-finite
     iterate raises DivergenceError naming its 1-based step. ``cfg`` must be
     an "spp" config.
     """
-    return _run_one_epoch(_SppIterate(problem), cfg, "spp")
+    support = problem.constraints.support()
+    it = (_SppRowIterate(problem, support.rows) if isinstance(support, RowBatch)
+          else _SppIterate(problem))
+    return _run_one_epoch(it, cfg, "spp")
 
 
 def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,

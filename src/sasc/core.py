@@ -118,16 +118,27 @@ def _declared_f(st: ObjectiveStructure,
 
 
 # What CompositeProblem derived, by id. A dataclasses.replace copy hands it
-# back in and derives afresh from its own record; other callables are kept.
+# back in and derives afresh from its own record; other callables are kept,
+# each for the one declared kind it was first handed in for (_KEPT_FOR), so
+# a copy that declares another kind must hand in callables of its own.
 _DERIVED = weakref.WeakValueDictionary()
+_KEPT_FOR = weakref.WeakKeyDictionary()
 
 
-def _derived(handed, derived):
+def _derived(handed, derived, name: str, kind: tuple):
     """``derived``, unless the caller handed in a callable of its own."""
-    if handed is not None and _DERIVED.get(id(handed)) is not handed:
+    if handed is None or _DERIVED.get(id(handed)) is handed:
+        _DERIVED[id(derived)] = derived
+        return derived
+    try:
+        kept_for = _KEPT_FOR.setdefault(handed, kind)
+    except TypeError:       # not hashable or not weakly referable: untracked
         return handed
-    _DERIVED[id(derived)] = derived
-    return derived
+    if kept_for != kind:
+        raise ValueError(f"CompositeProblem: {name} was handed in for another "
+                         "declared kind; a copy that changes the record must "
+                         f"hand in its own {name}")
+    return handed
 
 
 @dataclass(kw_only=True)
@@ -151,7 +162,9 @@ class CompositeProblem:
     ``prox_h``; only a custom kind needs them handed in. A callable handed
     in with a declared kind is kept and must compute it, as the wrappers of
     the benchmark's traced copy do; a ``dataclasses.replace`` copy derives
-    the others afresh from its own record and ``mu``.
+    the others afresh from its own record and ``mu``, and refuses with a
+    ValueError to keep a handed-in callable for a declared kind other than
+    the one it was handed in for.
     """
 
     dim: int
@@ -180,12 +193,14 @@ class CompositeProblem:
                              f"dim is {self.dim}")
         f = _declared_f(st, self.mu)
         if f is not None:
-            self.grad_f = _derived(self.grad_f, f.grad_f)
-            self.f_value = _derived(self.f_value, f.f_value)
+            kind = (st.f, st.c, self.mu if st.f == "half_sq_norm" else None)
+            self.grad_f = _derived(self.grad_f, f.grad_f, "grad_f", kind)
+            self.f_value = _derived(self.f_value, f.f_value, "f_value", kind)
             self.lipschitz_grad = f.lipschitz_grad
         if st.h != "custom":
             self.prox_h = _derived(self.prox_h, zero_prox() if st.h == "zero"
-                                   else l1_prox(st.l1_weight))
+                                   else l1_prox(st.l1_weight), "prox_h",
+                                   (st.h, st.l1_weight))
         for name in ("grad_f", "f_value", "prox_h"):
             if getattr(self, name) is None:
                 raise ValueError(f"CompositeProblem: a custom kind needs {name}")
@@ -523,13 +538,18 @@ class _OneRow:
     def __init__(self, problem: CompositeProblem, rows):
         self.sampler = problem.constraints
         values = rows.data if isinstance(rows, _CsrRows) else rows
-        self.max_value = max(float(values.max()), -float(values.min()))
+        self.max_value = max(float(values.max(initial=0.0)),
+                             -float(values.min(initial=0.0)))
 
     def draws(self, rng: np.random.Generator, steps: int):
         """Yield (row, lo, hi) of ``steps`` one-row draws, as Python scalars."""
         for chunk in _chunks(self.sampler, rng, steps, 1):
             yield from zip(chunk.idx.tolist(), chunk.lo.tolist(),
                            chunk.hi.tolist())
+
+    def start(self, x: Array) -> None:
+        super().start(x)
+        self._rebound(x)
 
     def _past_bound(self, coef: float) -> bool:
         """Grow the bound by a step of coef times a row; True past _V_BOUND."""
@@ -558,10 +578,6 @@ class _RowIterate(_OneRow, _Iterate):
         super().__init__(problem, rows)
         self.rows = rows
         self.weight = problem.structure.l1_weight     # None when h = 0
-
-    def start(self, x: Array) -> None:
-        super().start(x)
-        self._rebound(x)
 
     def step(self, draw, alpha: float, beta: float) -> Optional[float]:
         """One step on the drawn (row, lo, hi); None when x is not finite."""

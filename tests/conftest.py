@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sasc.problems import make_min_norm_hyperplane_problem
-from sasc.smoothing import CertificateInputs
+from sasc.problems import (gen_separable_svm, make_min_norm_hyperplane_problem,
+                           make_svm_problem)
+from sasc.smoothing import CertificateInputs, RowConstraintSet
 
 
 @pytest.fixture
@@ -37,6 +40,16 @@ def dense_rows(dataset):
         cols, vals = dataset.row(i)
         dense[i, cols] = vals
     return dense
+
+
+def full_storage_svm(seed):
+    """The svm problem on a dataset that stores every entry, and a copy of
+    it whose constraint set holds the same rows as a dense array."""
+    ds = gen_separable_svm(12, 300, margin=0.3, seed=seed)
+    sparse = make_svm_problem(ds)
+    dense = dataclasses.replace(sparse, constraints=RowConstraintSet.normalized(
+        ds.labels[:, None] * dense_rows(ds), 1.0, np.inf))
+    return sparse, dense
 
 
 def loglog_slope(samples, values, m_min=1000):

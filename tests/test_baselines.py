@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import dense_rows, least_squares_grad_one
+from conftest import dense_rows, full_storage_svm, least_squares_grad_one
 from sasc.baselines import (
     BaselineConfig,
     _project_onto_constraint,
@@ -21,7 +22,12 @@ from sasc.core import (
     _declared_f,
     run_sasc,
 )
-from sasc.errors import ConfigurationError, DivergenceError, UnsupportedProblemError
+from sasc.errors import (
+    ConfigurationError,
+    DegenerateConstraintError,
+    DivergenceError,
+    UnsupportedProblemError,
+)
 from sasc.prox import BoxSet, _clip, l1_prox, zero_prox
 from sasc.problems import (
     LabeledSparseDataset,
@@ -32,7 +38,7 @@ from sasc.problems import (
     make_bp_problem,
     make_portfolio_problem,
 )
-from sasc.smoothing import ConstraintSample, RowConstraintSet
+from sasc.smoothing import ConstraintSample, RowConstraintSet, _CsrRows
 
 
 def _unconstrained_problem(dim, grad, fval, prox_h=None):
@@ -159,6 +165,34 @@ class TestSpp:
         assert_allclose(x, [0.5, 0.0], atol=1e-15)
         assert trace.records[-1].feasibility == 0.0
 
+    def test_a_zero_row_that_holds_0_constrains_nothing(self):
+        rows = RowConstraintSet([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0],
+                                [0.0, 1.0])
+        prob = CompositeProblem(
+            dim=2, constraints=rows, norm_bound=1.0,
+            structure=ObjectiveStructure(f="zero", h="zero"))
+        cfg = BaselineConfig("spp", step=1e-2, iterations=20, seed=0,
+                             checkpoint_every=20, eval_samples=2)
+        x, trace = run_spp(prob, cfg)
+        assert x.tolist() == [1.0, 0.0]
+        assert trace.records[-1].feasibility == 0.0
+        # CSR rows that store no entry at all
+        empty = RowConstraintSet(_CsrRows(np.zeros(3, dtype=np.int64),
+                                          np.zeros(0, dtype=np.int64),
+                                          np.zeros(0), 2), -1.0, 1.0)
+        x, _ = run_spp(dataclasses.replace(prob, constraints=empty), cfg)
+        assert x.tolist() == [0.0, 0.0]
+
+    def test_a_zero_row_that_excludes_0_is_refused(self):
+        rows = RowConstraintSet([[0.0, 0.0], [1.0, 0.0]], 1.0, 1.0)
+        prob = CompositeProblem(
+            dim=2, constraints=rows, norm_bound=1.0,
+            structure=ObjectiveStructure(f="zero", h="zero"))
+        cfg = BaselineConfig("spp", step=1e-2, iterations=20, seed=0,
+                             checkpoint_every=20, eval_samples=2)
+        with pytest.raises(DegenerateConstraintError, match="row 0"):
+            run_spp(prob, cfg)
+
     def test_matrix_constraints_unsupported(self):
         class MatrixSampler:
             def draw(self, rng):
@@ -209,13 +243,14 @@ def _per_sample_spp(problem, cfg, grad_one):
     """run_spp's final iterate from two draws and one projection per iteration.
 
     ``grad_one(x, sample)`` is the gradient of f on one drawn sample, used
-    when f is custom; a declared f steps by the prox its record gives.
+    when f is custom; a declared f steps by the prox its record gives. A
+    non-finite iterate raises DivergenceError naming its 1-based step.
     """
     declared = _declared_f(problem.structure, problem.mu)
     rng_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
     rng = np.random.default_rng(rng_ss)
     x = np.zeros(problem.dim)
-    for _ in range(cfg.iterations):
+    for t in range(1, cfg.iterations + 1):
         xi_obj = problem.constraints.draw(rng)
         xi_con = problem.constraints.draw(rng)
         if declared is not None:
@@ -224,7 +259,38 @@ def _per_sample_spp(problem, cfg, grad_one):
             z = x - cfg.step * grad_one(x, xi_obj)
         z = problem.prox_h.evaluate(z, cfg.step)
         x = _project_onto_constraint(z, xi_con)
+        if not np.isfinite(x).all():
+            raise DivergenceError(epoch=0, step=t)
     return x
+
+
+class _ForwardingRows:
+    """Forwards draws and the support to a row set, as the benchmark's
+    traced sampler does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def draw_batch(self, rng, k):
+        return self._inner.draw_batch(rng, k)
+
+    def support(self):
+        return self._inner.support()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _bp_zero_h():
+    problem = make_bp_problem(gen_basis_pursuit(20, 500, 3, 0.9, seed=5))
+    return dataclasses.replace(
+        problem, structure=ObjectiveStructure(f="zero", h="zero")), None
+
+
+def _forwarded_bp():
+    problem = make_bp_problem(gen_basis_pursuit(20, 500, 3, 0.9, seed=6))
+    return dataclasses.replace(
+        problem, constraints=_ForwardingRows(problem.constraints)), None
 
 
 class TestSppIndexStream:
@@ -236,13 +302,39 @@ class TestSppIndexStream:
                                          0.2), None), 1e-2),
         (lambda: _least_squares(gen_basis_pursuit(8, 40, 2, 0.5, seed=1)),
          0.1),
-    ], ids=["bp", "portfolio", "least-squares"])
+        (_bp_zero_h, 1e-3),
+        (lambda: (full_storage_svm(8)[0], None), 1e-2),
+        (_forwarded_bp, 1e-3),
+    ], ids=["bp", "portfolio", "least-squares", "zero-h", "csr-rows",
+            "forwarding-sampler"])
     def test_bit_identical_to_per_sample_loop(self, build, step):
         problem, grad_one = build()
         cfg = BaselineConfig("spp", step=step, iterations=5000, seed=7,
                              checkpoint_every=5000, eval_samples=1)
         x, _ = run_spp(problem, cfg)
         assert x.tobytes() == _per_sample_spp(problem, cfg, grad_one).tobytes()
+
+    def test_overflowing_projection_stops_where_the_per_sample_loop_does(self):
+        # a declared f and h, so finiteness is kept by the bound: the row
+        # of norm 1e-100 with target 1e100 moves x to 1e200, past the
+        # bound but finite, and the one with target 1e209 overflows it
+        rng = np.random.default_rng(9)
+        tiny = np.zeros((2, 4))
+        tiny[:, 0] = 1e-100
+        rows = np.vstack([rng.standard_normal((8, 4)), tiny])
+        targets = np.r_[np.zeros(8), 1e100, 1e209]
+        prob = CompositeProblem(
+            dim=4, constraints=RowConstraintSet(rows, targets, targets),
+            norm_bound=1.0,
+            structure=ObjectiveStructure(f="zero", h="l1", l1_weight=1.0))
+        cfg = BaselineConfig("spp", step=1e-3, iterations=1000, seed=1,
+                             checkpoint_every=1000, eval_samples=1)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as got:
+                run_spp(prob, cfg)
+            with pytest.raises(DivergenceError) as want:
+                _per_sample_spp(prob, cfg, None)
+        assert got.value.step == want.value.step > 1
 
     def test_divergence_names_its_step(self):
         # an ascent direction grows x by 11x per iteration until it overflows

@@ -926,6 +926,26 @@ class TestDeclaredStructure:
             point = states[rec.samples]
             assert rec.objective == 2.0 * float(np.sum(np.abs(point)))
 
+    def test_a_copy_that_redeclares_a_handed_in_callable_is_refused(self):
+        # a hand-wrapped prox computes weight 1: a copy declaring weight 2
+        # would keep it and report ||x||_1 where 2 ||x||_1 is declared
+        problem, _, _ = _bp(0, "l1")
+        prox = problem.prox_h
+        wrapped = dataclasses.replace(problem, prox_h=ProxHandle(
+            evaluate=lambda z, step: prox.evaluate(z, step),
+            objective_value=lambda x: prox.objective_value(x)))
+        assert dataclasses.replace(wrapped).prox_h is wrapped.prox_h
+        weight2 = ObjectiveStructure(f="zero", h="l1", l1_weight=2.0)
+        with pytest.raises(ValueError, match="prox_h was handed in"):
+            dataclasses.replace(wrapped, structure=weight2)
+        # the record's own prox is derived afresh, and a new one may be
+        # handed in with the new record
+        assert dataclasses.replace(problem, structure=weight2) \
+            .prox_h.objective_value(np.ones(20)) == 40.0
+        fresh = l1_prox(2.0)
+        assert dataclasses.replace(wrapped, structure=weight2,
+                                   prox_h=fresh).prox_h is fresh
+
     def test_custom_kinds_need_their_callables(self):
         rows = RowConstraintSet(np.eye(2), 0.0, 1.0)
         for missing, structure in (

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from conftest import bp_dual_certificate, dense_rows
+from conftest import bp_dual_certificate, dense_rows, full_storage_svm
 from sasc.baselines import BaselineConfig, run_spp
 from sasc.core import Case, SascConfig, _declared_f, run_sasc
 from sasc.errors import (
@@ -398,16 +398,6 @@ class TestDeclaredObjectives:
                          "min-norm": ("half_sq_norm", "zero")}
 
 
-def _full_storage_svm(seed):
-    """The svm problem on a dataset that stores every entry, and a copy of
-    it whose constraint set holds the same rows as a dense array."""
-    ds = gen_separable_svm(12, 300, margin=0.3, seed=seed)
-    sparse = make_svm_problem(ds)
-    dense = dataclasses.replace(sparse, constraints=RowConstraintSet.normalized(
-        ds.labels[:, None] * dense_rows(ds), 1.0, np.inf))
-    return sparse, dense
-
-
 def _svm_config(seed, minibatch):
     return SascConfig(alpha0=0.5, omega=2.0, m0=4,
                       case=Case.RESTRICTED_STRONGLY_CONVEX, sample_budget=3000,
@@ -422,7 +412,7 @@ class TestCsrRows:
                 "alpha", "dist_to_ref")
 
     def test_single_sample_sasc_matches_dense_rows(self):
-        sparse, dense = _full_storage_svm(21)
+        sparse, dense = full_storage_svm(21)
         cfg = _svm_config(21, 1)
         x, trace = run_sasc(sparse, cfg)
         x_dense, trace_dense = run_sasc(dense, cfg)
@@ -437,7 +427,7 @@ class TestCsrRows:
                 assert got.tobytes() == want.tobytes()
 
     def test_minibatch_sasc_matches_dense_rows(self):
-        sparse, dense = _full_storage_svm(22)
+        sparse, dense = full_storage_svm(22)
         cfg = _svm_config(22, 4)
         x, trace = run_sasc(sparse, cfg)
         x_dense, trace_dense = run_sasc(dense, cfg)
@@ -447,13 +437,13 @@ class TestCsrRows:
                             rtol=1e-12)
 
     def test_spp_matches_dense_rows(self):
-        sparse, dense = _full_storage_svm(23)
+        sparse, dense = full_storage_svm(23)
         cfg = BaselineConfig("spp", step=0.01, iterations=2000, seed=23,
                              checkpoint_every=50, eval_samples=100)
         assert run_spp(sparse, cfg)[0].tobytes() == run_spp(dense, cfg)[0].tobytes()
 
     def test_feasibility_over_the_support_matches_dense_rows(self):
-        sparse, dense = _full_storage_svm(24)
+        sparse, dense = full_storage_svm(24)
         rng = np.random.default_rng(24)
         for _ in range(5):
             x = rng.standard_normal(12)
