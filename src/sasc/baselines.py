@@ -7,16 +7,15 @@ and the proximal-point method are iterates of the driver's one step loop
 (``core._drive``), each run as one epoch, so they share its checkpoint and
 divergence rules, and measure on its kind of held-out set
 (``smoothing._EvalSet``), split from the seed the same way. On a row set
-the proximal-point method steps one drawn row on Python scalars, as
-sasc's one-row iterate does (``core._OneRow``). The SVM solver keeps its
-own loop on the CSR rows.
+the proximal-point method is a one-row iterate, on the base of sasc's own
+(``core._OneRow``). The SVM solver keeps its own loop on the CSR rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -25,8 +24,8 @@ from .core import (_V_BOUND, CompositeProblem, _declared_f, _drive, _Iterate,
                    _OneRow, _Recorder, _row_multiplier, _seeded_run)
 from .errors import (ConfigurationError, DegenerateConstraintError,
                      DivergenceError, UnsupportedProblemError)
-from .prox import Array, _shrink
-from .smoothing import _CHUNK, RowBatch, _batches, _chunks
+from .prox import Array
+from .smoothing import _CHUNK, RowBatch, _batches
 
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
 
@@ -110,14 +109,35 @@ def run_projected_sgd(problem: CompositeProblem, cfg: BaselineConfig):
 
 
 def _project_onto_constraint(z: Array, sample) -> Array:
-    """Exact projection of z onto {x : A(xi) x in b(xi)} for a scalar row."""
-    if sample.row.ndim != 1:
+    """Exact projection of z onto {x : A(xi) x in b(xi)} for a scalar row.
+
+    A zero row constrains nothing when its target holds 0, and raises
+    DegenerateConstraintError naming the sample's index otherwise.
+    """
+    row = sample.row
+    if row.ndim != 1:
         raise UnsupportedProblemError(
             "alternating projection needs scalar (single-row) constraints"
         )
-    val = float(sample.row @ z)
+    sq = float(row @ row)
+    if sq == 0.0:
+        if float(np.asarray(sample.set_proj.project(0.0))) == 0.0:
+            return z
+        raise DegenerateConstraintError(
+            f"spp: constraint sample {sample.index} has zero norm and 0 lies "
+            "outside its target set")
+    val = float(row @ z)
     target = float(np.asarray(sample.set_proj.project(val)))
-    return z - ((val - target) / float(sample.row @ sample.row)) * sample.row
+    return z - ((val - target) / sq) * row
+
+
+def _prox_f(problem: CompositeProblem):
+    """(x, batch, alpha) -> the prox of alpha f at x: a declared f's own, or
+    for a custom f a gradient step on ``batch``."""
+    declared = _declared_f(problem.structure, problem.mu)
+    if declared is None:
+        return lambda x, batch, alpha: x - alpha * problem.grad_f(x, batch)
+    return lambda x, batch, alpha: declared.prox(x, alpha)
 
 
 class _SppIterate(_Iterate):
@@ -129,20 +149,14 @@ class _SppIterate(_Iterate):
 
     def __init__(self, problem: CompositeProblem):
         super().__init__(problem, 1)
-        declared = _declared_f(problem.structure, problem.mu)
-        self.prox = None if declared is None else declared.prox
+        self.prox_f = _prox_f(problem)
 
     def draws(self, rng: np.random.Generator, steps: int):
         return _batches(self.problem.constraints, rng, steps, 2)
 
-    def _prox_f(self, objective, alpha: float) -> Array:
-        """The prox of alpha f at x; a gradient step on ``objective`` if custom."""
-        if self.prox is not None:
-            return self.prox(self.x, alpha)
-        return self.x - alpha * self.problem.grad_f(self.x, objective)
-
     def step(self, pair, alpha: float, beta: float):
-        z = self.problem.prox_h.evaluate(self._prox_f(pair[:1], alpha), alpha)
+        z = self.problem.prox_h.evaluate(self.prox_f(self.x, pair[:1], alpha),
+                                         alpha)
         self.x = _project_onto_constraint(z, pair[1])
         return alpha if np.isfinite(self.x).all() else None
 
@@ -150,64 +164,38 @@ class _SppIterate(_Iterate):
         return self.x
 
 
-class _SppRowIterate(_OneRow, _SppIterate):
-    """SPP on a row set, with the per-sample step's bits and no per-step objects.
+class _SppRowIterate(_OneRow):
+    """SPP on a row set: ``_OneRow``'s draws, two a step, prox of h and bound.
 
     The projection is x = z - g row, g the row's multiplier at
-    beta = ||row||^2. The bound grows by |g| times the largest |row entry|
-    and, for a linear f, by alpha max |c|; a half-square f and the shrink
-    never grow an entry, and a custom f or h has x checked every step.
+    beta = ||row||^2, which is read once per row per run.
     """
 
+    mean = _SppIterate.mean
+
     def __init__(self, problem: CompositeProblem, rows):
-        _SppIterate.__init__(self, problem)
-        _OneRow.__init__(self, problem, rows)
-        self.rows = rows
+        super().__init__(problem, rows, per_step=2)
+        self.prox_f = _prox_f(problem)
         self.sq = [None] * rows.shape[0]
-        st = problem.structure
-        self.h, self.weight = st.h, st.l1_weight
-        # an infinite growth passes the bound, and so scans x, every step
-        self.growth = (math.inf if self.prox is None or st.h == "custom"
-                       else max(map(abs, st.c)) if st.f == "linear" else 0.0)
-
-    def draws(self, rng: np.random.Generator, steps: int):
-        """Yield (objective, row, lo, hi): the constraint draw as scalars, and
-        the objective draw as a batch of one for a custom f, else None."""
-        for chunk in _chunks(self.sampler, rng, steps, 2):
-            objective = (repeat(None) if self.prox is not None else
-                         (chunk[j:j + 1] for j in range(0, len(chunk), 2)))
-            yield from zip(objective, chunk.idx[1::2].tolist(),
-                           chunk.lo[1::2].tolist(), chunk.hi[1::2].tolist())
-
-    def _norm_sq(self, i: int, row: Array, lo: float, hi: float) -> float:
-        """||row i||^2, kept for the run. A zero row whose target holds 0
-        constrains nothing: inf makes its multiplier 0."""
-        sq = float(row @ row)
-        if sq == 0.0:
-            if not lo <= 0.0 <= hi:
-                raise DegenerateConstraintError(
-                    f"spp: constraint row {i} has zero norm and 0 lies "
-                    "outside its target set")
-            sq = math.inf
-        self.sq[i] = sq
-        return sq
 
     def step(self, draw, alpha: float, beta: float) -> Optional[float]:
         """One step on the drawn row; None when x is not finite."""
         objective, i, lo, hi = draw
-        z = self._prox_f(objective, alpha)
-        if self.h == "l1":
-            z = _shrink(z, alpha * self.weight)
-        elif self.h == "custom":
-            z = self.problem.prox_h.evaluate(z, alpha)
+        z = self._prox_h(self.prox_f(self.x, objective, alpha), alpha)
         row = self.rows[i]
         sq = self.sq[i]
         if sq is None:
-            sq = self._norm_sq(i, row, lo, hi)
+            sq = float(row @ row)
+            if sq == 0.0:   # inf makes the multiplier of a zero row 0
+                if not lo <= 0.0 <= hi:
+                    raise DegenerateConstraintError(
+                        f"spp: constraint row {i} has zero norm and 0 lies "
+                        "outside its target set")
+                sq = math.inf
+            self.sq[i] = sq
         g = _row_multiplier(row, z, lo, hi, sq)
         x = self.x = z - g * row
-        self.bound += alpha * self.growth
-        if self._past_bound(g) and not self._rebound(x):
+        if self._past_bound(g, alpha) and not self._rebound(x):
             return None
         return alpha
 
@@ -222,13 +210,10 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     followed by prox of h), then
     x = projection of z onto the second draw's constraint set. The fixed
     step caps the attainable accuracy. Both indices come from the solvers'
-    shared stream (``smoothing._chunks``). On a row set a step reads the
-    constraint draw as Python scalars and its row in place, with no sample
-    or batch objects (``_SppRowIterate``): the same bits as the per-sample
-    step, ||row||^2 read once per row per run, and for a declared f and h
-    finiteness kept by a bound on max |x| rather than a full check. A zero
-    row there constrains nothing when its target holds 0 and raises
-    DegenerateConstraintError naming the row otherwise. Runs as one epoch
+    shared stream (``smoothing._chunks``). On a row set SPP is a one-row
+    iterate (``core._OneRow``), with the per-sample step's bits. A zero row
+    constrains nothing when its target holds 0 and raises
+    DegenerateConstraintError otherwise. Runs as one epoch
     of ``cfg.iterations`` steps through ``core._drive``, counting one sample
     per step, and returns the last iterate and its trace; a non-finite
     iterate raises DivergenceError naming its 1-based step. ``cfg`` must be

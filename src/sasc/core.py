@@ -20,6 +20,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -155,11 +156,13 @@ class CompositeProblem:
     sampler can produce; ``mu`` is the restricted strong-convexity modulus
     when available, ``lipschitz_grad`` the Lipschitz constant of the
     averaged gradient (0 when the smooth part is absent or linear).
+    A given ``mu`` must be positive and finite, and a custom f's
+    ``lipschitz_grad`` nonnegative and finite.
     ``structure`` declares the kinds of f and h (``ObjectiveStructure``).
     A declared f gives ``grad_f``, ``f_value`` and ``lipschitz_grad`` (0 for
-    a zero or linear f; ``mu``, which must be positive and finite, for a
-    half-square one; a value handed in is not read), and a declared h gives
-    ``prox_h``; only a custom kind needs them handed in. A callable handed
+    a zero or linear f; ``mu``, which it needs, for a half-square one; a
+    value handed in is not read), and a declared h gives ``prox_h``; only
+    a custom kind needs them handed in. A callable handed
     in with a declared kind is kept and must compute it, as the wrappers of
     the benchmark's traced copy do; a ``dataclasses.replace`` copy derives
     the others afresh from its own record and ``mu``, and refuses with a
@@ -184,10 +187,10 @@ class CompositeProblem:
             raise ValueError(
                 "CompositeProblem: norm_bound must be positive and finite")
         st = self.structure
-        if st.f == "half_sq_norm" and not (self.mu is not None
-                                           and 0 < self.mu < math.inf):
-            raise ValueError("CompositeProblem: a half_sq_norm f needs mu "
-                             "positive and finite")
+        if ((self.mu is None and st.f == "half_sq_norm")
+                or (self.mu is not None and not 0 < self.mu < math.inf)):
+            raise ValueError("CompositeProblem: mu must be positive and finite,"
+                             f" and given for a half_sq_norm f; got {self.mu}")
         if st.c is not None and len(st.c) != self.dim:
             raise ValueError(f"CompositeProblem: c has {len(st.c)} entries, "
                              f"dim is {self.dim}")
@@ -197,6 +200,9 @@ class CompositeProblem:
             self.grad_f = _derived(self.grad_f, f.grad_f, "grad_f", kind)
             self.f_value = _derived(self.f_value, f.f_value, "f_value", kind)
             self.lipschitz_grad = f.lipschitz_grad
+        elif not 0 <= self.lipschitz_grad < math.inf:
+            raise ValueError("CompositeProblem: lipschitz_grad must be >= 0 "
+                             f"and finite, got {self.lipschitz_grad}")
         if st.h != "custom":
             self.prox_h = _derived(self.prox_h, zero_prox() if st.h == "zero"
                                    else l1_prox(st.l1_weight), "prox_h",
@@ -386,25 +392,14 @@ def _row_multiplier(vals: Array, x: Array, lo: float, hi: float,
     return (z - _clip(z, lo, hi)) / beta
 
 
-def _row_penalty(row: Array, x: Array, lo: float, hi: float, beta: float):
-    """(g, g row): one dense row's multiplier and its penalty gradient."""
-    g = _row_multiplier(row, x, lo, hi, beta)
-    return g, g * row
-
-
 def _direction(x: Array, batch, beta_s: float,
                problem: CompositeProblem) -> Array:
     """Mean step direction over a batch; one vectorized step for row batches.
 
     A RowBatch of B rows R = ``batch.rows`` with endpoints lo, hi gives
     z = R x, g = (z - clip(z, lo, hi)) / (B beta_s) and
-    d = grad_f(x, batch) + R^T g. One dense row takes the same arithmetic
-    on Python floats (``_row_penalty``): z is the dot of x with a view of
-    the row, and R^T g is g times the row, with no row copy or ufuncs on
-    one-element arrays. That is bit for bit the same d, save that a zero
-    entry of g times the row keeps its sign where the block product gives
-    +0.0; the two differ only where grad_f returns -0.0. Any other batch
-    sums the penalty gradients of its samples.
+    d = grad_f(x, batch) + R^T g. Any other batch sums the penalty
+    gradients of its samples.
     """
     if not isinstance(batch, RowBatch):
         penalty = None
@@ -413,11 +408,6 @@ def _direction(x: Array, batch, beta_s: float,
             g = sample.adjoint((z - sample.set_proj.project(z)) / beta_s)
             penalty = g if penalty is None else penalty + g
         return problem.grad_f(x, batch) + penalty / len(batch)
-    rows = batch.owner.rows
-    if len(batch.idx) == 1 and isinstance(rows, np.ndarray):
-        _, penalty = _row_penalty(rows[batch.idx[0]], x, float(batch.lo[0]),
-                                  float(batch.hi[0]), beta_s)
-        return problem.grad_f(x, batch) + penalty
     R = batch.rows
     z = R @ x
     g = (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta_s * len(z))
@@ -521,39 +511,61 @@ _V_BOUND = 1e150
 _FOLD_BELOW = 1e-3
 
 
-class _OneRow:
-    """What the one-row iterates share: scalar draws and a finiteness bound.
+class _OneRow(_Iterate):
+    """The one-row iterates' base: scalar draws, h's prox, a finiteness bound.
 
-    ``draws`` yields each step's (row, lo, hi) as Python scalars, read from
-    the row set's chunks, so no RowBatch is built per step. ``bound``
-    dominates max |entry| of the array a step moves: a step that moves it
-    by coef times a row adds |coef| times ``max_value``, the largest stored
-    |row entry| (read once per run from the rows' max and min, with no
-    n x d scratch). Only past ``_V_BOUND`` is the array checked in full,
-    and the bound restarts from it; so finiteness costs no O(d) pass.
+    ``draws`` yields each step's (objective, row, lo, hi), read as Python
+    scalars from the row set's chunks of ``per_step`` draws: the row is the
+    step's last draw, and ``objective`` its first as a batch of one for a
+    custom f, else None. ``bound`` dominates max |entry| of the array a
+    step moves: a step of coef times a row and of size alpha adds |coef|
+    times ``max_value``, the largest stored |row entry|, and alpha times
+    ``growth``. Only past ``_V_BOUND`` is the array checked in full, and
+    the bound restarts from it; so finiteness costs no O(d) pass.
     """
 
-    samples = 1
-
-    def __init__(self, problem: CompositeProblem, rows):
-        self.sampler = problem.constraints
+    def __init__(self, problem: CompositeProblem, rows, per_step: int = 1):
+        super().__init__(problem, 1)
+        self.rows = rows
+        self.per_step = per_step
+        st = problem.structure
+        self.custom_f = st.f == "custom"
+        self.h, self.weight = st.h, st.l1_weight
         values = rows.data if isinstance(rows, _CsrRows) else rows
         self.max_value = max(float(values.max(initial=0.0)),
                              -float(values.min(initial=0.0)))
+        # A half-square f adds nothing: SPP's prox divides x, and sasc's
+        # x (1 - alpha mu) never grows, as SascConfig.validate holds
+        # alpha0 <= 3/(4 mu). The shrink never grows an entry. A custom f
+        # or h has no bound, so the infinite growth scans x every step.
+        self.growth = (math.inf if self.custom_f or st.h == "custom"
+                       else max(map(abs, st.c)) if st.f == "linear" else 0.0)
 
     def draws(self, rng: np.random.Generator, steps: int):
-        """Yield (row, lo, hi) of ``steps`` one-row draws, as Python scalars."""
-        for chunk in _chunks(self.sampler, rng, steps, 1):
-            yield from zip(chunk.idx.tolist(), chunk.lo.tolist(),
-                           chunk.hi.tolist())
+        """Yield (objective, row, lo, hi) of ``steps`` steps, as scalars."""
+        per = self.per_step
+        last = slice(per - 1, None, per)
+        for chunk in _chunks(self.problem.constraints, rng, steps, per):
+            objective = ((chunk[j:j + 1] for j in range(0, len(chunk), per))
+                         if self.custom_f else repeat(None))
+            yield from zip(objective, chunk.idx[last].tolist(),
+                           chunk.lo[last].tolist(), chunk.hi[last].tolist())
 
     def start(self, x: Array) -> None:
         super().start(x)
         self._rebound(x)
 
-    def _past_bound(self, coef: float) -> bool:
-        """Grow the bound by a step of coef times a row; True past _V_BOUND."""
-        self.bound += abs(coef) * self.max_value
+    def _prox_h(self, z: Array, alpha: float) -> Array:
+        """The prox of alpha h at z, with no handle call for a declared h."""
+        if self.h == "l1":
+            return _shrink(z, alpha * self.weight)
+        if self.h == "custom":
+            return self.problem.prox_h.evaluate(z, alpha)
+        return z
+
+    def _past_bound(self, coef: float, alpha: float) -> bool:
+        """Grow the bound by one step; True past _V_BOUND."""
+        self.bound += abs(coef) * self.max_value + alpha * self.growth
         return not self.bound < _V_BOUND
 
     def _rebound(self, a: Array) -> bool:
@@ -562,33 +574,30 @@ class _OneRow:
         return self.bound < math.inf
 
 
-class _RowIterate(_OneRow, _Iterate):
-    """x itself, for f = 0 and h = 0 or weight ||x||_1, one dense row per step.
+class _RowIterate(_OneRow):
+    """x itself, one dense row per step, for any f and h.
 
-    A step is x <- shrink(x - alpha (g row), alpha weight), with g the
-    row's multiplier and no shrink when h = 0: the plain step's arithmetic
-    in the plain step's order, with no RowBatch, ``grad_f`` or prox handle
-    call. It only drops the plain step's 0.0 + (the zero f's gradient),
-    which can flip the sign of a zero entry of x but never moves x_bar. The
-    shrink never grows an entry, so the bound grows by alpha |g| times the
-    largest |row entry|.
+    A step is d = g row + grad_f(x, objective), g the row's multiplier and
+    no gradient for a zero f, then x <- prox_h(x - alpha d): the plain
+    step's arithmetic in its order, so x_bar keeps its bits. Dropping a
+    zero f's 0.0 + can flip the sign of a zero entry of x, never x_bar.
     """
 
     def __init__(self, problem: CompositeProblem, rows: Array):
         super().__init__(problem, rows)
-        self.rows = rows
-        self.weight = problem.structure.l1_weight     # None when h = 0
+        self.grad_f = None if problem.structure.f == "zero" else problem.grad_f
 
     def step(self, draw, alpha: float, beta: float) -> Optional[float]:
-        """One step on the drawn (row, lo, hi); None when x is not finite."""
-        i, lo, hi = draw
-        g, d = _row_penalty(self.rows[i], self.x, lo, hi, beta)
-        np.multiply(d, alpha, out=d)
-        x = np.subtract(self.x, d, out=d)
-        if self.weight is not None:
-            x = _shrink(x, alpha * self.weight)
-        self.x = x
-        if self._past_bound(alpha * g) and not self._rebound(x):
+        """One step on the drawn row; None when x is not finite."""
+        objective, i, lo, hi = draw
+        row, x = self.rows[i], self.x
+        g = _row_multiplier(row, x, lo, hi, beta)
+        d = g * row
+        if self.grad_f is not None:
+            d += self.grad_f(x, objective)
+        d *= alpha
+        x = self.x = self._prox_h(np.subtract(x, d, out=d), alpha)
+        if self._past_bound(alpha * g, alpha) and not self._rebound(x):
             return None
         self.total += x
         return alpha
@@ -625,8 +634,8 @@ class _ScaledIterate(_OneRow):
         self._rebound(x)
 
     def step(self, draw, alpha: float, beta: float) -> Optional[float]:
-        """One step on the drawn (row, lo, hi); None when x is not finite."""
-        i, lo, hi = draw
+        """One step on the drawn row; None when x is not finite."""
+        _, i, lo, hi = draw
         cols, vals = self.entries(i)
         v = self.v
         v_cols = v[cols]
@@ -639,7 +648,7 @@ class _ScaledIterate(_OneRow):
             c = self.c
             c[cols] = c[cols] - self.scale_sum * delta
         self.scale_sum += scale
-        if self._past_bound(coef):
+        if self._past_bound(coef, alpha):
             self._fold()
             return alpha if self._rebound(v) else None
         if scale < _FOLD_BELOW:
@@ -666,18 +675,16 @@ def _iterate(problem: CompositeProblem, cfg: SascConfig):
     With one row per step on a row set (recognised by its support, a
     RowBatch, so a sampler that forwards to one, as the benchmark's traced
     copy does, is too): a half_sq_norm f with h = 0 steps in scaled form,
-    and a zero f with h = 0 or l1 on dense rows steps x itself. Every other
-    run takes the plain step on its batches.
+    dense or CSR, and any other structure on dense rows steps x itself.
+    Every other run takes the plain step on its batches.
     """
-    st = problem.structure
-    scaled = st.f == "half_sq_norm" and st.h == "zero"
-    zero_f = st.f == "zero" and st.h in ("zero", "l1")
-    if cfg.minibatch == 1 and (scaled or zero_f):
+    if cfg.minibatch == 1:
         support = problem.constraints.support()
         rows = support.rows if isinstance(support, RowBatch) else None
-        if scaled and rows is not None:
+        st = problem.structure
+        if rows is not None and st.f == "half_sq_norm" and st.h == "zero":
             return _ScaledIterate(problem, rows)
-        if zero_f and isinstance(rows, np.ndarray):
+        if isinstance(rows, np.ndarray):
             return _RowIterate(problem, rows)
     return _Iterate(problem, cfg.minibatch)
 
@@ -725,12 +732,11 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
     against a held-out validation sample set so that measurement never
     perturbs the training stream. The epochs run through ``_drive``, the
     baselines' step loop too. One row per step on a row set takes a
-    one-row iterate when the problem's structure allows (``_iterate``): a
-    min-norm problem keeps x in scaled form (``_ScaledIterate``), whose
-    arithmetic differs from the plain step in the last bits; a zero f with
-    h = 0 or l1 steps x on Python scalars (``_RowIterate``), with the plain
-    step's bits. Output is bit-identical for identical (problem data, cfg,
-    seed).
+    one-row iterate (``_iterate``): a min-norm problem keeps x in scaled
+    form (``_ScaledIterate``), whose arithmetic differs from the plain step
+    in the last bits; any other problem on dense rows steps x on Python
+    scalars (``_RowIterate``), with the plain step's bits. Output is
+    bit-identical for identical (problem data, cfg, seed).
     """
     cfg.validate(problem)
     x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float)

@@ -219,6 +219,11 @@ class RowConstraintSet(ConstraintSampler):
             rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("RowConstraintSet: rows must be a nonempty (n, d) array")
+        values = rows.data if isinstance(rows, _CsrRows) else rows
+        # a NaN or an infinity reaches the min or the max; no n x d scratch
+        if not np.isfinite([values.min(initial=0.0),
+                            values.max(initial=0.0)]).all():
+            raise ValueError("RowConstraintSet: rows must be finite")
         n = rows.shape[0]
         self.rows = rows
         self.lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()

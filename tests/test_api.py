@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import pathlib
@@ -142,3 +143,55 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
         exec(compile(textwrap.dedent(code), str(README), "exec"),
              {"np": np, "sasc": sasc})
     assert (tmp_path / "trace.csv").exists()
+
+
+
+SRC = pathlib.Path(sasc.__file__).resolve().parent
+
+
+def _read(tree):
+    """The names a module reads: loaded names and attribute names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _imported(tree):
+    """The names a module's imports bind, bar __future__ directives."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def _private(tree):
+    """The private names a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names
+                    if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_import_and_private_name_is_read():
+    # a refactor that moves code leaves unread imports and helpers behind;
+    # the imports of __init__.py are the package's public names
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    read_anywhere = {name for tree in trees.values() for name in _read(tree)}
+    unread = []
+    for module, tree in trees.items():
+        read = set(_read(tree))
+        if module != "__init__.py":
+            unread += [f"{module}: import {name}"
+                       for name in _imported(tree) if name not in read]
+        unread += [f"{module}: {name}"
+                   for name in _private(tree) if name not in read_anywhere]
+    assert unread == []

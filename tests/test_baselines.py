@@ -123,6 +123,23 @@ class TestProjectedSgd:
             run_projected_sgd(prob, cfg)
 
 
+class _ListedSamples:
+    """A row set's rows as a finite sampler that is not a row set: its
+    support lists the samples, so SPP steps them one by one."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def draw(self, rng):
+        return self.rows.draw(rng)
+
+    def draw_batch(self, rng, k):
+        return [self.draw(rng) for _ in range(k)]
+
+    def support(self):
+        return [self.rows.sample(i) for i in range(len(self.rows))]
+
+
 class TestSpp:
     def test_hyperplane_projection_step(self):
         # flat objective, declared zero so f's prox is the identity: one
@@ -182,6 +199,11 @@ class TestSpp:
                                           np.zeros(0), 2), -1.0, 1.0)
         x, _ = run_spp(dataclasses.replace(prob, constraints=empty), cfg)
         assert x.tolist() == [0.0, 0.0]
+        # the same rows listed as samples, on the per-sample path
+        x, trace = run_spp(dataclasses.replace(
+            prob, constraints=_ListedSamples(rows)), cfg)
+        assert x.tolist() == [1.0, 0.0]
+        assert trace.records[-1].feasibility == 0.0
 
     def test_a_zero_row_that_excludes_0_is_refused(self):
         rows = RowConstraintSet([[0.0, 0.0], [1.0, 0.0]], 1.0, 1.0)
@@ -192,6 +214,9 @@ class TestSpp:
                              checkpoint_every=20, eval_samples=2)
         with pytest.raises(DegenerateConstraintError, match="row 0"):
             run_spp(prob, cfg)
+        listed = dataclasses.replace(prob, constraints=_ListedSamples(rows))
+        with pytest.raises(DegenerateConstraintError, match="sample 0"):
+            run_spp(listed, cfg)
 
     def test_matrix_constraints_unsupported(self):
         class MatrixSampler:

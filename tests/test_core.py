@@ -281,9 +281,20 @@ class TestRunSasc:
         (lambda p: run_sasc(p, _cfg(0.5, 2.0, 4), x0=np.zeros(3)), "x0"),
         (lambda p: rate_constants(_cfg(0.5, 2.0, 4), 1.0, CertificateInputs(),
                                   np.zeros(2)), "x_star"),
+        # a zero f takes any mu, and a custom f its own lipschitz_grad: the
+        # schedule's checks divide by one and bound alpha0 by the other
+        *[(lambda p, mu=mu: dataclasses.replace(
+            p, mu=mu, structure=ObjectiveStructure(f="zero", h="zero")), "mu")
+          for mu in (0.0, -1.0, np.nan, np.inf)],
+        *[(lambda p, L=L: dataclasses.replace(
+            p, lipschitz_grad=L, structure=ObjectiveStructure()),
+           "lipschitz_grad") for L in (-1.0, np.nan, np.inf)],
     ], ids=["minibatch-0", "checkpoint-every-0", "eval-samples-0", "epochs-0",
             "budget-below-m0", "built-omega-1", "built-alpha0-negative",
-            "built-alpha0-nan", "problem-dim-0", "x0-shape", "no-x-star"])
+            "built-alpha0-nan", "problem-dim-0", "x0-shape", "no-x-star",
+            "problem-mu-0", "problem-mu-negative", "problem-mu-nan",
+            "problem-mu-inf", "custom-f-lipschitz-negative",
+            "custom-f-lipschitz-nan", "custom-f-lipschitz-inf"])
     def test_refusal_names_its_setting(self, min_norm_toy, refused, name):
         problem, _ = min_norm_toy
         with pytest.raises(ValueError, match=name):
@@ -478,9 +489,9 @@ class TestRowKernel:
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("case", list(_ONE_ROW_DRAWS))
     def test_one_row_step_is_the_block_step(self, storage, case):
-        # the one-row path against the vectorized arithmetic on the same
-        # row taken as a one-row block: the 1 x k product over the stored
-        # entries for CSR rows, R @ x and g @ R for dense ones
+        # _direction on a one-row batch against the vectorized arithmetic
+        # written out: the 1 x k product over the stored entries for CSR
+        # rows, R @ x and g @ R for dense ones
         rng = np.random.default_rng(12)
         d, k = 30, 4
         cols = np.sort(rng.choice(d, size=k, replace=False))
@@ -586,8 +597,8 @@ class TestRowKernel:
         # the support marks a row set, so each epoch is drawn in one chunk;
         # the chunk is a list of samples, read as the RowBatch of their
         # indices and split into one-row steps; the copy declares custom
-        # kinds, so its plain steps hand grad_f the batches, and it steps
-        # as the declared problem's one-row iterate does
+        # kinds, so each step hands grad_f its draw as a batch of one, and
+        # it steps as the declared problem does
         problem, cfg = _small_bp()
         sizes, batches = [], []
         listed_rows = _ListRows(problem.constraints, sizes)
@@ -803,16 +814,43 @@ def _bp(seed, h):
     return problem, cfg, inst.x_star
 
 
-class TestRowIterate:
-    """One-row steps of a zero f with h = 0 or l1, on Python scalars."""
+def _one_row_case(seed, kind):
+    """(problem, the copy the plain loop steps, config, x*) of one kind.
 
-    @pytest.mark.parametrize("h", ["l1", "zero"])
+    "l1" and "zero" are bp with h = l1 or 0 (a zero f), "half-sq-l1" bp
+    with f = (1/2)||x||^2, "portfolio" a linear f with a custom h, and
+    "least-squares" a custom f, stepped by the plain loop through a copy
+    whose grad_f averages the one-sample formula over its listed samples.
+    """
+    if kind == "portfolio":
+        problem = make_portfolio_problem(gen_synthetic_returns(60, 8,
+                                                               seed=seed), 0.2)
+        cfg = SascConfig(alpha0=1.0, omega=2.0, m0=200, epochs=4, seed=seed,
+                         checkpoint_every=97, eval_samples=50)
+        return problem, problem, cfg, None
+    problem, cfg, x_star = _bp(seed, "zero" if kind == "zero" else "l1")
+    if kind == "least-squares":
+        problem, per_sample = _least_squares_per_sample_f(
+            gen_basis_pursuit(20, 300, 3, 0.9, seed=seed))
+        return problem, per_sample, cfg, x_star
+    if kind == "half-sq-l1":
+        problem = dataclasses.replace(
+            problem, mu=1.0, structure=dataclasses.replace(
+                problem.structure, f="half_sq_norm"))
+    return problem, problem, cfg, x_star
+
+
+class TestRowIterate:
+    """One-row steps on dense rows, for any f and h, on Python scalars."""
+
+    @pytest.mark.parametrize("kind", ["l1", "zero", "half-sq-l1", "portfolio",
+                                      "least-squares"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_run_is_the_plain_loop_bit_for_bit(self, seed, h):
-        problem, cfg, x_star = _bp(seed, h)
+    def test_run_is_the_plain_loop_bit_for_bit(self, seed, kind):
+        problem, reference, cfg, x_star = _one_row_case(seed, kind)
         x_bar, trace = run_sasc(problem, cfg,
                                 cert=CertificateInputs(x_star=x_star))
-        want_x, want = _plain_bp_run(problem, cfg, x_star)
+        want_x, want = _plain_bp_run(reference, cfg, x_star)
         assert x_bar.tobytes() == want_x.tobytes()
         assert len(trace) == len(want) > 4 * cfg.epochs
         for name in _TRACE_COLUMNS:
@@ -837,9 +875,9 @@ class TestRowIterate:
         assert errors[0] == errors[1] == where
 
     def test_custom_kinds_take_the_plain_step(self):
-        # the same callables with nothing declared: every step calls grad_f
-        # and the prox handle, as before the record existed, and x_bar keeps
-        # its bits
+        # the same callables with nothing declared: the one-row iterate
+        # calls grad_f and the prox handle on every step, and x_bar keeps
+        # the declared problem's bits
         problem, cfg, _ = _bp(0, "l1")
         calls = {}
         custom = dataclasses.replace(_forwarding_copy(problem, calls),

@@ -468,10 +468,16 @@ _TOY, _TOY_CERT = make_min_norm_hyperplane_problem()
     (lambda: hyperplane_indicator_prox(np.ones(2), np.nan), "offset"),
     (lambda: RowConstraintSet(np.eye(2), [0.0, np.nan], 1.0), "NaN"),
     (lambda: RowConstraintSet(np.eye(2), 0.0, [np.nan, 1.0]), "NaN"),
+    (lambda: RowConstraintSet([[np.nan, 1.0]], 0, 1), "rows must be finite"),
+    (lambda: RowConstraintSet([[1.0, -np.inf]], 0, 1), "rows must be finite"),
+    (lambda: RowConstraintSet(_CsrRows(np.array([0, 1]), np.array([1]),
+                                       np.array([np.inf]), 2), 0, 1),
+     "rows must be finite"),
 ], ids=["l1-weight-nan", "l1-weight-inf", "l1-step-nan", "shrink-tau-nan",
         "moreau-beta-nan", "inner-step-alpha-nan", "smoothed-gap-beta-nan",
         "residuals-beta-nan", "plane-offset-nan", "row-set-lo-nan",
-        "row-set-hi-nan"])
+        "row-set-hi-nan", "row-set-row-nan", "row-set-row-inf",
+        "row-set-csr-row-inf"])
 def test_refuses_nan_and_inf(call, match):
     with pytest.raises(ValueError, match=match):
         call()
