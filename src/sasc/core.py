@@ -20,13 +20,15 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .prox import Array, ProxHandle, _clip, _shrink, l1_prox, zero_prox
+from .prox import (Array, ProxHandle, _clip, _plane, _shrink,
+                   hyperplane_indicator_prox, l1_prox, zero_prox)
 from .smoothing import (
     CertificateInputs,
     ConstraintSampler,
@@ -46,7 +48,7 @@ class Case(Enum):
 
 
 _F_KINDS = ("zero", "linear", "half_sq_norm", "custom")
-_H_KINDS = ("zero", "l1", "custom")
+_H_KINDS = ("zero", "l1", "hyperplane", "custom")
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,21 @@ class ObjectiveStructure:
     ``f`` is "zero", "linear" (f(x, xi) = <c, x> for every draw),
     "half_sq_norm" (f(x, xi) = (mu/2)||x||^2 for every draw, with the
     problem's ``mu``) or "custom"; ``h`` is "zero", "l1"
-    (``l1_weight`` * ||x||_1) or "custom". ``CompositeProblem`` derives a
+    (``l1_weight`` * ||x||_1), "hyperplane" (the indicator of the plane
+    {x : <normal, x> = offset}) or "custom". ``CompositeProblem`` derives a
     declared kind's callables from the record, and ``run_sasc`` reads it to
     pick its step. "custom", the default, declares nothing: the problem
-    hands in its own callables and every step calls them. ``c`` is kept as
-    a tuple of floats, so the record compares and hashes as a value.
+    hands in its own callables and every step calls them. ``c`` and
+    ``normal`` are kept as tuples of floats, so the record compares and
+    hashes as a value.
     """
 
     f: str = "custom"
     h: str = "custom"
     l1_weight: Optional[float] = None
     c: Optional[tuple] = None
+    normal: Optional[tuple] = None
+    offset: Optional[float] = None
 
     def __post_init__(self):
         if self.f not in _F_KINDS:
@@ -89,6 +95,14 @@ class ObjectiveStructure:
             if c.ndim != 1 or not np.isfinite(c).all():
                 raise ValueError("ObjectiveStructure: c must be a finite vector")
             object.__setattr__(self, "c", tuple(c.tolist()))
+        plane = self.h == "hyperplane"
+        if plane != (self.normal is not None) or plane != (self.offset is not None):
+            raise ValueError("ObjectiveStructure: normal and offset are given "
+                             "exactly when h is hyperplane")
+        if plane:
+            a, b, _ = _plane(self.normal, self.offset, "ObjectiveStructure")
+            object.__setattr__(self, "normal", tuple(a.tolist()))
+            object.__setattr__(self, "offset", b)
 
 
 class _DeclaredF(NamedTuple):
@@ -109,8 +123,10 @@ def _declared_f(st: ObjectiveStructure,
     if st.f == "linear":
         c = np.array(st.c)
         c.flags.writeable = False
+        # a fixed step, as SPP's, forms step * c once
+        step_c = lru_cache(maxsize=1)(c.__rmul__)
         return _DeclaredF(lambda x, batch: c, lambda x, batch: float(c @ x),
-                          lambda x, step: x - step * c, 0.0)
+                          lambda x, step: x - step_c(step), 0.0)
     if st.f == "half_sq_norm":
         return _DeclaredF(lambda x, batch: mu * x,
                           lambda x, batch: 0.5 * mu * float(x @ x),
@@ -191,9 +207,11 @@ class CompositeProblem:
                 or (self.mu is not None and not 0 < self.mu < math.inf)):
             raise ValueError("CompositeProblem: mu must be positive and finite,"
                              f" and given for a half_sq_norm f; got {self.mu}")
-        if st.c is not None and len(st.c) != self.dim:
-            raise ValueError(f"CompositeProblem: c has {len(st.c)} entries, "
-                             f"dim is {self.dim}")
+        for name in ("c", "normal"):
+            v = getattr(st, name)
+            if v is not None and len(v) != self.dim:
+                raise ValueError(f"CompositeProblem: {name} has {len(v)} "
+                                 f"entries, dim is {self.dim}")
         f = _declared_f(st, self.mu)
         if f is not None:
             kind = (st.f, st.c, self.mu if st.f == "half_sq_norm" else None)
@@ -204,9 +222,11 @@ class CompositeProblem:
             raise ValueError("CompositeProblem: lipschitz_grad must be >= 0 "
                              f"and finite, got {self.lipschitz_grad}")
         if st.h != "custom":
-            self.prox_h = _derived(self.prox_h, zero_prox() if st.h == "zero"
-                                   else l1_prox(st.l1_weight), "prox_h",
-                                   (st.h, st.l1_weight))
+            h = (zero_prox() if st.h == "zero" else l1_prox(st.l1_weight)
+                 if st.h == "l1" else hyperplane_indicator_prox(st.normal,
+                                                                st.offset))
+            self.prox_h = _derived(self.prox_h, h, "prox_h",
+                                   (st.h, st.l1_weight, st.normal, st.offset))
         for name in ("grad_f", "f_value", "prox_h"):
             if getattr(self, name) is None:
                 raise ValueError(f"CompositeProblem: a custom kind needs {name}")
@@ -520,8 +540,9 @@ class _OneRow(_Iterate):
     custom f, else None. ``bound`` dominates max |entry| of the array a
     step moves: a step of coef times a row and of size alpha adds |coef|
     times ``max_value``, the largest stored |row entry|, and alpha times
-    ``growth``. Only past ``_V_BOUND`` is the array checked in full, and
-    the bound restarts from it; so finiteness costs no O(d) pass.
+    ``growth``; the plane's projection adds its own shift (``_prox_h``).
+    Only past ``_V_BOUND`` is the array checked in full, and the bound
+    restarts from it; so finiteness costs no O(d) pass.
     """
 
     def __init__(self, problem: CompositeProblem, rows, per_step: int = 1):
@@ -531,6 +552,10 @@ class _OneRow(_Iterate):
         st = problem.structure
         self.custom_f = st.f == "custom"
         self.h, self.weight = st.h, st.l1_weight
+        if st.h == "hyperplane":
+            a = self.normal = np.array(st.normal)
+            self.offset, self.normal_sq = st.offset, float(a @ a)
+            self.normal_max = max(map(abs, st.normal))
         values = rows.data if isinstance(rows, _CsrRows) else rows
         self.max_value = max(float(values.max(initial=0.0)),
                              -float(values.min(initial=0.0)))
@@ -556,9 +581,15 @@ class _OneRow(_Iterate):
         self._rebound(x)
 
     def _prox_h(self, z: Array, alpha: float) -> Array:
-        """The prox of alpha h at z, with no handle call for a declared h."""
+        """The prox of alpha h at z, with no handle call for a declared h; the
+        plane shifts z (the step's own buffer) in place by s a, and the bound
+        by |s| max |a|."""
         if self.h == "l1":
             return _shrink(z, alpha * self.weight)
+        if self.h == "hyperplane":
+            s = (float(self.normal.dot(z)) - self.offset) / self.normal_sq
+            self.bound += abs(s) * self.normal_max
+            return np.subtract(z, s * self.normal, out=z)
         if self.h == "custom":
             return self.problem.prox_h.evaluate(z, alpha)
         return z

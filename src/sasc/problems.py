@@ -21,7 +21,7 @@ from .errors import (
     NoConvergenceError,
     UnsupportedProblemError,
 )
-from .prox import Array, hyperplane_indicator_prox
+from .prox import Array
 from .smoothing import (
     CertificateInputs,
     RowConstraintSet,
@@ -237,8 +237,8 @@ def make_bp_least_squares_problem(instance: BasisPursuitInstance
 def make_portfolio_problem(returns: Array, epsilon: float) -> CompositeProblem:
     """Maximize mean return on the budget plane with per-day deviation slabs.
 
-    f(x) = -<a_avg, x> with a_avg the column mean, declared linear; h, a
-    custom prox, enforces sum(x) = 1 (shorts allowed); each day i
+    f(x) = -<a_avg, x> with a_avg the column mean, declared linear; h, the
+    declared plane sum(x) = 1, is the budget (shorts allowed); each day i
     contributes |<a_i - a_avg, x>| <= epsilon, stored row-normalized.
     """
     returns = np.asarray(returns, dtype=float)
@@ -254,10 +254,10 @@ def make_portfolio_problem(returns: Array, epsilon: float) -> CompositeProblem:
     constraints = RowConstraintSet.normalized(returns - a_avg, -epsilon, epsilon)
     return CompositeProblem(
         dim=d,
-        prox_h=hyperplane_indicator_prox(np.ones(d), 1.0),
         constraints=constraints,
         norm_bound=1.0,
-        structure=ObjectiveStructure(f="linear", c=-a_avg),
+        structure=ObjectiveStructure(f="linear", c=-a_avg, h="hyperplane",
+                                     normal=np.ones(d), offset=1.0),
     )
 
 

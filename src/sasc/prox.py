@@ -2,8 +2,8 @@
 
 These are the building blocks every problem instance is assembled from:
 projections onto the simple sets that appear as constraint right-hand sides
-(points, intervals, half-lines), the hyperplane projection, and prox handles
-for the nonsmooth objective terms (l1 norm, hyperplane indicator, zero).
+(points, intervals, half-lines) and prox handles for the nonsmooth
+objective terms (l1 norm, hyperplane indicator, zero).
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ def _shrink(z: Array, tau: float) -> Array:
     np.subtract(out, tau, out=out)
     np.maximum(out, 0.0, out=out)
     return np.copysign(out, z, out=out)
-
-
-def project_hyperplane(z: Array, a: Array, b: float) -> Array:
-    """Project z onto the hyperplane {x : <a, x> = b}.
-
-    The reference that ``hyperplane_indicator_prox`` is tested against: it
-    checks the normal and computes ||a||^2 on every call, where the prox
-    handle does both once.
-    """
-    z = np.asarray(z, dtype=float)
-    a = np.asarray(a, dtype=float)
-    nrm2 = float(a @ a)
-    if nrm2 == 0.0:
-        raise DegenerateConstraintError("project_hyperplane: normal vector is zero")
-    return z - ((a @ z - b) / nrm2) * a
 
 
 def _clip(v: float, lo: float, hi: float) -> float:
@@ -155,17 +140,23 @@ def l1_prox(weight: float = 1.0) -> ProxHandle:
     )
 
 
+def _plane(a, b: float, name: str):
+    """(a, b, ||a||^2) of the plane {x : <a, x> = b}, checked once: a normal
+    that is not a nonzero finite vector, or a non-finite b, is refused."""
+    a = np.array(a, dtype=float)
+    nrm2 = float(a @ a) if a.ndim == 1 else np.nan
+    if not 0.0 < nrm2 < np.inf:
+        raise DegenerateConstraintError(
+            f"{name}: normal must be a nonzero finite vector")
+    if not -np.inf < b < np.inf:
+        raise ValueError(f"{name}: offset b must be finite, got {b}")
+    return a, float(b), nrm2
+
+
 def hyperplane_indicator_prox(a: Array, b: float) -> ProxHandle:
     """phi = indicator of {x : <a, x> = b}: prox is the hyperplane projection,
     with the normal checked and ||a||^2 computed once, not on every step."""
-    a = np.array(a, dtype=float)
-    nrm2 = float(a @ a)
-    if not 0.0 < nrm2 < np.inf:
-        raise DegenerateConstraintError(
-            "hyperplane_indicator_prox: normal must be nonzero and finite")
-    if not -np.inf < b < np.inf:
-        raise ValueError(
-            f"hyperplane_indicator_prox: offset b must be finite, got {b}")
+    a, b, nrm2 = _plane(a, b, "hyperplane_indicator_prox")
     return ProxHandle(
         evaluate=lambda z, step: z - ((a @ z - b) / nrm2) * a,
         objective_value=lambda x: 0.0 if abs(float(a @ x) - b) <= 1e-9 else np.inf,

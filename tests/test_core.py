@@ -6,6 +6,7 @@ import sympy
 from numpy.testing import assert_allclose
 
 from conftest import least_squares_grad_one
+from sasc.baselines import BaselineConfig, run_spp
 from sasc.core import (
     _FOLD_BELOW,
     Case,
@@ -32,7 +33,8 @@ from sasc.problems import (
     make_portfolio_problem,
     make_svm_problem,
 )
-from sasc.prox import ProxHandle, l1_prox, zero_prox
+from sasc.prox import (ProxHandle, hyperplane_indicator_prox, l1_prox,
+                       zero_prox)
 from sasc.smoothing import (
     CertificateInputs,
     ConstraintSampler,
@@ -818,7 +820,7 @@ def _one_row_case(seed, kind):
     """(problem, the copy the plain loop steps, config, x*) of one kind.
 
     "l1" and "zero" are bp with h = l1 or 0 (a zero f), "half-sq-l1" bp
-    with f = (1/2)||x||^2, "portfolio" a linear f with a custom h, and
+    with f = (1/2)||x||^2, "portfolio" a linear f with the plane as h, and
     "least-squares" a custom f, stepped by the plain loop through a copy
     whose grad_f averages the one-sample formula over its listed samples.
     """
@@ -927,9 +929,26 @@ class TestRowIterate:
         (dict(f="zero", c=[1.0]), "c is given"),
         (dict(f="linear", c=[1.0, np.nan]), "finite vector"),
         (dict(f="linear", c=np.ones((2, 2))), "finite vector"),
+        (dict(h="hyperplane"), "normal and offset"),
+        (dict(h="hyperplane", normal=[1.0]), "normal and offset"),
+        (dict(h="hyperplane", offset=1.0), "normal and offset"),
+        (dict(h="zero", normal=[1.0], offset=1.0), "normal and offset"),
+        (dict(normal=[1.0], offset=1.0), "normal and offset"),
+        (dict(h="hyperplane", normal=[0.0, 0.0], offset=1.0), "nonzero finite"),
+        (dict(h="hyperplane", normal=[1.0, np.nan], offset=1.0),
+         "nonzero finite"),
+        (dict(h="hyperplane", normal=[np.inf], offset=1.0), "nonzero finite"),
+        (dict(h="hyperplane", normal=[1e200, 1.0], offset=1.0),
+         "nonzero finite"),
+        (dict(h="hyperplane", normal=np.ones((2, 2)), offset=1.0),
+         "nonzero finite"),
+        (dict(h="hyperplane", normal=[1.0], offset=np.nan), "offset b must be"),
+        (dict(h="hyperplane", normal=[1.0], offset=-np.inf), "offset b must be"),
     ])
     def test_structure_is_checked_when_built(self, kinds, message):
-        with pytest.raises(ValueError, match=message):
+        # ||normal||^2 of the 1e200 entry overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                        match=message):
             ObjectiveStructure(**kinds)
 
     def test_zero_f_needs_a_zero_lipschitz_constant(self):
@@ -1004,6 +1023,99 @@ class TestDeclaredStructure:
             CompositeProblem(dim=2, prox_h=zero_prox(),
                              constraints=RowConstraintSet(np.eye(2), 0.0, 1.0),
                              norm_bound=1.0, structure=record)
+
+
+def _plane_problems(seed, epsilon, c=None):
+    """A small portfolio problem, which declares its budget plane, and the
+    same problem with a custom h handing in the plane's prox handle."""
+    plane = make_portfolio_problem(gen_synthetic_returns(60, 8, seed=seed),
+                                   epsilon)
+    if c is not None:
+        plane = dataclasses.replace(plane, structure=dataclasses.replace(
+            plane.structure, c=c))
+    custom = dataclasses.replace(
+        plane, prox_h=hyperplane_indicator_prox(np.ones(8), 1.0),
+        structure=ObjectiveStructure(f="linear", c=plane.structure.c))
+    return plane, custom
+
+
+def _plane_run(problem, solver, seed, spp_step=1e-2):
+    if solver == "spp":
+        return run_spp(problem, BaselineConfig(
+            "spp", step=spp_step, iterations=3000, seed=seed,
+            checkpoint_every=97, eval_samples=50))
+    return run_sasc(problem, SascConfig(
+        alpha0=1.0, omega=1.2, m0=2, sample_budget=3000, minibatch=solver,
+        seed=seed, checkpoint_every=97, eval_samples=50))
+
+
+class TestDeclaredPlane:
+    """h = "hyperplane": the one-row steps project without the prox handle."""
+
+    @pytest.mark.parametrize("epsilon", [0.2, 0.002], ids=["loose", "tight"])
+    @pytest.mark.parametrize("solver", [1, 4, 16, "spp"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_plane_is_the_custom_handle_bit_for_bit(self, seed, solver,
+                                                    epsilon):
+        plane, custom = _plane_problems(seed, epsilon)
+        calls = {}
+        x_bar, trace = _plane_run(_forwarding_copy(plane, calls), solver, seed)
+        want_x, want = _plane_run(custom, solver, seed)
+        assert x_bar.tobytes() == want_x.tobytes()
+        assert abs(float(np.sum(x_bar)) - 1.0) <= 1e-9
+        for name in _TRACE_COLUMNS:
+            assert trace.column(name).tobytes() == \
+                want.column(name).tobytes(), name
+        # only the block step calls the derived handle
+        assert ("prox" in calls) == (solver in (4, 16))
+        if epsilon == 0.002:    # the tight slabs are active
+            assert trace.column("feasibility").max() > 0.0
+
+    @pytest.mark.parametrize("solver, scale, norm_bound, spp_step, where", [
+        (1, 1e300, 0.1, None, (4, 4)),
+        (16, 1e300, 0.1, None, (5, 2)),
+        ("spp", 1e305, 1.0, 100.0, (0, 9)),
+    ])
+    def test_overflow_is_seen_at_the_custom_handles_step(
+            self, solver, scale, norm_bound, spp_step, where):
+        # a huge c, and for sasc an understated norm_bound, drive x past the
+        # largest float after some steps; the plane's bound sees it at the
+        # step where the custom handle's full check does
+        c = scale * np.random.default_rng(3).standard_normal(8)
+        errors = []
+        for problem in _plane_problems(0, 0.2, c):
+            problem = dataclasses.replace(problem, norm_bound=norm_bound)
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+                _plane_run(problem, solver, 0, spp_step)
+            errors.append((exc.value.epoch, exc.value.step))
+        assert errors[0] == errors[1] == where
+
+    def test_plane_is_a_value_of_the_problems_dim(self):
+        record = ObjectiveStructure(h="hyperplane", normal=np.ones(3), offset=1)
+        again = ObjectiveStructure(h="hyperplane", normal=(1.0, 1.0, 1.0),
+                                   offset=1.0)
+        assert record == again and hash(record) == hash(again)
+        assert record.normal == (1.0, 1.0, 1.0) and type(record.offset) is float
+        rows = RowConstraintSet(np.eye(2), 0.0, 1.0)
+        with pytest.raises(ValueError, match="normal has 3 entries, dim is 2"):
+            CompositeProblem(dim=2, grad_f=lambda x, batch: 0.0,
+                             f_value=lambda x, batch: 0.0, constraints=rows,
+                             norm_bound=1.0, structure=record)
+
+    def test_a_copy_that_moves_the_plane_refuses_a_handed_in_handle(self):
+        plane, _ = _plane_problems(0, 0.2)
+        prox = plane.prox_h
+        wrapped = dataclasses.replace(plane, prox_h=ProxHandle(
+            evaluate=lambda z, step: prox.evaluate(z, step),
+            objective_value=lambda x: prox.objective_value(x),
+            is_projection=True))
+        moved = dataclasses.replace(plane.structure, offset=2.0)
+        with pytest.raises(ValueError, match="prox_h was handed in"):
+            dataclasses.replace(wrapped, structure=moved)
+        # the record's own handle is derived afresh for the moved plane
+        z = dataclasses.replace(plane, structure=moved).prox_h.evaluate(
+            np.zeros(8), 1.0)
+        assert z.tobytes() == np.full(8, 0.25).tobytes()
 
 
 def _sym_case1(alpha0, m0, omega, nb, y, sf, r0):

@@ -393,7 +393,8 @@ class TestDeclaredObjectives:
     def test_builders_declare_their_objectives(self):
         kinds = {name: (build()[0].structure.f, build()[0].structure.h)
                  for name, build in _REFERENCES.items()}
-        assert kinds == {"bp": ("zero", "l1"), "portfolio": ("linear", "custom"),
+        assert kinds == {"bp": ("zero", "l1"),
+                         "portfolio": ("linear", "hyperplane"),
                          "svm": ("half_sq_norm", "zero"),
                          "min-norm": ("half_sq_norm", "zero")}
 

@@ -8,10 +8,24 @@ from sasc.prox import (
     ProxHandle,
     hyperplane_indicator_prox,
     l1_prox,
-    project_hyperplane,
     soft_threshold,
     zero_prox,
 )
+
+
+def project_hyperplane(z, a, b):
+    """Project z onto the hyperplane {x : <a, x> = b}.
+
+    The plain reference that ``hyperplane_indicator_prox`` is tested
+    against: it checks the normal and computes ||a||^2 on every call, where
+    the prox handle does both once.
+    """
+    z = np.asarray(z, dtype=float)
+    a = np.asarray(a, dtype=float)
+    nrm2 = float(a @ a)
+    if nrm2 == 0.0:
+        raise DegenerateConstraintError("project_hyperplane: normal vector is zero")
+    return z - ((a @ z - b) / nrm2) * a
 
 
 def grid_argmin_1d(objective, lo, hi, step=1e-4):
