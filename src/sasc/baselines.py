@@ -1,31 +1,31 @@
 """Comparator solvers: projected stochastic gradient, stochastic proximal
 point with alternating projections, and the classic subgradient SVM solver.
 
-All three share the trace/checkpoint machinery of the main driver
-(``core._Recorder``) and are deterministic under a fixed seed. Projected SGD
-and the proximal-point method are iterates of the driver's one step loop
-(``core._drive``), each run as one epoch, so they share its checkpoint and
-divergence rules, and measure on its kind of held-out set
-(``smoothing._EvalSet``), split from the seed the same way. On a row set
-the proximal-point method is a one-row iterate, on the base of sasc's own
-(``core._OneRow``). The SVM solver keeps its own loop on the CSR rows.
+All three are iterates of sasc's one step loop (``core._drive``), each run
+as one epoch, so they share its checkpoint recorder (``core._Recorder``)
+and divergence rule, and are deterministic under a fixed seed. Projected
+SGD and the proximal-point method measure on sasc's kind of held-out set
+(``smoothing._EvalSet``), split from the seed the same way; the SVM solver
+measures on a labeled dataset. On a row set
+the proximal-point method, and always the SVM solver, is a one-row iterate
+on the base of sasc's own (``core._OneRow``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .core import (_V_BOUND, CompositeProblem, _declared_f, _drive, _Iterate,
-                   _OneRow, _Recorder, _row_multiplier, _seeded_run)
+from .core import (CompositeProblem, _check_counts, _declared_f, _drive,
+                   _Iterate, _OneRow, _Recorder, _row_multiplier, _seeded_run)
 from .errors import (ConfigurationError, DegenerateConstraintError,
-                     DivergenceError, UnsupportedProblemError)
+                     UnsupportedProblemError)
+from .problems import _half_sq_norm_problem, _labeled_rows
 from .prox import Array
-from .smoothing import _CHUNK, RowBatch, _batches
+from .smoothing import RowBatch, RowConstraintSet, _batches, _row_norms
 
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
 
@@ -53,12 +53,8 @@ class BaselineConfig:
             raise ConfigurationError(
                 f"{self.method} step must be positive and finite, "
                 f"got {self.step}")
-        if self.iterations < 1:
-            raise ConfigurationError("iterations must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ConfigurationError("checkpoint_every must be >= 1")
-        if self.eval_samples < 1:
-            raise ConfigurationError("eval_samples must be >= 1")
+        _check_counts(self, ("iterations", "checkpoint_every", "eval_samples"),
+                      ("seed",))
 
 
 def _run_one_epoch(it: _Iterate, cfg: BaselineConfig, method: str):
@@ -225,6 +221,35 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     return _run_one_epoch(it, cfg, "spp")
 
 
+class _PegasosIterate(_OneRow):
+    """Pegasos on the labeled rows b_i a_i; its mean is its last point.
+
+    Each draw comes with its 1-based step count t. A step of size
+    eta = 1/(alpha t) scales x by 1 - eta alpha, which never grows an entry,
+    and adds eta times the row when its margin is below 1: only then does
+    the bound grow.
+    """
+
+    mean = _SppIterate.mean
+
+    def draws(self, rng: np.random.Generator, steps: int):
+        return enumerate(super().draws(rng, steps), start=1)
+
+    def step(self, draw, alpha: float, beta: float) -> Optional[float]:
+        """One step on the drawn row; None when x is not finite."""
+        t, (_, i, _, _) = draw
+        cols, vals = self.entries(i)
+        x = self.x
+        margin = float(vals @ x[cols])
+        eta = 1.0 / (alpha * t)
+        x *= 1.0 - eta * alpha
+        if margin < 1.0:
+            x[cols] += eta * vals
+            if self._past_bound(eta, alpha) and not self._rebound(x):
+                return None
+        return eta
+
+
 def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
                 eval_dataset=None, checkpoint_every: int = 100):
     """Stochastic subgradient solver for the relaxed margin formulation.
@@ -233,54 +258,35 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
     x <- (1 - eta_t lam) x + eta_t 1[b <a, x> < 1] b a. The trace records the
     0/1 error on ``eval_dataset`` (the training set when omitted) in the
     feasibility column and the regularized hinge objective in the objective
-    column. Row indices are drawn in chunks of at most ``smoothing._CHUNK``,
-    one generator call each, which consumes ``rng`` exactly as one scalar
-    draw per step; each step reads its row as a slice of the CSR arrays.
-    The settings are checked as a ``BaselineConfig``, whose ``step`` is lam.
-    A held-out set may be narrower than the training set (its missing
-    columns count as zeros), never wider. Since |1 - eta_t lam| <= 1, max |x|
-    stays within (1 + ln T) max |entry| / lam; only when that bound (or
-    1/lam) is not below ``core._V_BOUND`` is x checked in full each step, and
-    a non-finite x raises DivergenceError naming its 1-based step.
+    column. The settings are checked as a ``BaselineConfig``, whose ``step``
+    is lam. A held-out set may be narrower than the training set (its
+    missing columns count as zeros), never wider, and the training set needs
+    a nonzero entry. The problem is min (lam/2)||x||^2 over the CSR rows
+    b a with b <a, x> >= 1, and Pegasos a one-row iterate of it
+    (``core._OneRow``), run as one epoch through ``core._drive`` on
+    ``default_rng(seed)`` itself, so its row indices are one scalar draw per
+    step, drawn in chunks. Returns the last iterate and its trace; a
+    non-finite x raises DivergenceError naming its 1-based step.
     """
     BaselineConfig("pegasos", step=lam, iterations=iterations, seed=seed,
                    checkpoint_every=checkpoint_every)
-    labels = np.asarray(dataset.labels, dtype=float)
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        raise ValueError("labels must lie in {-1, +1}")
+    rows = _labeled_rows(dataset)
     holdout = dataset if eval_dataset is None else eval_dataset
     if holdout.dim > dataset.dim:
         raise ValueError(f"eval_dataset has dim {holdout.dim}, wider than "
                          f"the training set's dim {dataset.dim}")
+    norm = float(_row_norms(rows).max(initial=0.0))
+    if not 0 < norm < math.inf:
+        raise ValueError("run_pegasos: the largest row norm of the training "
+                         f"set must be positive and finite, got {norm}")
+    problem = _half_sq_norm_problem(
+        dataset.dim, RowConstraintSet(rows, 1.0, math.inf), lam, norm)
 
     def evaluate(x):
         margins = holdout.margins(x)
         hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
         return 0.5 * lam * float(x @ x) + hinge, float(np.mean(margins <= 0.0))
 
-    rng = np.random.default_rng(seed)
-    x = np.zeros(dataset.dim)
-    rec = _Recorder(checkpoint_every, evaluate)
-    n = len(dataset)
-    ptr, indices, data = dataset.indptr.tolist(), dataset.indices, dataset.data
-    signs = labels.tolist()
-    draws = chain.from_iterable(
-        rng.integers(0, n, size=min(_CHUNK, iterations - start)).tolist()
-        for start in range(0, iterations, _CHUNK))
-    eta = 1.0 / lam
-    top = float(np.abs(data).max(initial=0.0))
-    scan = not (1.0 + math.log(iterations)) * top * eta < _V_BOUND
-    for t, i in enumerate(draws, start=1):
-        p, q = ptr[i], ptr[i + 1]
-        idx, vals = indices[p:q], data[p:q]
-        b = signs[i]
-        margin = b * float(vals @ x[idx])
-        eta = 1.0 / (lam * t)
-        x *= 1.0 - eta * lam
-        if margin < 1.0:
-            x[idx] += (eta * b) * vals
-        if scan and not np.isfinite(x).all():
-            raise DivergenceError(epoch=0, step=t)
-        if t >= rec.due:
-            rec.record(x, t, 0, eta)
-    return x, rec.finish(x, iterations, 0, eta)
+    return _drive(_PegasosIterate(problem, rows), np.random.default_rng(seed),
+                  _Recorder(checkpoint_every, evaluate),
+                  [(lam, 0.0, iterations)], np.zeros(dataset.dim))

@@ -16,6 +16,7 @@ deterministic checks of every parameter inequality the schedules are proven to s
 from __future__ import annotations
 
 import math
+import operator
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -232,6 +233,22 @@ class CompositeProblem:
                 raise ValueError(f"CompositeProblem: a custom kind needs {name}")
 
 
+def _check_counts(cfg, positive: tuple, nonnegative: tuple) -> None:
+    """Refuse a field of ``cfg`` that is set and is not an integer >= 1 if
+    named in ``positive``, >= 0 if in ``nonnegative`` (a seed). Numpy
+    integers pass, as ``operator.index`` takes them."""
+    for name in positive + nonnegative:
+        value = getattr(cfg, name)
+        least = 1 if name in positive else 0
+        try:
+            below = value is not None and operator.index(value) < least
+        except TypeError:
+            raise ConfigurationError(
+                f"{name} must be an integer, got {value!r}") from None
+        if below:
+            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class SascConfig:
     """Run parameters: initial step/smoothness scale, epoch growth, budget.
@@ -267,20 +284,12 @@ class SascConfig:
         if not 1 < self.omega < math.inf:
             raise ConfigurationError(
                 f"omega must exceed 1 and be finite, got {self.omega}")
-        if self.m0 < 1:
-            raise ConfigurationError(f"m0 must be a positive integer, got {self.m0}")
-        if self.minibatch < 1:
-            raise ConfigurationError("minibatch must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ConfigurationError("checkpoint_every must be >= 1")
-        if self.eval_samples < 1:
-            raise ConfigurationError("eval_samples must be >= 1")
+        _check_counts(self, ("m0", "minibatch", "checkpoint_every",
+                             "eval_samples", "epochs"), ("sample_budget", "seed"))
         if (self.epochs is None) == (self.sample_budget is None):
             raise ConfigurationError(
                 "exactly one of epochs or sample_budget must be set"
             )
-        if self.epochs is not None and self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
         if self.sample_budget is not None and self.sample_budget < self.m0:
             raise ConfigurationError(
                 f"sample_budget {self.sample_budget} cannot fit the first epoch "
@@ -542,7 +551,8 @@ class _OneRow(_Iterate):
     times ``max_value``, the largest stored |row entry|, and alpha times
     ``growth``; the plane's projection adds its own shift (``_prox_h``).
     Only past ``_V_BOUND`` is the array checked in full, and the bound
-    restarts from it; so finiteness costs no O(d) pass.
+    restarts from it; so finiteness costs no O(d) pass. ``entries(i)``
+    reads one row's stored entries, dense or CSR.
     """
 
     def __init__(self, problem: CompositeProblem, rows, per_step: int = 1):
@@ -556,7 +566,9 @@ class _OneRow(_Iterate):
             a = self.normal = np.array(st.normal)
             self.offset, self.normal_sq = st.offset, float(a @ a)
             self.normal_max = max(map(abs, st.normal))
-        values = rows.data if isinstance(rows, _CsrRows) else rows
+        csr = isinstance(rows, _CsrRows)
+        self.ptr = rows.indptr.tolist() if csr else None
+        values = rows.data if csr else rows
         self.max_value = max(float(values.max(initial=0.0)),
                              -float(values.min(initial=0.0)))
         # A half-square f adds nothing: SPP's prox divides x, and sasc's
@@ -575,6 +587,14 @@ class _OneRow(_Iterate):
                          if self.custom_f else repeat(None))
             yield from zip(objective, chunk.idx[last].tolist(),
                            chunk.lo[last].tolist(), chunk.hi[last].tolist())
+
+    def entries(self, i: int):
+        """(columns, values) of row i: a CSR row's stored entries as views,
+        sliced at the Python ints of ``ptr``, or a dense row whole."""
+        if self.ptr is None:
+            return slice(None), self.rows[i]
+        p, q = self.ptr[i], self.ptr[i + 1]
+        return self.rows.indices[p:q], self.rows.data[p:q]
 
     def start(self, x: Array) -> None:
         super().start(x)
@@ -652,10 +672,6 @@ class _ScaledIterate(_OneRow):
     def __init__(self, problem: CompositeProblem, rows):
         super().__init__(problem, rows)
         self.mu = problem.mu
-        if isinstance(rows, _CsrRows):
-            self.entries = rows.entries
-        else:
-            self.entries = lambda i: (slice(None), rows[i])
 
     def start(self, x: Array) -> None:
         self.v = x.copy()
@@ -721,7 +737,7 @@ def _iterate(problem: CompositeProblem, cfg: SascConfig):
 
 
 def _drive(it, rng, rec, epochs, x, restart_from_mean=False, callback=None):
-    """The one step loop of sasc, projected SGD and SPP: (last mean, trace).
+    """The one step loop of sasc and its three baselines: (last mean, trace).
 
     Each epoch (alpha, beta, m) starts ``it`` from x and takes m steps on
     ``it.draws(rng, m)``, each counting ``it.samples`` samples. A step

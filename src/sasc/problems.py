@@ -267,27 +267,34 @@ def make_svm_problem(dataset: LabeledSparseDataset) -> CompositeProblem:
     The constraint rows b_i a_i / ||a_i|| are CSR rows that share the
     dataset's ``indptr`` and ``indices``; only the scaled values are new.
     """
+    # a zero row cannot meet b_i <a_i, x> >= 1, so normalized refuses it
+    return _half_sq_norm_problem(dataset.dim, RowConstraintSet.normalized(
+        _labeled_rows(dataset), 1.0, np.inf))
+
+
+def _labeled_rows(dataset: LabeledSparseDataset) -> _CsrRows:
+    """The CSR rows b_i a_i of a dataset whose labels b_i lie in {-1, +1},
+    sharing its ``indptr`` and ``indices``."""
     labels = np.asarray(dataset.labels, dtype=float)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must lie in {-1, +1}")
     labeled = dataset.data * np.repeat(labels, np.diff(dataset.indptr))
-    rows = _CsrRows(dataset.indptr, dataset.indices, labeled, dataset.dim)
-    # a zero row cannot meet b_i <a_i, x> >= 1, so normalized refuses it
-    return _half_sq_norm_problem(
-        dataset.dim, RowConstraintSet.normalized(rows, 1.0, np.inf))
+    return _CsrRows(dataset.indptr, dataset.indices, labeled, dataset.dim)
 
 
-def _half_sq_norm_problem(dim: int,
-                          constraints: RowConstraintSet) -> CompositeProblem:
-    """min (1/2)||x||^2 over unit-norm constraint rows: mu = L = 1, h = 0.
+def _half_sq_norm_problem(dim: int, constraints: RowConstraintSet,
+                          mu: float = 1.0, norm_bound: float = 1.0
+                          ) -> CompositeProblem:
+    """min (mu/2)||x||^2 over the constraint rows, h = 0; by default over
+    unit-norm rows with mu = L = 1.
 
     Declared as such, so ``run_sasc`` steps its single rows in scaled form.
     """
     return CompositeProblem(
         dim=dim,
         constraints=constraints,
-        norm_bound=1.0,
-        mu=1.0,
+        norm_bound=norm_bound,
+        mu=mu,
         structure=ObjectiveStructure(f="half_sq_norm", h="zero"),
     )
 

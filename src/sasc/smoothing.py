@@ -77,9 +77,9 @@ class _CsrRows:
     ``indices[...]`` of the same positions. It supports exactly what the
     solvers apply to ``RowConstraintSet.rows``: ``shape``, ``ndim``,
     ``take(idx)`` (another block), ``rows[i]`` (one dense row), ``R @ x``
-    (the row products) and ``g @ R`` (a dense d-vector). ``entries(i)``
-    gives one row's stored entries, on which the scaled one-row step works
-    without building a block.
+    (the row products) and ``g @ R`` (a dense d-vector). The one-row steps
+    read a row's stored entries by slicing ``indices`` and ``data``
+    (``core._OneRow.entries``).
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")
@@ -92,11 +92,6 @@ class _CsrRows:
         self.data = data
         self.shape = (len(indptr) - 1, dim)
 
-    def entries(self, i):
-        """(columns, values) of row i's stored entries, as views."""
-        p, q = self.indptr[i], self.indptr[i + 1]
-        return self.indices[p:q], self.data[p:q]
-
     def take(self, idx, axis: int = 0) -> "_CsrRows":
         starts = self.indptr[idx]
         counts = self.indptr[np.asarray(idx) + 1] - starts
@@ -106,9 +101,10 @@ class _CsrRows:
                         self.shape[1])
 
     def __getitem__(self, i):
-        cols, vals = self.entries(range(self.shape[0])[i])
+        i = range(self.shape[0])[i]
+        p, q = self.indptr[i], self.indptr[i + 1]
         row = np.zeros(self.shape[1])
-        row[cols] = vals
+        row[self.indices[p:q]] = self.data[p:q]
         return row
 
     def __matmul__(self, x: Array) -> Array:

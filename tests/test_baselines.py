@@ -16,10 +16,12 @@ from sasc.baselines import (
     run_spp,
 )
 from sasc.core import (
+    _V_BOUND,
     CompositeProblem,
     ObjectiveStructure,
     SascConfig,
     _declared_f,
+    _OneRow,
     run_sasc,
 )
 from sasc.errors import (
@@ -567,6 +569,36 @@ class TestPegasos:
         assert np.array_equal(x, x_ref)
         assert trace.column("feasibility").tolist() == errs_ref
 
+    def test_bound_past_v_bound_with_finite_x_keeps_bits(self, monkeypatch):
+        # eta_1 = 1/lam = 1e152 puts the bound past _V_BOUND at the first
+        # step while x stays finite, so x is checked in full by _rebound
+        # and the run goes on with the scalar loop's bits
+        rebounds = []   # the bound each call restarts from
+        rebound = _OneRow._rebound
+
+        def counted(self, a):
+            rebounds.append(getattr(self, "bound", 0.0))
+            return rebound(self, a)
+
+        monkeypatch.setattr(_OneRow, "_rebound", counted)
+        train = gen_separable_svm(6, 80, margin=0.3, seed=31)
+        rows = [tuple(a.copy() for a in train.row(i)) for i in range(len(train))]
+        x_ref, errs_ref = self._reference(rows, train.labels, 1e-152, 600, 32,
+                                          train, 100)
+        x, trace = run_pegasos(train, 1e-152, 600, seed=32,
+                               checkpoint_every=100)
+        assert np.isfinite(x_ref).all()
+        assert np.array_equal(x, x_ref)
+        assert trace.column("feasibility").tolist() == errs_ref
+        # the start's rebound, then one per step that grew the bound past it
+        assert len(rebounds) > 1 and max(rebounds) >= _V_BOUND
+
+    def test_training_set_without_entries_is_refused(self):
+        empty = LabeledSparseDataset.from_rows([[], []], [[], []],
+                                               np.array([1.0, -1.0]), 3)
+        with pytest.raises(ValueError, match="run_pegasos"):
+            run_pegasos(empty, lam=0.1, iterations=5)
+
 
 class TestBaselineConfig:
     def test_validation(self):
@@ -581,6 +613,51 @@ class TestBaselineConfig:
             BaselineConfig("spp", step=1.0, iterations=1, checkpoint_every=0)
         with pytest.raises(ConfigurationError, match="eval_samples"):
             BaselineConfig("spp", step=1.0, iterations=1, eval_samples=0)
+
+    @pytest.mark.parametrize("build, message", [
+        *[(lambda name=name, v=v: SascConfig(**{
+            "alpha0": 0.5, "omega": 2.0, "m0": 4, "epochs": 2, name: v}),
+           f"{name} must be an integer")
+          for name, v in (("m0", 2.5), ("epochs", 2.5), ("minibatch", 2.0),
+                          ("checkpoint_every", 10.5), ("eval_samples", 10.5),
+                          ("seed", 1.0), ("seed", "0"))],
+        (lambda: SascConfig(alpha0=0.5, omega=2.0, m0=4, sample_budget=100.0),
+         "sample_budget must be an integer"),
+        *[(lambda name=name, v=v: BaselineConfig(
+            **{"method": "sgd", "step": 1.0, "iterations": 10, name: v}),
+           f"{name} must be an integer")
+          for name, v in (("iterations", 100.0), ("seed", 0.5),
+                          ("checkpoint_every", 10.5), ("eval_samples", 20.0))],
+        (lambda: run_pegasos(gen_separable_svm(2, 10, margin=0.5, seed=0),
+                             0.1, 20.0), "iterations must be an integer"),
+        # a seed may be 0, never negative: numpy's SeedSequence refuses it
+        (lambda: SascConfig(alpha0=0.5, omega=2.0, m0=4, epochs=2, seed=-1),
+         "seed must be >= 0"),
+        (lambda: BaselineConfig("spp", step=1.0, iterations=10, seed=-1),
+         "seed must be >= 0"),
+    ], ids=["sasc-m0", "sasc-epochs", "sasc-minibatch",
+            "sasc-checkpoint-every", "sasc-eval-samples", "sasc-seed",
+            "sasc-seed-str", "sasc-sample-budget", "baseline-iterations",
+            "baseline-seed", "baseline-checkpoint-every",
+            "baseline-eval-samples", "pegasos-iterations",
+            "sasc-seed-negative", "baseline-seed-negative"])
+    def test_counts_are_integers(self, build, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}"):
+            build()
+
+    def test_numpy_integer_counts_pass(self):
+        i = np.int64
+        cfg = SascConfig(alpha0=0.5, omega=2.0, m0=i(4), sample_budget=i(40),
+                         seed=i(1), minibatch=i(2), checkpoint_every=i(10),
+                         eval_samples=np.int32(5))
+        x, trace = run_sasc(make_bp_problem(_bp_instance()), cfg)
+        assert trace.records[-1].samples == 2 * (4 + 8 + 16)
+        base = BaselineConfig("spp", step=1e-3, iterations=i(30), seed=i(2),
+                              checkpoint_every=i(10), eval_samples=i(5))
+        assert len(run_spp(make_bp_problem(_bp_instance()), base)[1]) == 3
+        ds = gen_separable_svm(2, 10, margin=0.5, seed=0)
+        assert len(run_pegasos(ds, 0.1, i(20), seed=i(3),
+                               checkpoint_every=i(10))[1]) == 2
 
     def test_solvers_refuse_another_methods_config(self):
         inst = gen_basis_pursuit(10, 100, 2, 0.5, seed=0)
