@@ -50,7 +50,6 @@ from .prox import (
     SetProjector,
     hyperplane_indicator_prox,
     l1_prox,
-    soft_threshold,
     zero_prox,
 )
 from .smoothing import (

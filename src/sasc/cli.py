@@ -481,6 +481,9 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         opts = _merge_options(ns.cmd, ns)
+        # before any output, and before a handler seeds a generator with it
+        if opts.get("seed", 0) < 0:
+            raise UsageError(f"seed must be >= 0, got {opts['seed']}")
         if "solver" in opts:
             _check_solver_settings(ns.cmd, opts)
         return _HANDLERS[ns.cmd](opts)

@@ -421,14 +421,24 @@ def _row_multiplier(vals: Array, x: Array, lo: float, hi: float,
     return (z - _clip(z, lo, hi)) / beta
 
 
+def _block_multiplier(batch: RowBatch, x: Array, beta: float) -> Array:
+    """g = (z - clip(z, lo, hi)) / (B beta) at z = R x, R the batch's B rows.
+
+    A row batch's smoothed-penalty multipliers, each divided by B so that
+    g R is the batch's mean penalty gradient: ``_direction`` and the block
+    steps of ``_RowIterate`` take them from here.
+    """
+    z = batch.rows @ x
+    return (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta * len(z))
+
+
 def _direction(x: Array, batch, beta_s: float,
                problem: CompositeProblem) -> Array:
     """Mean step direction over a batch; one vectorized step for row batches.
 
-    A RowBatch of B rows R = ``batch.rows`` with endpoints lo, hi gives
-    z = R x, g = (z - clip(z, lo, hi)) / (B beta_s) and
-    d = grad_f(x, batch) + R^T g. Any other batch sums the penalty
-    gradients of its samples.
+    A RowBatch of B rows R = ``batch.rows`` gives
+    d = grad_f(x, batch) + g R, g its ``_block_multiplier``. Any other batch
+    sums the penalty gradients of its samples.
     """
     if not isinstance(batch, RowBatch):
         penalty = None
@@ -437,10 +447,8 @@ def _direction(x: Array, batch, beta_s: float,
             g = sample.adjoint((z - sample.set_proj.project(z)) / beta_s)
             penalty = g if penalty is None else penalty + g
         return problem.grad_f(x, batch) + penalty / len(batch)
-    R = batch.rows
-    z = R @ x
-    g = (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta_s * len(z))
-    return problem.grad_f(x, batch) + g @ R
+    g = _block_multiplier(batch, x, beta_s)
+    return problem.grad_f(x, batch) + g @ batch.rows
 
 
 class _Recorder:
@@ -498,8 +506,10 @@ def _seeded_run(problem: CompositeProblem, cfg, x_ref: Optional[Array] = None):
 class _Iterate:
     """The iterate x of an epoch and the running sum of its values.
 
-    Any problem and batch: one step is ``_direction`` and the prox of h.
-    Each step counts ``samples`` samples, its batch size.
+    The base of every iterate, and sasc's own step on a sampler that is not
+    a row set: ``_direction`` on the step's listed samples, the prox handle
+    of h and a full finiteness check of x. Each step counts ``samples``
+    samples, its batch size.
     """
 
     def __init__(self, problem: CompositeProblem, samples: int):
@@ -515,10 +525,8 @@ class _Iterate:
 
     def step(self, batch, alpha: float, beta: float) -> Optional[float]:
         """One step of size alpha; None when the new iterate is not finite."""
-        p = self.problem
-        x = p.prox_h.evaluate(self.x - alpha * _direction(self.x, batch, beta, p),
-                              alpha)
-        self.x = x
+        d = _direction(self.x, batch, beta, self.problem)
+        x = self.x = self.problem.prox_h.evaluate(self.x - alpha * d, alpha)
         if not np.isfinite(x).all():
             return None
         self.total += x
@@ -541,15 +549,19 @@ _FOLD_BELOW = 1e-3
 
 
 class _OneRow(_Iterate):
-    """The one-row iterates' base: scalar draws, h's prox, a finiteness bound.
+    """The row-set iterates' base: scalar draws, h's prox, a finiteness bound.
 
+    Every sasc, SPP and Pegasos run on a row set steps one of its
+    subclasses: sasc's ``_RowIterate`` and ``_ScaledIterate``, SPP's and
+    Pegasos's iterates.
     ``draws`` yields each step's (objective, row, lo, hi), read as Python
     scalars from the row set's chunks of ``per_step`` draws: the row is the
     step's last draw, and ``objective`` its first as a batch of one for a
     custom f, else None. ``bound`` dominates max |entry| of the array a
-    step moves: a step of coef times a row and of size alpha adds |coef|
-    times ``max_value``, the largest stored |row entry|, and alpha times
-    ``growth``; the plane's projection adds its own shift (``_prox_h``).
+    step moves: a step of coef times a row (or of rows whose |coefs| sum to
+    coef) and of size alpha adds |coef| times ``max_value``, the largest
+    stored |row entry|, and alpha times ``growth``; the plane's projection
+    adds its own shift (``_prox_h``).
     Only past ``_V_BOUND`` is the array checked in full, and the bound
     restarts from it; so finiteness costs no O(d) pass. ``entries(i)``
     reads one row's stored entries, dense or CSR.
@@ -626,29 +638,45 @@ class _OneRow(_Iterate):
 
 
 class _RowIterate(_OneRow):
-    """x itself, one dense row per step, for any f and h.
+    """x itself on a row set, for any f and h and any minibatch.
 
-    A step is d = g row + grad_f(x, objective), g the row's multiplier and
-    no gradient for a zero f, then x <- prox_h(x - alpha d): the plain
-    step's arithmetic in its order, so x_bar keeps its bits. Dropping a
-    zero f's 0.0 + can flip the sign of a zero entry of x, never x_bar.
+    A step is d = g R + grad_f(x, batch), g the multipliers of the step's
+    rows R and no gradient for a zero f, then x <- prox_h(x - alpha d) by
+    ``_prox_h``: the plain step's arithmetic in its order, so x_bar keeps
+    its bits. One dense row per step is read as Python scalars
+    (``_OneRow.draws``, ``_row_multiplier``); a block of ``samples`` rows,
+    or a CSR row, is a RowBatch from ``smoothing._batches`` with
+    ``_block_multiplier``'s g, and the bound grows by alpha sum |g_i|
+    ``max_value``. Dropping a zero f's 0.0 + can flip the sign of a zero
+    entry of x, never x_bar.
     """
 
-    def __init__(self, problem: CompositeProblem, rows: Array):
+    def __init__(self, problem: CompositeProblem, rows, samples: int = 1):
         super().__init__(problem, rows)
+        self.samples = samples
+        self.block = samples > 1 or self.ptr is not None
         self.grad_f = None if problem.structure.f == "zero" else problem.grad_f
 
+    def draws(self, rng: np.random.Generator, steps: int):
+        return (_Iterate if self.block else _OneRow).draws(self, rng, steps)
+
     def step(self, draw, alpha: float, beta: float) -> Optional[float]:
-        """One step on the drawn row; None when x is not finite."""
-        objective, i, lo, hi = draw
-        row, x = self.rows[i], self.x
-        g = _row_multiplier(row, x, lo, hi, beta)
-        d = g * row
+        """One step on the drawn rows; None when x is not finite."""
+        x = self.x
+        if self.block:
+            g = _block_multiplier(draw, x, beta)
+            d = g @ draw.rows
+            coef, batch = sum(map(abs, g.tolist())), draw
+        else:
+            batch, i, lo, hi = draw
+            row = self.rows[i]
+            coef = _row_multiplier(row, x, lo, hi, beta)
+            d = coef * row
         if self.grad_f is not None:
-            d += self.grad_f(x, objective)
+            d += self.grad_f(x, batch)
         d *= alpha
         x = self.x = self._prox_h(np.subtract(x, d, out=d), alpha)
-        if self._past_bound(alpha * g, alpha) and not self._rebound(x):
+        if self._past_bound(alpha * coef, alpha) and not self._rebound(x):
             return None
         self.total += x
         return alpha
@@ -719,21 +747,21 @@ class _ScaledIterate(_OneRow):
 def _iterate(problem: CompositeProblem, cfg: SascConfig):
     """The iterate a run steps, chosen by the problem's declared structure.
 
-    With one row per step on a row set (recognised by its support, a
-    RowBatch, so a sampler that forwards to one, as the benchmark's traced
-    copy does, is too): a half_sq_norm f with h = 0 steps in scaled form,
-    dense or CSR, and any other structure on dense rows steps x itself.
-    Every other run takes the plain step on its batches.
+    On a row set (recognised by its support, a RowBatch, so a sampler that
+    forwards to one, as the benchmark's traced copy does, is too), a
+    half_sq_norm f with h = 0 at one row per step steps in scaled form
+    (``_ScaledIterate``), dense or CSR, and every other run steps x itself
+    (``_RowIterate``), dense or CSR, at any minibatch. Only a sampler that
+    is not a row set takes the plain step on its listed samples
+    (``_Iterate``).
     """
-    if cfg.minibatch == 1:
-        support = problem.constraints.support()
-        rows = support.rows if isinstance(support, RowBatch) else None
-        st = problem.structure
-        if rows is not None and st.f == "half_sq_norm" and st.h == "zero":
-            return _ScaledIterate(problem, rows)
-        if isinstance(rows, np.ndarray):
-            return _RowIterate(problem, rows)
-    return _Iterate(problem, cfg.minibatch)
+    support = problem.constraints.support()
+    if not isinstance(support, RowBatch):
+        return _Iterate(problem, cfg.minibatch)
+    st = problem.structure
+    if cfg.minibatch == 1 and st.f == "half_sq_norm" and st.h == "zero":
+        return _ScaledIterate(problem, support.rows)
+    return _RowIterate(problem, support.rows, cfg.minibatch)
 
 
 def _drive(it, rng, rec, epochs, x, restart_from_mean=False, callback=None):
@@ -778,11 +806,13 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
     ``cfg.checkpoint_every`` samples on the running epoch average, evaluated
     against a held-out validation sample set so that measurement never
     perturbs the training stream. The epochs run through ``_drive``, the
-    baselines' step loop too. One row per step on a row set takes a
-    one-row iterate (``_iterate``): a min-norm problem keeps x in scaled
-    form (``_ScaledIterate``), whose arithmetic differs from the plain step
-    in the last bits; any other problem on dense rows steps x on Python
-    scalars (``_RowIterate``), with the plain step's bits. Output is
+    baselines' step loop too. A row set takes a row-set iterate
+    (``_iterate``): a min-norm problem at one row per step keeps x in
+    scaled form (``_ScaledIterate``), whose arithmetic differs from the
+    plain step in the last bits; every other run on a row set, any f, h
+    and minibatch, dense or CSR rows, steps x itself (``_RowIterate``),
+    with the plain step's bits and no call of a declared kind's handles.
+    Any other sampler takes the plain step (``_Iterate``). Output is
     bit-identical for identical (problem data, cfg, seed).
     """
     cfg.validate(problem)

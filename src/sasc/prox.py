@@ -18,28 +18,15 @@ from .errors import DegenerateConstraintError
 Array = np.ndarray
 
 
-def soft_threshold(z: Array, tau: float) -> Array:
-    """prox of tau*||.||_1: componentwise sign(z) * max(|z| - tau, 0).
-
-    A zero result carries the sign of its input: -0.0 maps to -0.0.
-    """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("soft_threshold: input has non-finite components")
-    if not 0 < tau < np.inf:
-        raise ValueError(
-            f"soft_threshold: tau must be positive and finite, got {tau}")
-    return _shrink(z, tau)
-
-
 def _shrink(z: Array, tau: float) -> Array:
-    """soft_threshold without its checks, for the solvers' per-step prox.
+    """Soft thresholding, the prox of tau ||.||_1, with no checks: the l1
+    prox handle's and the row-set steps' own.
 
     Computes copysign(max(|z| - tau, 0), z) in one new buffer, with four
     ufuncs and no temporaries. A zero result takes the sign of its input, so
     a -0.0 component gives -0.0 (sign(z) * ... would give +0.0 there and
     agrees everywhere else). A non-finite component of z stays non-finite,
-    so the solvers' own per-step finiteness check still catches it.
+    so the solvers' own finiteness checks still catch it.
     """
     out = np.abs(z)
     if out.ndim == 0:       # a 0-d z gives a numpy scalar, not a buffer
@@ -122,7 +109,10 @@ def zero_prox() -> ProxHandle:
 
 
 def l1_prox(weight: float = 1.0) -> ProxHandle:
-    """phi = weight * ||.||_1: prox is soft thresholding."""
+    """phi = weight * ||.||_1: prox is soft thresholding by step * weight.
+
+    A zero result carries the sign of its input: -0.0 maps to -0.0.
+    """
     if not 0 < weight < np.inf:
         raise ValueError(
             f"l1_prox: weight must be positive and finite, got {weight}")

@@ -27,7 +27,7 @@ PUBLIC_NAMES = {
     "make_bp_problem", "make_min_norm_hyperplane_problem",
     "make_portfolio_problem", "make_svm_problem", "reference_solution",
     "BoxSet", "CustomSet", "ProxHandle", "SetProjector",
-    "hyperplane_indicator_prox", "l1_prox", "soft_threshold", "zero_prox",
+    "hyperplane_indicator_prox", "l1_prox", "zero_prox",
     "CertificateInputs", "ConstraintSample", "ConstraintSampler", "RowBatch",
     "RowConstraintSet", "feasibility_metric", "saddle_point_residuals",
     "moreau_grad", "smoothed_gap",

@@ -14,6 +14,11 @@ from sasc.core import (
     ObjectiveStructure,
     SascConfig,
     _direction,
+    _iterate,
+    _Iterate,
+    _OneRow,
+    _RowIterate,
+    _ScaledIterate,
     _seeded_run,
     bound_curves,
     rate_constants,
@@ -772,28 +777,31 @@ class TestScaledStep:
 
 
 def _plain_bp_run(problem, cfg, x_ref=None):
-    """run_sasc's (x_bar, trace) on a bp-like problem by a plain loop.
+    """run_sasc's (x_bar, trace) on a row set by a plain loop.
 
-    Every step draws one row index, takes ``_direction`` on that row as a
-    one-sample list, applies ``prox_h.evaluate`` and checks the new x in
-    full with ``np.isfinite``; checkpoints are recorded on the running
-    average as run_sasc records them, on the same held-out set.
+    Every step draws ``cfg.minibatch`` row indices and takes ``_direction``
+    on them: one dense row as a one-sample list, a block of rows or a CSR
+    row as their RowBatch. It applies ``prox_h.evaluate`` and checks the
+    new x in full with ``np.isfinite``; checkpoints are recorded on the
+    running average as run_sasc records them, on the same held-out set.
     """
     rng, rec = _seeded_run(problem, cfg, x_ref)
-    rows = problem.constraints
+    rows, per_step = problem.constraints, cfg.minibatch
+    listed = per_step == 1 and isinstance(rows.rows, np.ndarray)
     x = np.zeros(problem.dim)
     seen = 0
     for s in range(cfg.planned_epochs()):
         alpha, beta, m = schedule_params(cfg, s, problem.norm_bound)
         total = np.zeros_like(x)
         for k in range(m):
-            sample = rows.sample(int(rng.integers(len(rows))))
+            idx = rng.integers(0, len(rows), size=per_step)
+            batch = [rows.sample(int(idx[0]))] if listed else RowBatch(rows, idx)
             x = problem.prox_h.evaluate(
-                x - alpha * _direction(x, [sample], beta, problem), alpha)
+                x - alpha * _direction(x, batch, beta, problem), alpha)
             if not np.isfinite(x).all():
                 raise DivergenceError(epoch=s, step=k + 1)
             total += x
-            seen += 1
+            seen += per_step
             if seen >= rec.due:
                 rec.record(total / (k + 1), seen, s, alpha, beta)
         x_bar = total / m
@@ -814,6 +822,43 @@ def _bp(seed, h):
     cfg = SascConfig(alpha0=0.05, omega=2.0, m0=200, epochs=4, seed=seed,
                      checkpoint_every=97, eval_samples=50)
     return problem, cfg, inst.x_star
+
+
+def _on_csr_rows(problem):
+    """The problem on CSR rows that store its dense rows' nonzero entries."""
+    dense = problem.constraints
+    rows, d = dense.rows, problem.dim
+    nnz = np.flatnonzero(rows.ravel() != 0.0)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(rows, axis=1))))
+    csr = _CsrRows(indptr, nnz % d, rows.ravel()[nnz], d)
+    return dataclasses.replace(
+        problem, constraints=RowConstraintSet(csr, dense.lo, dense.hi))
+
+
+def _row_set_case(kind):
+    """(problem, config, x*) of a seed-0 run of one kind on a row set.
+
+    "l1" and "zero" are bp with h = l1 or 0 (a zero f), "l1-csr" the l1
+    one on CSR rows, "half-sq-csr" bp with f = (1/2)||x||^2 and h = 0 on
+    CSR rows, "least-squares" a custom f, and "plane-tight" a portfolio
+    problem (a linear f and the budget plane) whose slabs are active.
+    """
+    if kind == "plane-tight":
+        problem = make_portfolio_problem(gen_synthetic_returns(60, 8, seed=0),
+                                         0.002)
+        return problem, SascConfig(alpha0=1.0, omega=2.0, m0=200, epochs=4,
+                                   checkpoint_every=97, eval_samples=50), None
+    problem, cfg, x_star = _bp(0, "zero" if kind == "zero" else "l1")
+    if kind == "least-squares":
+        problem = make_bp_least_squares_problem(
+            gen_basis_pursuit(20, 300, 3, 0.9, seed=0))
+    if kind == "half-sq-csr":
+        problem = dataclasses.replace(
+            problem, mu=1.0,
+            structure=ObjectiveStructure(f="half_sq_norm", h="zero"))
+    if kind.endswith("-csr"):
+        problem = _on_csr_rows(problem)
+    return problem, cfg, x_star
 
 
 def _one_row_case(seed, kind):
@@ -902,22 +947,88 @@ class TestRowIterate:
         assert "grad_f" not in calls and "prox" not in calls
         assert calls["distances"] == calls["f_value"] == len(trace)
 
-    def test_sparse_rows_take_the_plain_step(self):
-        # the one-row iterate reads dense rows; CSR rows of a zero-f, l1
-        # problem step through the batches as before
+    def test_sparse_rows_take_the_block_step(self):
+        # CSR rows of a zero-f, l1 problem step as blocks of one row, on
+        # its stored entries, calling neither the zero f's grad_f nor the
+        # derived prox handle
         problem, cfg, _ = _bp(1, "l1")
-        dense = problem.constraints
-        nnz = np.flatnonzero(dense.rows.ravel() != 0.0)
-        d = problem.dim
-        csr = RowConstraintSet(
-            _CsrRows(np.arange(len(dense) + 1) * d, nnz % d,
-                     dense.rows.ravel()[nnz], d), dense.lo, dense.hi)
         calls = {}
-        sparse = _forwarding_copy(
-            dataclasses.replace(problem, constraints=csr), calls)
-        x_sparse, _ = run_sasc(sparse, cfg)
-        assert calls["grad_f"] > 0
+        x_sparse, _ = run_sasc(_forwarding_copy(_on_csr_rows(problem), calls),
+                               cfg)
+        assert "grad_f" not in calls and "prox" not in calls
         assert_allclose(x_sparse, run_sasc(problem, cfg)[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("kind, minibatch", [
+        *[(kind, b) for kind in ("zero", "l1", "plane-tight")
+          for b in (1, 4, 16)],
+        ("half-sq-csr", 4), ("least-squares", 4), ("l1-csr", 1), ("l1-csr", 4),
+    ])
+    def test_every_row_set_run_is_the_plain_loop_bit_for_bit(
+            self, kind, minibatch, monkeypatch):
+        # the traced copy against _direction and the prox handle, step by
+        # step: x_bar and every trace column keep their bits, no step calls
+        # a declared h's handle or a zero f's grad_f, and with f and h both
+        # declared x is scanned in full only when an epoch starts
+        problem, cfg, x_star = _row_set_case(kind)
+        cfg = dataclasses.replace(cfg, minibatch=minibatch)
+        scans, rebound = [], _OneRow._rebound
+        monkeypatch.setattr(_OneRow, "_rebound",
+                            lambda it, a: scans.append(1) or rebound(it, a))
+        calls = {}
+        x_bar, trace = run_sasc(_forwarding_copy(problem, calls), cfg,
+                                cert=CertificateInputs(x_star=x_star))
+        want_x, want = _plain_bp_run(problem, cfg, x_star)
+        assert x_bar.tobytes() == want_x.tobytes()
+        assert len(trace) == len(want) > 4 * cfg.epochs
+        for name in _TRACE_COLUMNS:
+            assert trace.column(name).tobytes() == \
+                want.column(name).tobytes(), name
+        st = problem.structure
+        assert "prox" not in calls
+        assert ("grad_f" in calls) == (st.f != "zero")
+        if st.f != "custom":
+            assert len(scans) == cfg.epochs
+        if kind == "plane-tight":
+            assert trace.column("feasibility").max() > 0.0
+
+    @pytest.mark.parametrize("kind", ["l1", "l1-csr"])
+    def test_block_divergence_names_the_plain_loops_epoch_and_step(self,
+                                                                   kind):
+        # as for one row: the bound, grown by alpha sum |g_i| max |entry|,
+        # sees x leave the floats at the step where the full check does
+        problem, cfg, _ = _row_set_case(kind)
+        problem = dataclasses.replace(problem, norm_bound=0.01)
+        cfg = dataclasses.replace(cfg, alpha0=0.5, minibatch=4)
+        errors = []
+        for run in (run_sasc, _plain_bp_run):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+                run(problem, cfg)
+            errors.append((exc.value.epoch, exc.value.step))
+        assert errors[0] == errors[1] == (0, 103)
+
+    @pytest.mark.parametrize("minibatch", [1, 4])
+    def test_only_a_sampler_that_is_not_a_row_set_takes_the_plain_step(
+            self, minibatch):
+        problem, cfg, _ = _bp(0, "l1")
+        cfg = dataclasses.replace(cfg, minibatch=minibatch)
+        rows = problem.constraints
+
+        class PlainSampler(ConstraintSampler):
+            def draw(self, rng):
+                return rows.draw(rng)
+
+        plain = dataclasses.replace(problem, constraints=PlainSampler())
+        assert type(_iterate(plain, cfg)) is _Iterate
+        svm, _ = _sparse_svm()
+        assert type(_iterate(svm, cfg)) is (
+            _ScaledIterate if minibatch == 1 else _RowIterate)
+        for row_set in (problem, _on_csr_rows(problem),
+                        _plane_problems(0, 0.2)[0],
+                        _forwarding_copy(problem, {}),
+                        dataclasses.replace(problem, constraints=_ListRows(rows)),
+                        dataclasses.replace(problem,
+                                            structure=ObjectiveStructure())):
+            assert type(_iterate(row_set, cfg)) is _RowIterate
 
     @pytest.mark.parametrize("kinds, message", [
         (dict(f="quadratic"), "f must be"),
@@ -1066,8 +1177,8 @@ class TestDeclaredPlane:
         for name in _TRACE_COLUMNS:
             assert trace.column(name).tobytes() == \
                 want.column(name).tobytes(), name
-        # only the block step calls the derived handle
-        assert ("prox" in calls) == (solver in (4, 16))
+        # no step calls the derived handle, at any minibatch
+        assert "prox" not in calls
         if epsilon == 0.002:    # the tight slabs are active
             assert trace.column("feasibility").max() > 0.0
 

@@ -608,6 +608,31 @@ class TestCli:
         assert "Traceback" not in printed.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["bp", "--d", "8", "--n", "200", "--sparsity", "2", "--budget", "400"],
+        ["portfolio", "--budget", "400"],
+        ["svm", "--budget", "240"],
+        ["svm", "--solver", "pegasos", "--budget", "240"],
+        ["check", "--smax", "3", "--residual-draws", "5"],
+    ], ids=["bp", "portfolio", "svm-sasc", "svm-pegasos", "check"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_negative_seed_exits_1_before_any_output(self, argv, given,
+                                                     tmp_path, capsys):
+        from sasc.problems import gen_separable_svm
+        data = tmp_path / "train.libsvm"
+        serialize_libsvm(gen_separable_svm(4, 60, margin=1.0, seed=5), data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        out = tmp_path / "o.csv"
+        argv = argv + (["--data", str(data)] if argv[0] == "svm" else []) \
+            + (["--seed", "-1"] if given == "flag" else ["--config", str(cfg)]) \
+            + ([] if argv[0] == "check" else ["--out", str(out)])
+        assert cli_main(argv) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == "usage error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["1", "2"])
     def test_check_fails_on_a_negative_slack(self, case, monkeypatch, capsys):
         def violated(cfg, norm_bound, s_max):

@@ -11,7 +11,6 @@ from sasc.prox import (
     BoxSet,
     hyperplane_indicator_prox,
     l1_prox,
-    soft_threshold,
     zero_prox,
 )
 from sasc.smoothing import (
@@ -458,7 +457,7 @@ _TOY, _TOY_CERT = make_min_norm_hyperplane_problem()
     (lambda: l1_prox(np.nan), "weight"),
     (lambda: l1_prox(np.inf), "weight"),
     (lambda: l1_prox(1.0).evaluate(np.ones(2), np.nan), "step"),
-    (lambda: soft_threshold(np.ones(2), np.nan), "tau"),
+    (lambda: l1_prox(1.0).evaluate(np.ones(2), np.inf), "step"),
     (lambda: moreau_grad(1.0, BoxSet(0.0, 0.0), np.nan), "beta"),
     (lambda: sasc_inner_step(np.zeros(2), _TOY.constraints.sample(0),
                              np.nan, 1.0, _TOY), "alpha_s"),
@@ -473,7 +472,7 @@ _TOY, _TOY_CERT = make_min_norm_hyperplane_problem()
     (lambda: RowConstraintSet(_CsrRows(np.array([0, 1]), np.array([1]),
                                        np.array([np.inf]), 2), 0, 1),
      "rows must be finite"),
-], ids=["l1-weight-nan", "l1-weight-inf", "l1-step-nan", "shrink-tau-nan",
+], ids=["l1-weight-nan", "l1-weight-inf", "l1-step-nan", "l1-step-inf",
         "moreau-beta-nan", "inner-step-alpha-nan", "smoothed-gap-beta-nan",
         "residuals-beta-nan", "plane-offset-nan", "row-set-lo-nan",
         "row-set-hi-nan", "row-set-row-nan", "row-set-row-inf",
