@@ -16,7 +16,6 @@ from .core import (
     bound_curves,
     rate_constants,
     run_sasc,
-    sasc_inner_step,
     schedule_inequalities_check,
     schedule_params,
 )
@@ -45,7 +44,6 @@ from .problems import (
 )
 from .prox import (
     BoxSet,
-    CustomSet,
     ProxHandle,
     SetProjector,
     hyperplane_indicator_prox,

@@ -173,7 +173,8 @@ class CompositeProblem:
     sampler can produce; ``mu`` is the restricted strong-convexity modulus
     when available, ``lipschitz_grad`` the Lipschitz constant of the
     averaged gradient (0 when the smooth part is absent or linear).
-    A given ``mu`` must be positive and finite, and a custom f's
+    ``dim`` must be an integer >= 1, and the width of a row set's rows. A
+    given ``mu`` must be positive and finite, and a custom f's
     ``lipschitz_grad`` nonnegative and finite.
     ``structure`` declares the kinds of f and h (``ObjectiveStructure``).
     A declared f gives ``grad_f``, ``f_value`` and ``lipschitz_grad`` (0 for
@@ -198,8 +199,7 @@ class CompositeProblem:
     structure: ObjectiveStructure = ObjectiveStructure()
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("CompositeProblem: dim must be >= 1")
+        self.dim = _dim(self.dim)
         if not 0 < self.norm_bound < math.inf:
             raise ValueError(
                 "CompositeProblem: norm_bound must be positive and finite")
@@ -208,8 +208,9 @@ class CompositeProblem:
                 or (self.mu is not None and not 0 < self.mu < math.inf)):
             raise ValueError("CompositeProblem: mu must be positive and finite,"
                              f" and given for a half_sq_norm f; got {self.mu}")
-        for name in ("c", "normal"):
-            v = getattr(st, name)
+        support = self.constraints.support()
+        row = support.rows[0] if isinstance(support, RowBatch) else None
+        for name, v in (("c", st.c), ("normal", st.normal), ("a row", row)):
             if v is not None and len(v) != self.dim:
                 raise ValueError(f"CompositeProblem: {name} has {len(v)} "
                                  f"entries, dim is {self.dim}")
@@ -231,6 +232,18 @@ class CompositeProblem:
         for name in ("grad_f", "f_value", "prox_h"):
             if getattr(self, name) is None:
                 raise ValueError(f"CompositeProblem: a custom kind needs {name}")
+
+
+def _dim(value) -> int:
+    """``value`` as an int >= 1, the check of every ``dim``; numpy integers
+    pass, as ``operator.index`` takes them."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"dim must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"dim must be >= 1, got {value}")
+    return value
 
 
 def _check_counts(cfg, positive: tuple, nonnegative: tuple) -> None:
@@ -392,23 +405,6 @@ def schedule_params(cfg: SascConfig, s: int, norm_bound: float):
     return alpha_s, beta_s, m_s
 
 
-def sasc_inner_step(x: Array, batch, alpha_s: float, beta_s: float,
-                    problem: CompositeProblem) -> Array:
-    """One stochastic proximal-gradient step on the smoothed problem.
-
-    ``batch`` is a RowBatch of a row set or a list of ConstraintSample; a
-    single draw is the batch ``[sample]``. Forms z = A(xi) x, pulls the
-    smoothed-penalty gradient (z - proj(z)) / beta_s back through the
-    adjoint, averages it over the batch, adds the objective gradient over
-    the same batch, and applies prox of alpha_s * h.
-    """
-    if not (0 < alpha_s < math.inf and 0 < beta_s < math.inf):
-        raise ValueError("sasc_inner_step: alpha_s and beta_s must be "
-                         f"positive and finite, got {alpha_s} and {beta_s}")
-    d = _direction(x, batch, beta_s, problem)
-    return problem.prox_h.evaluate(x - alpha_s * d, alpha_s)
-
-
 def _row_multiplier(vals: Array, x: Array, lo: float, hi: float,
                     beta: float, scale: float = 1.0) -> float:
     """g = (z - clip(z, lo, hi)) / beta at z = scale (vals . x), on floats.
@@ -425,30 +421,33 @@ def _block_multiplier(batch: RowBatch, x: Array, beta: float) -> Array:
     """g = (z - clip(z, lo, hi)) / (B beta) at z = R x, R the batch's B rows.
 
     A row batch's smoothed-penalty multipliers, each divided by B so that
-    g R is the batch's mean penalty gradient: ``_direction`` and the block
-    steps of ``_RowIterate`` take them from here.
+    g R is the batch's mean penalty gradient: the plain step
+    (``_inner_step``) and the block steps of ``_RowIterate`` take them from
+    here.
     """
     z = batch.rows @ x
     return (z - np.minimum(np.maximum(z, batch.lo), batch.hi)) / (beta * len(z))
 
 
-def _direction(x: Array, batch, beta_s: float,
-               problem: CompositeProblem) -> Array:
-    """Mean step direction over a batch; one vectorized step for row batches.
+def _inner_step(x: Array, batch, alpha: float, beta: float,
+                problem: CompositeProblem) -> Array:
+    """The plain step, prox_{alpha h}(x - alpha d) with d the mean direction.
 
-    A RowBatch of B rows R = ``batch.rows`` gives
-    d = grad_f(x, batch) + g R, g its ``_block_multiplier``. Any other batch
-    sums the penalty gradients of its samples.
+    A RowBatch of B rows R = ``batch.rows`` gives d = grad_f(x, batch) + g R,
+    g its ``_block_multiplier``; a list of samples adds the mean of their
+    penalty gradients to grad_f. The callers check the new x.
     """
-    if not isinstance(batch, RowBatch):
+    if isinstance(batch, RowBatch):
+        g = _block_multiplier(batch, x, beta)
+        d = problem.grad_f(x, batch) + g @ batch.rows
+    else:
         penalty = None
         for sample in batch:
             z = sample.apply(x)
-            g = sample.adjoint((z - sample.set_proj.project(z)) / beta_s)
+            g = sample.adjoint((z - sample.set_proj.project(z)) / beta)
             penalty = g if penalty is None else penalty + g
-        return problem.grad_f(x, batch) + penalty / len(batch)
-    g = _block_multiplier(batch, x, beta_s)
-    return problem.grad_f(x, batch) + g @ batch.rows
+        d = problem.grad_f(x, batch) + penalty / len(batch)
+    return problem.prox_h.evaluate(x - alpha * d, alpha)
 
 
 class _Recorder:
@@ -507,9 +506,9 @@ class _Iterate:
     """The iterate x of an epoch and the running sum of its values.
 
     The base of every iterate, and sasc's own step on a sampler that is not
-    a row set: ``_direction`` on the step's listed samples, the prox handle
-    of h and a full finiteness check of x. Each step counts ``samples``
-    samples, its batch size.
+    a row set: the plain step (``_inner_step``) on the step's listed
+    samples, then a full finiteness check of x. Each step counts
+    ``samples`` samples, its batch size.
     """
 
     def __init__(self, problem: CompositeProblem, samples: int):
@@ -525,8 +524,7 @@ class _Iterate:
 
     def step(self, batch, alpha: float, beta: float) -> Optional[float]:
         """One step of size alpha; None when the new iterate is not finite."""
-        d = _direction(self.x, batch, beta, self.problem)
-        x = self.x = self.problem.prox_h.evaluate(self.x - alpha * d, alpha)
+        x = self.x = _inner_step(self.x, batch, alpha, beta, self.problem)
         if not np.isfinite(x).all():
             return None
         self.total += x
@@ -817,9 +815,12 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
     """
     cfg.validate(problem)
     x = np.zeros(problem.dim) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x0 must have shape ({problem.dim},), got {x.shape}")
-    rng, rec = _seeded_run(problem, cfg, None if cert is None else cert.x_star)
+    x_star = None if cert is None else cert.x_star
+    for name, v in (("x0", x), ("cert.x_star", x_star)):
+        if v is not None and np.shape(v) != (problem.dim,):
+            raise ValueError(f"{name} must have shape ({problem.dim},), "
+                             f"got {np.shape(v)}")
+    rng, rec = _seeded_run(problem, cfg, x_star)
     epochs = [schedule_params(cfg, s, problem.norm_bound)
               for s in range(cfg.planned_epochs())]
     # restricted strongly convex: restart from the epoch average;
@@ -852,8 +853,9 @@ def rate_constants(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
     if cfg.m0 < 2:
         raise ConfigurationError(
             "constants are undefined for m0 = 1 (division by m0 - 1)")
-    if cert.x_star is None:
-        raise ValueError("constants need cert.x_star to measure the start distance")
+    if cert.x_star is None or np.shape(cert.x_star) != np.shape(x0):
+        raise ValueError("constants need cert.x_star, of x0's shape "
+                         f"{np.shape(x0)}, to measure the start distance")
     diff = np.asarray(cert.x_star, dtype=float) - np.asarray(x0, dtype=float)
     r0_sq = float(diff @ diff)
     a0, w, m0 = cfg.alpha0, cfg.omega, cfg.m0

@@ -9,12 +9,11 @@ instances.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, ObjectiveStructure, _direction
+from .core import CompositeProblem, ObjectiveStructure, _dim, _inner_step
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -54,13 +53,7 @@ class LabeledSparseDataset:
         self.indices = self.indices.astype(np.int64, copy=False)
         self.data = np.asarray(self.data, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
-        try:
-            self.dim = operator.index(self.dim)
-        except TypeError:
-            raise ValueError(
-                f"dim must be an integer, got {self.dim!r}") from None
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        self.dim = _dim(self.dim)
         n, nnz = len(self.labels), len(self.indices)
         if self.indptr.shape != (n + 1,):
             raise ValueError("rows and labels must have equal length")
@@ -349,12 +342,13 @@ def reference_solution(problem: CompositeProblem, tolerance: float):
     Runs exact proximal-gradient steps on the population smoothed objective,
     halving the smoothness parameter whenever the decrease stalls, until the
     population feasibility and the outer objective change both drop below
-    ``tolerance``. Each step is ``run_sasc``'s own step kernel on the whole
-    support taken as one batch, and the objective and feasibility come from
-    one held-out set over the whole support; the loop and its smoothness
-    schedule are separate from ``run_sasc``'s. Only small finite-support
-    instances are accepted. ``tolerance`` must be positive and finite. A
-    non-finite objective raises DivergenceError naming the iteration.
+    ``tolerance``. Each step is the plain step (``core._inner_step``) on the
+    whole support taken as one batch, and the objective and feasibility come
+    from one held-out set over the whole support; the loop and its
+    smoothness schedule are separate from ``run_sasc``'s. Only small
+    finite-support instances are accepted. ``tolerance`` must be positive
+    and finite. A non-finite objective raises DivergenceError naming the
+    iteration.
     """
     if not 0 < tolerance < np.inf:
         raise ConfigurationError("reference tolerance must be positive and "
@@ -378,8 +372,7 @@ def reference_solution(problem: CompositeProblem, tolerance: float):
         alpha = 1.0 / (problem.lipschitz_grad + max_norm_sq / beta)
         prev_phi = np.inf
         while True:
-            grad = _direction(x, sup, beta, problem)
-            x = problem.prox_h.evaluate(x - alpha * grad, alpha)
+            x = _inner_step(x, sup, alpha, beta, problem)
             iters += 1
             if iters >= _REFERENCE_MAX_ITERATIONS:
                 raise NoConvergenceError("reference solver hit the "

@@ -74,15 +74,6 @@ class BoxSet(SetProjector):
     def project(self, z):
         return np.minimum(np.maximum(z, self.lo), self.hi)
 
-@dataclass(frozen=True)
-class CustomSet(SetProjector):
-    """Set given by an arbitrary user projection function."""
-
-    project_fn: Callable
-
-    def project(self, z):
-        return self.project_fn(z)
-
 
 @dataclass(frozen=True)
 class ProxHandle:

@@ -372,6 +372,7 @@ class CertificateInputs:
 
     The solver never estimates these; they only enter diagnostics (residual
     checks, constants, bound curves) and the distance-to-reference trace.
+    A given ``x_star`` must be a finite 1-D vector, and ``p_star`` finite.
     """
 
     x_star: Optional[Array] = None
@@ -380,6 +381,14 @@ class CertificateInputs:
     sigma_f: float = 0.0
 
     def __post_init__(self):
+        if self.x_star is not None:
+            x_star = np.asarray(self.x_star, dtype=float)
+            if x_star.ndim != 1 or not np.isfinite(x_star).all():
+                raise ConfigurationError("CertificateInputs: x_star must be a "
+                                         "finite 1-D vector")
+        if not -math.inf < self.p_star < math.inf:
+            raise ConfigurationError(
+                f"CertificateInputs: p_star must be finite, got {self.p_star}")
         for name in ("y_star_norm", "sigma_f"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:

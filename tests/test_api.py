@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     "ConvergenceTrace", "ObjectiveStructure", "SascConfig", "ScheduleState",
     "TraceRecord",
     "bound_curves", "rate_constants", "run_sasc",
-    "sasc_inner_step", "schedule_inequalities_check", "schedule_params",
+    "schedule_inequalities_check", "schedule_params",
     "ConfigurationError", "DegenerateConstraintError", "DivergenceError",
     "NoConvergenceError", "ParseError", "UnsupportedProblemError",
     "BasisPursuitInstance", "LabeledSparseDataset", "ar1_covariance",
@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
     "gen_synthetic_returns", "make_bp_least_squares_problem",
     "make_bp_problem", "make_min_norm_hyperplane_problem",
     "make_portfolio_problem", "make_svm_problem", "reference_solution",
-    "BoxSet", "CustomSet", "ProxHandle", "SetProjector",
+    "BoxSet", "ProxHandle", "SetProjector",
     "hyperplane_indicator_prox", "l1_prox", "zero_prox",
     "CertificateInputs", "ConstraintSample", "ConstraintSampler", "RowBatch",
     "RowConstraintSet", "feasibility_metric", "saddle_point_residuals",
@@ -63,10 +63,9 @@ def test_rate_function_parameters_are_pinned():
     assert got == RATE_PARAMETERS
 
 
-# Samplers and solvers trade batches only: a step takes one, and the
-# distances hook is handed one (None for the whole support).
+# Samplers and solvers trade batches only: the distances hook is handed one
+# (None for the whole support).
 BATCH_PARAMETERS = {
-    "sasc_inner_step": ["x", "batch", "alpha_s", "beta_s", "problem"],
     "ConstraintSampler.distances": ["self", "x", "batch"],
     "RowConstraintSet.distances": ["self", "x", "batch"],
 }

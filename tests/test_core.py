@@ -13,7 +13,7 @@ from sasc.core import (
     CompositeProblem,
     ObjectiveStructure,
     SascConfig,
-    _direction,
+    _inner_step,
     _iterate,
     _Iterate,
     _OneRow,
@@ -23,7 +23,6 @@ from sasc.core import (
     bound_curves,
     rate_constants,
     run_sasc,
-    sasc_inner_step,
     schedule_inequalities_check,
     schedule_params,
 )
@@ -112,33 +111,27 @@ class TestInnerStep:
     def test_fixed_point_when_feasible_and_flat(self):
         prob = _single_constraint_problem([1.0, 0.0], 0.5)
         x = np.array([0.5, -2.0])  # satisfies the constraint
-        out = sasc_inner_step(x, [prob.constraints.sample(0)], 0.3, 1.2, prob)
+        out = _inner_step(x, [prob.constraints.sample(0)], 0.3, 1.2, prob)
         assert_allclose(out, x, atol=1e-15)
 
     def test_l1_step_derivation_beta_half(self):
         # z = 0, penalty gradient (0 - 1)/0.5 = -2, pre-prox [2, 0], shrink by 1
         prob = _single_constraint_problem([1.0, 0.0], 1.0, prox_h=l1_prox(1.0))
-        out = sasc_inner_step(np.zeros(2), [prob.constraints.sample(0)], 1.0, 0.5,
-                              prob)
+        out = _inner_step(np.zeros(2), [prob.constraints.sample(0)], 1.0, 0.5,
+                          prob)
         assert_allclose(out, [1.0, 0.0], atol=1e-15)
 
     def test_l1_step_derivation_beta_one(self):
         prob = _single_constraint_problem([1.0, 0.0], 1.0, prox_h=l1_prox(1.0))
-        out = sasc_inner_step(np.zeros(2), [prob.constraints.sample(0)], 1.0, 1.0,
-                              prob)
+        out = _inner_step(np.zeros(2), [prob.constraints.sample(0)], 1.0, 1.0,
+                          prob)
         assert_allclose(out, [0.0, 0.0], atol=1e-15)
 
     def test_shape_mismatch(self):
         prob = _single_constraint_problem([1.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            sasc_inner_step(np.zeros(3), [prob.constraints.sample(0)], 1.0, 1.0,
-                            prob)
-
-    def test_bad_steps(self):
-        prob = _single_constraint_problem([1.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            sasc_inner_step(np.zeros(2), [prob.constraints.sample(0)], 0.0, 1.0,
-                            prob)
+            _inner_step(np.zeros(3), [prob.constraints.sample(0)], 1.0, 1.0,
+                        prob)
 
 
 class TestRunSasc:
@@ -285,9 +278,18 @@ class TestRunSasc:
         (lambda p: SascConfig(alpha0=np.nan, omega=2.0, m0=4, epochs=1),
          "alpha0"),
         (lambda p: dataclasses.replace(p, dim=0), "dim"),
+        # a float dim or one the rows are not wide enough for would fail
+        # inside numpy at the run's first step
+        (lambda p: dataclasses.replace(p, dim=2.0), "dim"),
+        (lambda p: dataclasses.replace(p, dim=3), "dim"),
         (lambda p: run_sasc(p, _cfg(0.5, 2.0, 4), x0=np.zeros(3)), "x0"),
+        # an x_star of another shape would be broadcast into dist_to_ref
+        *[(lambda p, n=n: run_sasc(p, _cfg(0.5, 2.0, 4), cert=CertificateInputs(
+            x_star=np.ones(n))), "x_star") for n in (1, 3)],
         (lambda p: rate_constants(_cfg(0.5, 2.0, 4), 1.0, CertificateInputs(),
                                   np.zeros(2)), "x_star"),
+        (lambda p: rate_constants(_cfg(0.5, 2.0, 4), 1.0, CertificateInputs(
+            x_star=np.ones(3)), np.zeros(1)), "x_star"),
         # a zero f takes any mu, and a custom f its own lipschitz_grad: the
         # schedule's checks divide by one and bound alpha0 by the other
         *[(lambda p, mu=mu: dataclasses.replace(
@@ -298,7 +300,9 @@ class TestRunSasc:
            "lipschitz_grad") for L in (-1.0, np.nan, np.inf)],
     ], ids=["minibatch-0", "checkpoint-every-0", "eval-samples-0", "epochs-0",
             "budget-below-m0", "built-omega-1", "built-alpha0-negative",
-            "built-alpha0-nan", "problem-dim-0", "x0-shape", "no-x-star",
+            "built-alpha0-nan", "problem-dim-0", "problem-dim-float",
+            "problem-dim-not-row-width", "x0-shape", "x-star-shape-1",
+            "x-star-shape-3", "no-x-star", "constants-x0-x-star-shapes",
             "problem-mu-0", "problem-mu-negative", "problem-mu-nan",
             "problem-mu-inf", "custom-f-lipschitz-negative",
             "custom-f-lipschitz-nan", "custom-f-lipschitz-inf"])
@@ -338,23 +342,41 @@ class TestRunSasc:
         assert t3.records[-1].samples == 3 * t1.records[-1].samples
 
 
-def _per_sample_run(problem, cfg):
-    """run_sasc's x_bar from one draw + sasc_inner_step per sample."""
-    train_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng = np.random.default_rng(train_ss)
+def _plain_run(problem, cfg, x_ref=None, listed=None):
+    """run_sasc's (x_bar, trace) on a row set by a plain loop of _inner_step.
+
+    Every step draws ``cfg.minibatch`` row indices and hands them to
+    ``_inner_step`` as a list of samples if ``listed``, else as their
+    RowBatch; by default one dense row per step is listed. The new x is
+    checked in full with ``np.isfinite``, and checkpoints are recorded on
+    the running average as run_sasc records them, on the same held-out set.
+    The restricted strongly convex regime restarts each epoch from the
+    last one's mean, the general convex one from its last x.
+    """
+    rng, rec = _seeded_run(problem, cfg, x_ref)
+    rows, per_step = problem.constraints, cfg.minibatch
+    if listed is None:
+        listed = per_step == 1 and isinstance(rows.rows, np.ndarray)
     x = np.zeros(problem.dim)
+    seen = 0
     for s in range(cfg.planned_epochs()):
         alpha, beta, m = schedule_params(cfg, s, problem.norm_bound)
-        avg = np.zeros_like(x)
-        for _ in range(m):
-            samples = [problem.constraints.draw(rng)
-                       for _ in range(cfg.minibatch)]
-            x = sasc_inner_step(x, samples, alpha, beta, problem)
-            avg += x
-        x_bar = avg / m
-        if cfg.case is Case.RESTRICTED_STRONGLY_CONVEX:
-            x = x_bar.copy()
-    return x_bar
+        total = np.zeros_like(x)
+        for k in range(1, m + 1):
+            idx = rng.integers(0, len(rows), size=per_step)
+            batch = ([rows.sample(int(i)) for i in idx] if listed
+                     else RowBatch(rows, idx))
+            x = _inner_step(x, batch, alpha, beta, problem)
+            if not np.isfinite(x).all():
+                raise DivergenceError(epoch=s, step=k)
+            total += x
+            seen += per_step
+            if seen >= rec.due:
+                rec.record(total / k, seen, s, alpha, beta)
+        x_bar = total / m
+        if cfg.case is RSC:
+            x = x_bar
+    return x_bar, rec.finish(x_bar, seen, s, alpha, beta)
 
 
 def _small_bp():
@@ -478,7 +500,8 @@ class TestRowKernel:
     # the second epoch (4500 steps) crosses a 4096-index chunk boundary; the
     # svm problem is min_norm, so its one-row steps are in scaled form
     @pytest.mark.parametrize("build, reference", [
-        (_small_bp, _per_sample_run), (_small_svm, _scaled_reference_run),
+        (_small_bp, lambda problem, cfg: _plain_run(problem, cfg)[0]),
+        (_small_svm, _scaled_reference_run),
     ], ids=["bp", "svm"])
     def test_single_sample_run_is_bit_identical_to_per_sample_steps(
             self, build, reference):
@@ -496,9 +519,9 @@ class TestRowKernel:
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("case", list(_ONE_ROW_DRAWS))
     def test_one_row_step_is_the_block_step(self, storage, case):
-        # _direction on a one-row batch against the vectorized arithmetic
-        # written out: the 1 x k product over the stored entries for CSR
-        # rows, R @ x and g @ R for dense ones
+        # the plain step with the zero prox on a one-row batch against the
+        # vectorized arithmetic written out: the 1 x k product over the
+        # stored entries for CSR rows, R @ x and g @ R for dense ones
         rng = np.random.default_rng(12)
         d, k = 30, 4
         cols = np.sort(rng.choice(d, size=k, replace=False))
@@ -515,7 +538,7 @@ class TestRowKernel:
         problem = CompositeProblem(
             dim=d, grad_f=lambda x, batch: x, f_value=lambda x, batch: 0.0,
             prox_h=zero_prox(), constraints=owner, norm_bound=1.0)
-        got = _direction(x, RowBatch(owner, np.array([0])), 0.7, problem)
+        got = _inner_step(x, RowBatch(owner, np.array([0])), 0.3, 0.7, problem)
 
         g = (z - np.minimum(np.maximum(z, owner.lo), owner.hi)) / 0.7
         if storage == "csr":
@@ -523,21 +546,24 @@ class TestRowKernel:
             penalty[cols] = g[0] * vals
         else:
             penalty = g @ dense
-        assert got.tobytes() == (x + penalty).tobytes()
+        assert got.tobytes() == (x - 0.3 * (x + penalty)).tobytes()
         assert (g[0] == 0.0) == case.endswith("inactive")
 
     def test_minibatch_run_matches_per_sample_steps(self):
+        # tight slabs, so that the penalty is active: at 0.2 no slab is
         problem = make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3),
-                                         0.2)
+                                         0.002)
         cfg = SascConfig(alpha0=1.0, omega=1.5, m0=2, epochs=12, seed=3,
                          minibatch=16, checkpoint_every=10 ** 6,
                          eval_samples=1)
         x_bar, _ = run_sasc(problem, cfg)
-        assert_allclose(x_bar, _per_sample_run(problem, cfg), rtol=1e-12)
+        # the samples' penalty gradients summed one by one, not g R
+        assert_allclose(x_bar, _plain_run(problem, cfg, listed=True)[0],
+                        rtol=1e-12)
 
     @pytest.mark.parametrize("build", [
         lambda: _same_f(make_portfolio_problem(
-            gen_synthetic_returns(60, 8, seed=3), 0.2)),
+            gen_synthetic_returns(60, 8, seed=3), 0.002)),
         lambda: _least_squares_per_sample_f(
             gen_basis_pursuit(8, 40, 2, 0.5, seed=1)),
     ], ids=["deterministic-f", "per-sample-f"])
@@ -548,8 +574,9 @@ class TestRowKernel:
         rng = np.random.default_rng(8)
         batch = problem.constraints.draw_batch(rng, 16)
         x = rng.standard_normal(problem.dim)
-        assert_allclose(sasc_inner_step(x, batch, 0.3, 0.7, problem),
-                        sasc_inner_step(x, list(batch), 0.3, 0.7, per_sample),
+        assert problem.constraints.distances(x, batch).max() > 0.0
+        assert_allclose(_inner_step(x, batch, 0.3, 0.7, problem),
+                        _inner_step(x, list(batch), 0.3, 0.7, per_sample),
                         rtol=1e-12)
 
     def test_other_samplers_take_the_per_sample_path(self):
@@ -692,7 +719,7 @@ class TestScaledStep:
     def test_close_to_the_plain_step(self, build):
         problem, cfg = build()
         x_bar, _ = run_sasc(problem, cfg)
-        assert_allclose(x_bar, _per_sample_run(problem, cfg), rtol=1e-12)
+        assert_allclose(x_bar, _plain_run(problem, cfg)[0], rtol=1e-12)
 
     def test_forwarding_copy_takes_the_same_path(self):
         problem, cfg = _sparse_svm()
@@ -774,38 +801,6 @@ class TestScaledStep:
         x = np.array([3.0, -1.0])
         assert copy.grad_f(x, None).tolist() == [6.0, -2.0]
         assert copy.f_value(x, None) == 10.0
-
-
-def _plain_bp_run(problem, cfg, x_ref=None):
-    """run_sasc's (x_bar, trace) on a row set by a plain loop.
-
-    Every step draws ``cfg.minibatch`` row indices and takes ``_direction``
-    on them: one dense row as a one-sample list, a block of rows or a CSR
-    row as their RowBatch. It applies ``prox_h.evaluate`` and checks the
-    new x in full with ``np.isfinite``; checkpoints are recorded on the
-    running average as run_sasc records them, on the same held-out set.
-    """
-    rng, rec = _seeded_run(problem, cfg, x_ref)
-    rows, per_step = problem.constraints, cfg.minibatch
-    listed = per_step == 1 and isinstance(rows.rows, np.ndarray)
-    x = np.zeros(problem.dim)
-    seen = 0
-    for s in range(cfg.planned_epochs()):
-        alpha, beta, m = schedule_params(cfg, s, problem.norm_bound)
-        total = np.zeros_like(x)
-        for k in range(m):
-            idx = rng.integers(0, len(rows), size=per_step)
-            batch = [rows.sample(int(idx[0]))] if listed else RowBatch(rows, idx)
-            x = problem.prox_h.evaluate(
-                x - alpha * _direction(x, batch, beta, problem), alpha)
-            if not np.isfinite(x).all():
-                raise DivergenceError(epoch=s, step=k + 1)
-            total += x
-            seen += per_step
-            if seen >= rec.due:
-                rec.record(total / (k + 1), seen, s, alpha, beta)
-        x_bar = total / m
-    return x_bar, rec.finish(x_bar, seen, s, alpha, beta)
 
 
 _TRACE_COLUMNS = ("samples", "epoch", "objective", "feasibility", "beta",
@@ -897,7 +892,7 @@ class TestRowIterate:
         problem, reference, cfg, x_star = _one_row_case(seed, kind)
         x_bar, trace = run_sasc(problem, cfg,
                                 cert=CertificateInputs(x_star=x_star))
-        want_x, want = _plain_bp_run(reference, cfg, x_star)
+        want_x, want = _plain_run(reference, cfg, x_star)
         assert x_bar.tobytes() == want_x.tobytes()
         assert len(trace) == len(want) > 4 * cfg.epochs
         for name in _TRACE_COLUMNS:
@@ -915,7 +910,7 @@ class TestRowIterate:
         problem = dataclasses.replace(problem, norm_bound=norm_bound)
         cfg = dataclasses.replace(cfg, alpha0=0.5)
         errors = []
-        for run in (run_sasc, _plain_bp_run):
+        for run in (run_sasc, _plain_run):
             with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
                 run(problem, cfg)
             errors.append((exc.value.epoch, exc.value.step))
@@ -932,7 +927,7 @@ class TestRowIterate:
         x_bar, trace = run_sasc(custom, cfg)
         steps = trace.records[-1].samples
         assert calls["grad_f"] == calls["prox"] == steps
-        assert x_bar.tobytes() == _plain_bp_run(problem, cfg)[0].tobytes()
+        assert x_bar.tobytes() == _plain_run(problem, cfg)[0].tobytes()
 
     def test_traced_copy_takes_the_same_path(self):
         # the outside-in tracer's copy: replaced callables, a forwarding
@@ -965,7 +960,7 @@ class TestRowIterate:
     ])
     def test_every_row_set_run_is_the_plain_loop_bit_for_bit(
             self, kind, minibatch, monkeypatch):
-        # the traced copy against _direction and the prox handle, step by
+        # the traced copy against the plain step (_inner_step), step by
         # step: x_bar and every trace column keep their bits, no step calls
         # a declared h's handle or a zero f's grad_f, and with f and h both
         # declared x is scanned in full only when an epoch starts
@@ -977,7 +972,7 @@ class TestRowIterate:
         calls = {}
         x_bar, trace = run_sasc(_forwarding_copy(problem, calls), cfg,
                                 cert=CertificateInputs(x_star=x_star))
-        want_x, want = _plain_bp_run(problem, cfg, x_star)
+        want_x, want = _plain_run(problem, cfg, x_star)
         assert x_bar.tobytes() == want_x.tobytes()
         assert len(trace) == len(want) > 4 * cfg.epochs
         for name in _TRACE_COLUMNS:
@@ -1000,7 +995,7 @@ class TestRowIterate:
         problem = dataclasses.replace(problem, norm_bound=0.01)
         cfg = dataclasses.replace(cfg, alpha0=0.5, minibatch=4)
         errors = []
-        for run in (run_sasc, _plain_bp_run):
+        for run in (run_sasc, _plain_run):
             with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
                 run(problem, cfg)
             errors.append((exc.value.epoch, exc.value.step))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sasc.core import CompositeProblem, sasc_inner_step
+from sasc.core import CompositeProblem, _inner_step
 from sasc.errors import ConfigurationError, DegenerateConstraintError
 from sasc.problems import make_min_norm_hyperplane_problem
 from sasc.prox import (
     BoxSet,
+    SetProjector,
     hyperplane_indicator_prox,
     l1_prox,
     zero_prox,
@@ -294,6 +295,17 @@ class TestCertificateInputs:
         with pytest.raises(ConfigurationError, match=name):
             CertificateInputs(**{name: value})
 
+    @pytest.mark.parametrize("fields", [
+        dict(x_star=np.zeros((2, 1))), dict(x_star=3.0),
+        dict(x_star=[1.0, np.nan, 0.0]), dict(x_star=np.array([np.inf, 0.0])),
+        dict(p_star=np.nan), dict(p_star=-np.inf),
+    ], ids=["x-star-2d", "x-star-scalar", "x-star-nan", "x-star-inf",
+            "p-star-nan", "p-star-inf"])
+    def test_reference_point_and_value_must_be_finite(self, fields):
+        # a NaN x_star would write NaN distances into every trace record
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            CertificateInputs(**fields)
+
 
 class TestRowConstraintSet:
     def test_sample_contents(self):
@@ -366,9 +378,6 @@ class TestRowConstraintSet:
         assert s.set_proj.distance(s.apply(x_in)) <= 1e-12
 
     def test_matrix_constraint_inner_step(self):
-        from sasc.core import sasc_inner_step
-        from sasc.prox import zero_prox
-
         # A = diag(3, 4) with target box [1, 2] x [-1, 1], divided by ||A|| = 4
         A = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
         sample = ConstraintSample(A / 4.0, BoxSet(np.array([0.25, -0.25]),
@@ -392,7 +401,7 @@ class TestRowConstraintSet:
             f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
             constraints=OneMatrix(), norm_bound=1.0)
         x = np.array([1.0, 0.5, -2.0])
-        out = sasc_inner_step(x, [sample], 0.5, 1.0, prob)
+        out = _inner_step(x, [sample], 0.5, 1.0, prob)
         # z = [.75,.5], proj = [.5,.25], adjoint pullback = [.1875,.25,0]
         assert_allclose(out, [0.90625, 0.375, -2.0], atol=1e-15)
 
@@ -459,8 +468,6 @@ _TOY, _TOY_CERT = make_min_norm_hyperplane_problem()
     (lambda: l1_prox(1.0).evaluate(np.ones(2), np.nan), "step"),
     (lambda: l1_prox(1.0).evaluate(np.ones(2), np.inf), "step"),
     (lambda: moreau_grad(1.0, BoxSet(0.0, 0.0), np.nan), "beta"),
-    (lambda: sasc_inner_step(np.zeros(2), _TOY.constraints.sample(0),
-                             np.nan, 1.0, _TOY), "alpha_s"),
     (lambda: smoothed_gap(np.zeros(2), np.nan, _TOY, _TOY_CERT, 1, 0), "beta"),
     (lambda: saddle_point_residuals(np.zeros(2), np.nan, _TOY, _TOY_CERT, 1, 0),
      "beta"),
@@ -473,7 +480,7 @@ _TOY, _TOY_CERT = make_min_norm_hyperplane_problem()
                                        np.array([np.inf]), 2), 0, 1),
      "rows must be finite"),
 ], ids=["l1-weight-nan", "l1-weight-inf", "l1-step-nan", "l1-step-inf",
-        "moreau-beta-nan", "inner-step-alpha-nan", "smoothed-gap-beta-nan",
+        "moreau-beta-nan", "smoothed-gap-beta-nan",
         "residuals-beta-nan", "plane-offset-nan", "row-set-lo-nan",
         "row-set-hi-nan", "row-set-row-nan", "row-set-row-inf",
         "row-set-csr-row-inf"])
@@ -664,10 +671,14 @@ class TestEvalSetSamplers:
 
     def test_custom_set_runs_like_the_box_it_projects_onto(self):
         from sasc.core import SascConfig, run_sasc
-        from sasc.prox import CustomSet
 
-        def custom(lo, hi):
-            return CustomSet(lambda z: np.minimum(np.maximum(z, lo), hi))
+        class Custom(SetProjector):
+            # a set of one's own: a SetProjector with the box's projection
+            def __init__(self, lo, hi):
+                self.lo, self.hi = lo, hi
+
+            def project(self, z):
+                return np.minimum(np.maximum(z, self.lo), self.hi)
 
         def problem(set_of):
             samples = self._samples(set_of)
@@ -685,7 +696,7 @@ class TestEvalSetSamplers:
         cfg = SascConfig(alpha0=0.05, omega=2.0, m0=8, epochs=6, seed=4,
                          minibatch=2, checkpoint_every=40, eval_samples=30)
         x_box, trace_box = run_sasc(problem(BoxSet), cfg)
-        x_custom, trace_custom = run_sasc(problem(custom), cfg)
+        x_custom, trace_custom = run_sasc(problem(Custom), cfg)
         assert x_custom.tobytes() == x_box.tobytes()
         assert (trace_custom.column("feasibility").tobytes()
                 == trace_box.column("feasibility").tobytes())
