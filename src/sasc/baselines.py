@@ -169,10 +169,10 @@ class _SppRowIterate(_OneRow):
 
     mean = _SppIterate.mean
 
-    def __init__(self, problem: CompositeProblem, rows):
-        super().__init__(problem, rows, per_step=2)
+    def __init__(self, problem: CompositeProblem):
+        super().__init__(problem, per_step=2)
         self.prox_f = _prox_f(problem)
-        self.sq = [None] * rows.shape[0]
+        self.sq = [None] * self.rows.shape[0]
 
     def step(self, draw, alpha: float, beta: float) -> Optional[float]:
         """One step on the drawn row; None when x is not finite."""
@@ -215,8 +215,8 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     iterate raises DivergenceError naming its 1-based step. ``cfg`` must be
     an "spp" config.
     """
-    support = problem.constraints.support()
-    it = (_SppRowIterate(problem, support.rows) if isinstance(support, RowBatch)
+    it = (_SppRowIterate(problem)
+          if isinstance(problem.constraints.support(), RowBatch)
           else _SppIterate(problem))
     return _run_one_epoch(it, cfg, "spp")
 
@@ -287,6 +287,6 @@ def run_pegasos(dataset, lam: float, iterations: int, seed: int = 0,
         hinge = float(np.mean(np.maximum(0.0, 1.0 - margins)))
         return 0.5 * lam * float(x @ x) + hinge, float(np.mean(margins <= 0.0))
 
-    return _drive(_PegasosIterate(problem, rows), np.random.default_rng(seed),
+    return _drive(_PegasosIterate(problem), np.random.default_rng(seed),
                   _Recorder(checkpoint_every, evaluate),
                   [(lam, 0.0, iterations)], np.zeros(dataset.dim))

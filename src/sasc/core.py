@@ -558,16 +558,21 @@ class _OneRow(_Iterate):
     custom f, else None. ``bound`` dominates max |entry| of the array a
     step moves: a step of coef times a row (or of rows whose |coefs| sum to
     coef) and of size alpha adds |coef| times ``max_value``, the largest
-    stored |row entry|, and alpha times ``growth``; the plane's projection
-    adds its own shift (``_prox_h``).
+    stored |row entry|, which the row set found when it checked its rows,
+    and alpha times ``growth``; the plane's projection adds its own shift
+    (``_prox_h``).
     Only past ``_V_BOUND`` is the array checked in full, and the bound
     restarts from it; so finiteness costs no O(d) pass. ``entries(i)``
-    reads one row's stored entries, dense or CSR.
+    reads one row's stored entries, dense or CSR. The rows are those of
+    the problem's row set, read through its support.
     """
 
-    def __init__(self, problem: CompositeProblem, rows, per_step: int = 1):
+    def __init__(self, problem: CompositeProblem, per_step: int = 1):
         super().__init__(problem, 1)
-        self.rows = rows
+        row_set = problem.constraints.support().owner
+        rows = self.rows = row_set.rows
+        self.ptr = rows.indptr.tolist() if isinstance(rows, _CsrRows) else None
+        self.max_value = row_set._max_abs
         self.per_step = per_step
         st = problem.structure
         self.custom_f = st.f == "custom"
@@ -576,11 +581,6 @@ class _OneRow(_Iterate):
             a = self.normal = np.array(st.normal)
             self.offset, self.normal_sq = st.offset, float(a @ a)
             self.normal_max = max(map(abs, st.normal))
-        csr = isinstance(rows, _CsrRows)
-        self.ptr = rows.indptr.tolist() if csr else None
-        values = rows.data if csr else rows
-        self.max_value = max(float(values.max(initial=0.0)),
-                             -float(values.min(initial=0.0)))
         # A half-square f adds nothing: SPP's prox divides x, and sasc's
         # x (1 - alpha mu) never grows, as SascConfig.validate holds
         # alpha0 <= 3/(4 mu). The shrink never grows an entry. A custom f
@@ -649,8 +649,8 @@ class _RowIterate(_OneRow):
     entry of x, never x_bar.
     """
 
-    def __init__(self, problem: CompositeProblem, rows, samples: int = 1):
-        super().__init__(problem, rows)
+    def __init__(self, problem: CompositeProblem, samples: int = 1):
+        super().__init__(problem)
         self.samples = samples
         self.block = samples > 1 or self.ptr is not None
         self.grad_f = None if problem.structure.f == "zero" else problem.grad_f
@@ -695,8 +695,8 @@ class _ScaledIterate(_OneRow):
     same way, with every column stored.
     """
 
-    def __init__(self, problem: CompositeProblem, rows):
-        super().__init__(problem, rows)
+    def __init__(self, problem: CompositeProblem):
+        super().__init__(problem)
         self.mu = problem.mu
 
     def start(self, x: Array) -> None:
@@ -753,13 +753,12 @@ def _iterate(problem: CompositeProblem, cfg: SascConfig):
     is not a row set takes the plain step on its listed samples
     (``_Iterate``).
     """
-    support = problem.constraints.support()
-    if not isinstance(support, RowBatch):
+    if not isinstance(problem.constraints.support(), RowBatch):
         return _Iterate(problem, cfg.minibatch)
     st = problem.structure
     if cfg.minibatch == 1 and st.f == "half_sq_norm" and st.h == "zero":
-        return _ScaledIterate(problem, support.rows)
-    return _RowIterate(problem, support.rows, cfg.minibatch)
+        return _ScaledIterate(problem)
+    return _RowIterate(problem, cfg.minibatch)
 
 
 def _drive(it, rng, rec, epochs, x, restart_from_mean=False, callback=None):

@@ -544,14 +544,14 @@ class TestCli:
         assert read_trace_csv(out).records
 
     def test_solver_option_table_names_real_options_and_solvers(self):
-        from sasc.cli import _OPTIONS, _READ_BY
-        dests = {dest for opts in _OPTIONS.values() for _, dest, *_ in opts}
-        solvers = {s for opts in _OPTIONS.values()
-                   for _, dest, _, _, _, choices, _ in opts
-                   if dest == "solver" for s in choices}
-        for dest, readers in _READ_BY.items():
-            assert dest in dests, dest
-            assert readers and set(readers) <= solvers, dest
+        from sasc.cli import _OPTIONS
+        for cmd, options in _OPTIONS.items():
+            solvers = {s for opt in options if opt.flag == "--solver"
+                       for s in opt.choices}
+            for opt in options:
+                if opt.read_by is not None:
+                    assert opt.read_by and set(opt.read_by) <= solvers, \
+                        (cmd, opt.flag)
 
     def test_solver_error_exit_code(self, tmp_path):
         # unreadable data file: a runtime (not usage) failure
@@ -590,21 +590,55 @@ class TestCli:
         (["bounds", "--m0", "4", "--m-max", "3"], "", "--m-max"),
         (["bp"], "no_timing = maybe\n", "'no_timing'"),
         (["bp"], "solver = newton\n", "'solver'"),
+        (["svm", "--solver", "sasc"], "lambda = 0.1\n", "--lambda"),
+        (["bp"], "mu = 5\n", "--mu"),
+        (["check"], "norm_bound = nan\n", "--norm-bound"),
+        (["bounds"], "m_count = 0\n", "--m-count"),
     ], ids=["bounds-m-max-below-m0", "config-flag-not-boolean",
-            "config-solver-choice"])
+            "config-solver-choice", "config-lambda-unread-by-sasc",
+            "config-mu-unread-by-sasc", "config-norm-bound-nan",
+            "config-m-count-0"])
     def test_refusal_exits_1_naming_it(self, argv, config, name, tmp_path,
                                        capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         out = tmp_path / "o.csv"
-        inputs = ["--d", "8", "--n", "200", "--sparsity", "2",
-                  "--budget", "400"] if argv[0] == "bp" else []
-        assert cli_main(argv + inputs + ["--config", str(cfg),
-                                         "--out", str(out)]) == 1
+        inputs = {"bp": ["--d", "8", "--n", "200", "--sparsity", "2",
+                         "--budget", "400"],
+                  "svm": ["--data", str(tmp_path / "never-read.libsvm")],
+                  }.get(argv[0], [])
+        # check writes no file and has no --out option
+        out_args = [] if argv[0] == "check" else ["--out", str(out)]
+        assert cli_main(argv + inputs + ["--config", str(cfg)]
+                        + out_args) == 1
         printed = capsys.readouterr()
         # refused before anything is printed
         assert printed.out == ""
         assert printed.err.startswith("usage error:") and name in printed.err
+        assert "Traceback" not in printed.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--alpha0", "1e300", "--smax", "5", "--residual-draws", "5"],
+        ["check", "--norm-bound", "1e-200", "--smax", "3",
+         "--residual-draws", "5"],
+        ["bounds", "--norm-bound", "1e200"],
+        ["bp", "--d", "8", "--n", "200", "--sparsity", "2",
+         "--omega", "1e300", "--epochs", "3"],
+        ["portfolio", "--omega", "1e200", "--epochs", "3"],
+    ], ids=["check-alpha0-squared", "check-beta-underflow",
+            "bounds-norm-bound-squared", "bp-omega-power",
+            "portfolio-omega-power"])
+    def test_finite_setting_that_overflows_is_usage_error(self, argv,
+                                                          tmp_path, capsys):
+        # finite and in range, but the schedule's arithmetic leaves floats
+        out = tmp_path / "o.csv"
+        out_args = [] if argv[0] == "check" else ["--out", str(out)]
+        assert cli_main(argv + out_args) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"usage error: a setting of {argv[0]} "
+                                      "overflows the schedule's arithmetic")
         assert "Traceback" not in printed.err
         assert not out.exists()
 
