@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .core import (CompositeProblem, _check_counts, _declared_f, _drive,
 from .errors import (ConfigurationError, DegenerateConstraintError,
                      UnsupportedProblemError)
 from .problems import _half_sq_norm_problem, _labeled_rows
-from .prox import Array
+from .prox import Array, _shrink
 from .smoothing import RowBatch, RowConstraintSet, _batches, _row_norms
 
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
@@ -78,11 +77,9 @@ class _SgdIterate(_Iterate):
     def step(self, draw, alpha: float, beta: float):
         t, batch = draw
         eta = alpha / np.sqrt(t)
-        x = self.x = self.problem.prox_h.evaluate(
+        self.x = self.problem.prox_h.evaluate(
             self.x - eta * self.problem.grad_f(self.x, batch), eta)
-        if not np.isfinite(x).all():
-            return None
-        self.total += x
+        self.total += self.x
         return float(eta)
 
 
@@ -154,28 +151,30 @@ class _SppIterate(_Iterate):
         z = self.problem.prox_h.evaluate(self.prox_f(self.x, pair[:1], alpha),
                                          alpha)
         self.x = _project_onto_constraint(z, pair[1])
-        return alpha if np.isfinite(self.x).all() else None
+        return alpha
 
     def mean(self, k: int) -> Array:
         return self.x
 
 
 class _SppRowIterate(_OneRow):
-    """SPP on a row set: ``_OneRow``'s draws, two a step, prox of h and bound.
+    """SPP on a row set: ``_OneRow``'s draws, two a step, and prox of h.
 
     The projection is x = z - g row, g the row's multiplier at
-    beta = ||row||^2, which is read once per row per run.
+    beta = ||row||^2, which is read once per row per run. The l1 shrink
+    keeps the sign of zero, as the point it returns is its last.
     """
 
     mean = _SppIterate.mean
+    shrink = staticmethod(_shrink)
 
     def __init__(self, problem: CompositeProblem):
         super().__init__(problem, per_step=2)
         self.prox_f = _prox_f(problem)
         self.sq = [None] * self.rows.shape[0]
 
-    def step(self, draw, alpha: float, beta: float) -> Optional[float]:
-        """One step on the drawn row; None when x is not finite."""
+    def step(self, draw, alpha: float, beta: float) -> float:
+        """One step on the drawn row."""
         objective, i, lo, hi = draw
         z = self._prox_h(self.prox_f(self.x, objective, alpha), alpha)
         row = self.rows[i]
@@ -189,10 +188,7 @@ class _SppRowIterate(_OneRow):
                         "outside its target set")
                 sq = math.inf
             self.sq[i] = sq
-        g = _row_multiplier(row, z, lo, hi, sq)
-        x = self.x = z - g * row
-        if self._past_bound(g, alpha) and not self._rebound(x):
-            return None
+        self.x = z - _row_multiplier(row, z, lo, hi, sq) * row
         return alpha
 
 
@@ -224,20 +220,21 @@ def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
 class _PegasosIterate(_OneRow):
     """Pegasos on the labeled rows b_i a_i; its mean is its last point.
 
-    Each draw comes with its 1-based step count t. A step of size
-    eta = 1/(alpha t) scales x by 1 - eta alpha, which never grows an entry,
-    and adds eta times the row when its margin is below 1: only then does
-    the bound grow.
+    Each draw comes with its 1-based step count t, and reads only the row
+    index: the rows' lo and hi are never listed. A step of size
+    eta = 1/(alpha t) scales x by 1 - eta alpha and adds eta times the row
+    when its margin is below 1.
     """
 
     mean = _SppIterate.mean
+    columns = ("idx",)
 
     def draws(self, rng: np.random.Generator, steps: int):
         return enumerate(super().draws(rng, steps), start=1)
 
-    def step(self, draw, alpha: float, beta: float) -> Optional[float]:
-        """One step on the drawn row; None when x is not finite."""
-        t, (_, i, _, _) = draw
+    def step(self, draw, alpha: float, beta: float) -> float:
+        """One step on the drawn row."""
+        t, (_, i) = draw
         cols, vals = self.entries(i)
         x = self.x
         margin = float(vals @ x[cols])
@@ -245,8 +242,6 @@ class _PegasosIterate(_OneRow):
         x *= 1.0 - eta * alpha
         if margin < 1.0:
             x[cols] += eta * vals
-            if self._past_bound(eta, alpha) and not self._rebound(x):
-                return None
         return eta
 
 

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .prox import (Array, ProxHandle, _clip, _plane, _shrink,
+from .prox import (Array, ProxHandle, _clip, _plane, _soft,
                    hyperplane_indicator_prox, l1_prox, zero_prox)
 from .smoothing import (
     CertificateInputs,
@@ -273,7 +273,8 @@ class SascConfig:
     control how often and on how many held-out draws the trace is evaluated.
     The config is frozen and checked when built (a ``dataclasses.replace``
     copy too); ``run_sasc`` checks it again with ``validate(problem)``,
-    which adds the two conditions that need the problem.
+    which adds the conditions that need the problem. Either refuses a
+    schedule that leaves the float range (``_check_range``).
     """
 
     alpha0: float
@@ -308,6 +309,7 @@ class SascConfig:
                 f"sample_budget {self.sample_budget} cannot fit the first epoch "
                 f"(m0 = {self.m0})"
             )
+        _check_range(self, None if problem is None else problem.norm_bound)
         if problem is None:
             return
         L = problem.lipschitz_grad
@@ -384,6 +386,26 @@ class ConvergenceTrace:
     def column(self, name: str) -> Array:
         vals = [getattr(r, name) for r in self.records]
         return np.array([np.nan if v is None else v for v in vals], dtype=float)
+
+
+def _check_range(cfg: SascConfig, norm_bound: Optional[float] = None,
+                 last: Optional[int] = None) -> None:
+    """Refuse a schedule that leaves the float range by epoch ``last``, the
+    last planned one by default: m_last must be finite, beta_0 (with
+    ``norm_bound``, else 1) finite and beta_last, so alpha_last too,
+    nonzero. These are the extremes, as alpha and beta fall and m grows."""
+    try:
+        last = cfg.planned_epochs() - 1 if last is None else last
+        (_, beta0, _), (_, beta, _) = (
+            schedule_params(cfg, s, norm_bound or 1.0) for s in (0, last))
+    except OverflowError:
+        beta = 0.0
+    if not 0.0 < beta <= beta0 < math.inf:
+        raise ConfigurationError(
+            f"alpha0 = {cfg.alpha0}, omega = {cfg.omega}, m0 = {cfg.m0}, "
+            f"norm_bound = {norm_bound}, epochs = {cfg.epochs} and sample_budget"
+            f" = {cfg.sample_budget} take the schedule past the floats by epoch "
+            f"{last}")
 
 
 def schedule_params(cfg: SascConfig, s: int, norm_bound: float):
@@ -507,8 +529,8 @@ class _Iterate:
 
     The base of every iterate, and sasc's own step on a sampler that is not
     a row set: the plain step (``_inner_step``) on the step's listed
-    samples, then a full finiteness check of x. Each step counts
-    ``samples`` samples, its batch size.
+    samples. Each step counts ``samples`` samples, its batch size, and
+    returns the step size it took; ``_drive`` checks finiteness.
     """
 
     def __init__(self, problem: CompositeProblem, samples: int):
@@ -519,15 +541,17 @@ class _Iterate:
         self.x = x
         self.total = np.zeros_like(x)
 
+    def replay(self, x: Array) -> None:
+        """Start from x again, to locate a divergence (``_finite``)."""
+        self.start(x)
+
     def draws(self, rng: np.random.Generator, steps: int):
         return _batches(self.problem.constraints, rng, steps, self.samples)
 
-    def step(self, batch, alpha: float, beta: float) -> Optional[float]:
-        """One step of size alpha; None when the new iterate is not finite."""
-        x = self.x = _inner_step(self.x, batch, alpha, beta, self.problem)
-        if not np.isfinite(x).all():
-            return None
-        self.total += x
+    def step(self, batch, alpha: float, beta: float) -> float:
+        """One step of size alpha."""
+        self.x = _inner_step(self.x, batch, alpha, beta, self.problem)
+        self.total += self.x
         return alpha
 
     def point(self) -> Array:
@@ -537,42 +561,41 @@ class _Iterate:
         return self.total / k
 
 
-# Below this bound on max |entry| every entry of the stepped array is finite
-# and no row product can overflow; above it a step checks the array in full.
-_V_BOUND = 1e150
 # The scaled iterate folds its scale into v once the scale falls below this:
 # well before it underflows, and while S v and c (both of order |x| S / s)
 # stay within a few hundred ulps of the sum they stand for.
 _FOLD_BELOW = 1e-3
+# Most steps whose draws ``_OneRow.draws`` turns into Python scalars at
+# once: a chunk's whole conversion would stall the step that starts it.
+_SLICE = 256
 
 
 class _OneRow(_Iterate):
-    """The row-set iterates' base: scalar draws, h's prox, a finiteness bound.
+    """The row-set iterates' base: scalar draws and h's prox.
 
     Every sasc, SPP and Pegasos run on a row set steps one of its
     subclasses: sasc's ``_RowIterate`` and ``_ScaledIterate``, SPP's and
     Pegasos's iterates.
-    ``draws`` yields each step's (objective, row, lo, hi), read as Python
-    scalars from the row set's chunks of ``per_step`` draws: the row is the
+    ``draws`` yields each step's objective and its ``columns`` of the
+    chunk (row, lo, hi), read as Python scalars from the row set's chunks
+    of ``per_step`` draws, ``_SLICE`` steps at a time: the row is the
     step's last draw, and ``objective`` its first as a batch of one for a
-    custom f, else None. ``bound`` dominates max |entry| of the array a
-    step moves: a step of coef times a row (or of rows whose |coefs| sum to
-    coef) and of size alpha adds |coef| times ``max_value``, the largest
-    stored |row entry|, which the row set found when it checked its rows,
-    and alpha times ``growth``; the plane's projection adds its own shift
-    (``_prox_h``).
-    Only past ``_V_BOUND`` is the array checked in full, and the bound
-    restarts from it; so finiteness costs no O(d) pass. ``entries(i)``
-    reads one row's stored entries, dense or CSR. The rows are those of
-    the problem's row set, read through its support.
+    custom f, else None. No step checks finiteness: a non-finite entry
+    stays non-finite through every step and the running sum, so ``_drive``
+    finds it at the next checkpoint or epoch end and replays the epoch to
+    name its step. ``entries(i)`` reads one row's stored entries, dense or
+    CSR. The rows are those of the problem's row set, read through its
+    support.
     """
+
+    columns = ("idx", "lo", "hi")
+    # the l1 shrink; SPP returns its last point, so it keeps the sign of zero
+    shrink = staticmethod(_soft)
 
     def __init__(self, problem: CompositeProblem, per_step: int = 1):
         super().__init__(problem, 1)
-        row_set = problem.constraints.support().owner
-        rows = self.rows = row_set.rows
+        rows = self.rows = problem.constraints.support().owner.rows
         self.ptr = rows.indptr.tolist() if isinstance(rows, _CsrRows) else None
-        self.max_value = row_set._max_abs
         self.per_step = per_step
         st = problem.structure
         self.custom_f = st.f == "custom"
@@ -580,23 +603,18 @@ class _OneRow(_Iterate):
         if st.h == "hyperplane":
             a = self.normal = np.array(st.normal)
             self.offset, self.normal_sq = st.offset, float(a @ a)
-            self.normal_max = max(map(abs, st.normal))
-        # A half-square f adds nothing: SPP's prox divides x, and sasc's
-        # x (1 - alpha mu) never grows, as SascConfig.validate holds
-        # alpha0 <= 3/(4 mu). The shrink never grows an entry. A custom f
-        # or h has no bound, so the infinite growth scans x every step.
-        self.growth = (math.inf if self.custom_f or st.h == "custom"
-                       else max(map(abs, st.c)) if st.f == "linear" else 0.0)
 
     def draws(self, rng: np.random.Generator, steps: int):
         """Yield (objective, row, lo, hi) of ``steps`` steps, as scalars."""
         per = self.per_step
-        last = slice(per - 1, None, per)
         for chunk in _chunks(self.problem.constraints, rng, steps, per):
-            objective = ((chunk[j:j + 1] for j in range(0, len(chunk), per))
-                         if self.custom_f else repeat(None))
-            yield from zip(objective, chunk.idx[last].tolist(),
-                           chunk.lo[last].tolist(), chunk.hi[last].tolist())
+            cols = [getattr(chunk, name)[per - 1::per] for name in self.columns]
+            for j in range(0, len(cols[0]), _SLICE):
+                objective = ((chunk[k:k + 1]
+                              for k in range(j * per, len(chunk), per))
+                             if self.custom_f else repeat(None))
+                yield from zip(objective,
+                               *(c[j:j + _SLICE].tolist() for c in cols))
 
     def entries(self, i: int):
         """(columns, values) of row i: a CSR row's stored entries as views,
@@ -606,33 +624,18 @@ class _OneRow(_Iterate):
         p, q = self.ptr[i], self.ptr[i + 1]
         return self.rows.indices[p:q], self.rows.data[p:q]
 
-    def start(self, x: Array) -> None:
-        super().start(x)
-        self._rebound(x)
-
     def _prox_h(self, z: Array, alpha: float) -> Array:
         """The prox of alpha h at z, with no handle call for a declared h; the
-        plane shifts z (the step's own buffer) in place by s a, and the bound
-        by |s| max |a|."""
+        plane shifts z, the step's own buffer, in place."""
         if self.h == "l1":
-            return _shrink(z, alpha * self.weight)
+            return self.shrink(z, alpha * self.weight)
         if self.h == "hyperplane":
-            s = (float(self.normal.dot(z)) - self.offset) / self.normal_sq
-            self.bound += abs(s) * self.normal_max
-            return np.subtract(z, s * self.normal, out=z)
+            z -= ((float(self.normal.dot(z)) - self.offset) / self.normal_sq
+                  * self.normal)
+            return z
         if self.h == "custom":
             return self.problem.prox_h.evaluate(z, alpha)
         return z
-
-    def _past_bound(self, coef: float, alpha: float) -> bool:
-        """Grow the bound by one step; True past _V_BOUND."""
-        self.bound += abs(coef) * self.max_value + alpha * self.growth
-        return not self.bound < _V_BOUND
-
-    def _rebound(self, a: Array) -> bool:
-        """Restart the bound from max |a|; False when a is not finite."""
-        self.bound = float(np.abs(a).max())
-        return self.bound < math.inf
 
 
 class _RowIterate(_OneRow):
@@ -642,11 +645,13 @@ class _RowIterate(_OneRow):
     rows R and no gradient for a zero f, then x <- prox_h(x - alpha d) by
     ``_prox_h``: the plain step's arithmetic in its order, so x_bar keeps
     its bits. One dense row per step is read as Python scalars
-    (``_OneRow.draws``, ``_row_multiplier``); a block of ``samples`` rows,
-    or a CSR row, is a RowBatch from ``smoothing._batches`` with
-    ``_block_multiplier``'s g, and the bound grows by alpha sum |g_i|
-    ``max_value``. Dropping a zero f's 0.0 + can flip the sign of a zero
-    entry of x, never x_bar.
+    (``_OneRow.draws``, ``_row_multiplier``); for bp its step is the row
+    dot, g row, *= alpha, x - d, the shrink's two ufuncs and the running
+    sum. A block of ``samples`` rows, or a CSR row, is a RowBatch from
+    ``smoothing._batches`` with ``_block_multiplier``'s g. The shrink's
+    zero is +0.0 (``prox._soft``), and a zero f adds no 0.0, so a zero
+    entry of x may lose its sign, never one of x_bar. Finiteness is found
+    at checkpoints (``_OneRow``).
     """
 
     def __init__(self, problem: CompositeProblem, samples: int = 1):
@@ -658,24 +663,19 @@ class _RowIterate(_OneRow):
     def draws(self, rng: np.random.Generator, steps: int):
         return (_Iterate if self.block else _OneRow).draws(self, rng, steps)
 
-    def step(self, draw, alpha: float, beta: float) -> Optional[float]:
-        """One step on the drawn rows; None when x is not finite."""
-        x = self.x
+    def step(self, draw, alpha: float, beta: float) -> float:
+        """One step on the drawn rows."""
+        x, batch = self.x, draw
         if self.block:
-            g = _block_multiplier(draw, x, beta)
-            d = g @ draw.rows
-            coef, batch = sum(map(abs, g.tolist())), draw
+            d = _block_multiplier(draw, x, beta) @ draw.rows
         else:
             batch, i, lo, hi = draw
             row = self.rows[i]
-            coef = _row_multiplier(row, x, lo, hi, beta)
-            d = coef * row
+            d = _row_multiplier(row, x, lo, hi, beta) * row
         if self.grad_f is not None:
             d += self.grad_f(x, batch)
         d *= alpha
-        x = self.x = self._prox_h(np.subtract(x, d, out=d), alpha)
-        if self._past_bound(alpha * coef, alpha) and not self._rebound(x):
-            return None
+        x = self.x = self._prox_h(x - d, alpha)
         self.total += x
         return alpha
 
@@ -690,9 +690,14 @@ class _ScaledIterate(_OneRow):
     times the scale sum S before the step, and S then adds the new s. So x
     and the running sum are exact in real arithmetic, and a step touches
     only the row's entries. The scale is folded into v (and S v into c)
-    once it falls below ``_FOLD_BELOW``, or once the bound on max |v|
-    passes ``_V_BOUND``, before v is checked in full. Dense rows step the
-    same way, with every column stored.
+    once it falls below ``_FOLD_BELOW``. As SascConfig.validate holds
+    alpha mu <= 3/4, s stays above _FOLD_BELOW / 4 and max |v| within
+    4 / _FOLD_BELOW of max |x|: v leaves the floats before x only for an x
+    within that factor of the largest float. ``_drive`` finds either at
+    its checkpoints (``_OneRow``); its replay folds after every step, so
+    that v is x and the step it names is the one where x itself leaves
+    the floats, as for the plain step. Dense rows step the same way, with
+    every column stored.
     """
 
     def __init__(self, problem: CompositeProblem):
@@ -700,40 +705,33 @@ class _ScaledIterate(_OneRow):
         self.mu = problem.mu
 
     def start(self, x: Array) -> None:
-        self.v = x.copy()
-        self.c = np.zeros_like(x)
-        self.scale = 1.0
-        self.scale_sum = 0.0
-        self._rebound(x)
+        self.v, self.c = x.copy(), np.zeros_like(x)
+        self.scale, self.scale_sum, self.fold_below = 1.0, 0.0, _FOLD_BELOW
 
-    def step(self, draw, alpha: float, beta: float) -> Optional[float]:
-        """One step on the drawn row; None when x is not finite."""
+    def replay(self, x: Array) -> None:
+        """Start from x again, folding after every step."""
+        self.start(x)
+        self.fold_below = math.inf
+
+    def step(self, draw, alpha: float, beta: float) -> float:
+        """One step on the drawn row."""
         _, i, lo, hi = draw
         cols, vals = self.entries(i)
         v = self.v
         v_cols = v[cols]
         g = _row_multiplier(vals, v_cols, lo, hi, beta, self.scale)
         scale = self.scale = self.scale * (1.0 - alpha * self.mu)
-        coef = alpha * g / scale
         if g != 0.0:
-            delta = coef * vals
+            delta = alpha * g / scale * vals
             v[cols] = v_cols - delta
             c = self.c
             c[cols] = c[cols] - self.scale_sum * delta
         self.scale_sum += scale
-        if self._past_bound(coef, alpha):
-            self._fold()
-            return alpha if self._rebound(v) else None
-        if scale < _FOLD_BELOW:
-            self._fold()
+        if scale < self.fold_below:
+            self.c -= self.scale_sum * self.v
+            self.v *= scale
+            self.scale, self.scale_sum = 1.0, 0.0
         return alpha
-
-    def _fold(self) -> None:
-        self.c -= self.scale_sum * self.v
-        self.v *= self.scale
-        self.bound *= self.scale
-        self.scale = 1.0
-        self.scale_sum = 0.0
 
     def point(self) -> Array:
         return self.scale * self.v
@@ -767,28 +765,60 @@ def _drive(it, rng, rec, epochs, x, restart_from_mean=False, callback=None):
     Each epoch (alpha, beta, m) starts ``it`` from x and takes m steps on
     ``it.draws(rng, m)``, each counting ``it.samples`` samples. A step
     returns the step size it took, which a due checkpoint records with beta
-    on ``it.mean(k)``, or None when its iterate is not finite: that raises
-    DivergenceError naming the epoch and the step k, the 1-based count of
-    steps taken in the epoch. The next epoch starts from the epoch's mean
-    if ``restart_from_mean``, else from its last point.
+    on ``it.mean(k)``. The next epoch starts from the epoch's mean if
+    ``restart_from_mean``, else from its last point.
+
+    No step checks finiteness. No step turns a non-finite entry finite
+    again, and the running sum keeps one too, so only the vectors formed
+    anyway are checked (``_finite``): the mean before each record, and the
+    epoch's mean and last point. When one is not finite, a replay of the
+    epoch names the epoch and the first step k, the 1-based count of steps
+    taken in the epoch, whose point or mean is not finite, in
+    DivergenceError. With a callback each step is checked, the same way,
+    before the callback sees it. The steps run with numpy's floating-point
+    warnings off, so a run that leaves the floats raises the
+    DivergenceError alone.
     """
     seen, samples = 0, it.samples
-    for s, (alpha, beta, m) in enumerate(epochs):
-        it.start(x)
-        for k, draw in enumerate(it.draws(rng, m), start=1):
-            taken = it.step(draw, alpha, beta)
-            if taken is None:
-                raise DivergenceError(epoch=s, step=k)
-            seen += samples
-            if callback is not None:
-                callback(ScheduleState(s, k, alpha, beta, m, it.point(),
-                                       it.mean(k), seen))
-            if seen >= rec.due:
-                rec.record(it.mean(k), seen, s, taken, beta)
-        x_bar = it.mean(m)
-        x = x_bar if restart_from_mean else it.point()
+    with np.errstate(all="ignore"):
+        for s, (alpha, beta, m) in enumerate(epochs):
+            epoch = (it, rng, s, alpha, beta, m, x.copy(),
+                     rng.bit_generator.state)
+            it.start(x)
+            for k, draw in enumerate(it.draws(rng, m), start=1):
+                taken = it.step(draw, alpha, beta)
+                seen += samples
+                if callback is not None:
+                    point, mean = _finite(epoch, k, it.point(), it.mean(k))
+                    callback(ScheduleState(s, k, alpha, beta, m, point, mean,
+                                           seen))
+                if seen >= rec.due:
+                    mean, = _finite(epoch, k, it.mean(k))
+                    rec.record(mean, seen, s, taken, beta)
+            x_bar, last = _finite(epoch, m, it.mean(m), it.point())
+            x = x_bar if restart_from_mean else last
     # every epochs list holds one epoch at least, so its values exist
     return x_bar, rec.finish(x_bar, seen, s, taken, beta)
+
+
+def _finite(epoch, k, *arrays):
+    """``arrays``, seen at step k of ``epoch``, when each is finite.
+
+    Else the epoch is stepped again (``it.replay``) from a copy of its start
+    x and of the generator's state, each step's point and mean checked, and
+    the DivergenceError raised names the first step whose point or mean is
+    not finite, or k if the replay stays finite.
+    """
+    if all(np.isfinite(a).all() for a in arrays):
+        return arrays
+    it, rng, s, alpha, beta, m, x, state = epoch
+    rng.bit_generator.state = state
+    it.replay(x)
+    for j, draw in enumerate(it.draws(rng, m), start=1):
+        it.step(draw, alpha, beta)
+        if not (np.isfinite(it.point()).all() and np.isfinite(it.mean(j)).all()):
+            raise DivergenceError(epoch=s, step=j)
+    raise DivergenceError(epoch=s, step=k)
 
 
 def run_sasc(problem: CompositeProblem, cfg: SascConfig,
@@ -852,6 +882,7 @@ def rate_constants(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
     if cfg.m0 < 2:
         raise ConfigurationError(
             "constants are undefined for m0 = 1 (division by m0 - 1)")
+    _check_range(cfg, norm_bound, last=0)
     if cert.x_star is None or np.shape(cert.x_star) != np.shape(x0):
         raise ValueError("constants need cert.x_star, of x0's shape "
                          f"{np.shape(x0)}, to measure the start distance")
@@ -927,6 +958,7 @@ def schedule_inequalities_check(cfg: SascConfig, norm_bound: float,
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    _check_range(cfg, norm_bound, last=s_max)
     a0, w, m0 = cfg.alpha0, cfg.omega, cfg.m0
     a_sq = norm_bound ** 2
     L = 3.0 / (4.0 * a0) if lipschitz_grad is None else lipschitz_grad

@@ -23,7 +23,7 @@ class UnsupportedProblemError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate became non-finite during a run."""
+    """An iterate, or its running mean, became non-finite during a run."""
 
     def __init__(self, epoch: int, step: int):
         self.epoch = epoch

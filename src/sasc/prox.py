@@ -18,22 +18,31 @@ from .errors import DegenerateConstraintError
 Array = np.ndarray
 
 
+# the clip ufunc itself, which np.clip wraps in a Python layer; numpy 1.x
+# keeps it in numpy.core
+_clip_array = (np._core if hasattr(np, "_core") else np.core).umath.clip
+
+
+def _soft(z: Array, tau: float) -> Array:
+    """Soft thresholding as z - clip(z, -tau, tau), two ufuncs: the row-set
+    steps' shrink of an iterate whose sign of zero nothing reads.
+
+    Equals ``_shrink`` except that a zero result is +0.0. A non-finite
+    component of z stays non-finite.
+    """
+    return z - _clip_array(z, -tau, tau)
+
+
 def _shrink(z: Array, tau: float) -> Array:
     """Soft thresholding, the prox of tau ||.||_1, with no checks: the l1
-    prox handle's and the row-set steps' own.
+    prox handle's and SPP's own.
 
-    Computes copysign(max(|z| - tau, 0), z) in one new buffer, with four
-    ufuncs and no temporaries. A zero result takes the sign of its input, so
-    a -0.0 component gives -0.0 (sign(z) * ... would give +0.0 there and
-    agrees everywhere else). A non-finite component of z stays non-finite,
-    so the solvers' own finiteness checks still catch it.
+    Computes ``_soft`` with the sign of z, three ufuncs and no keywords,
+    byte for byte equal to copysign(max(|z| - tau, 0), z): a zero result
+    takes the sign of its input, so a -0.0 component gives -0.0
+    (sign(z) * ... would give +0.0 there and agrees everywhere else).
     """
-    out = np.abs(z)
-    if out.ndim == 0:       # a 0-d z gives a numpy scalar, not a buffer
-        return np.copysign(np.maximum(out - tau, 0.0), z)
-    np.subtract(out, tau, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.copysign(out, z, out=out)
+    return np.copysign(_soft(z, tau), z)
 
 
 def _clip(v: float, lo: float, hi: float) -> float:

@@ -217,14 +217,11 @@ class RowConstraintSet(ConstraintSampler):
             raise ValueError("RowConstraintSet: rows must be a nonempty (n, d) array")
         values = rows.data if isinstance(rows, _CsrRows) else rows
         # a NaN or an infinity reaches the min or the max; no n x d scratch
-        least = float(values.min(initial=0.0))
-        most = float(values.max(initial=0.0))
-        if not np.isfinite([least, most]).all():
+        if not np.isfinite([values.min(initial=0.0),
+                            values.max(initial=0.0)]).all():
             raise ValueError("RowConstraintSet: rows must be finite")
         n = rows.shape[0]
         self.rows = rows
-        # the largest stored |entry|, which bounds the one-row iterates' steps
-        self._max_abs = max(most, -least)
         self.lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
         self.hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
         if np.isnan(self.lo).any() or np.isnan(self.hi).any():

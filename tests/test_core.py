@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import sympy
 from numpy.testing import assert_allclose
 
 from conftest import least_squares_grad_one
-from sasc.baselines import BaselineConfig, run_spp
+from sasc.baselines import BaselineConfig, run_pegasos, run_spp
 from sasc.core import (
     _FOLD_BELOW,
     Case,
@@ -16,7 +17,6 @@ from sasc.core import (
     _inner_step,
     _iterate,
     _Iterate,
-    _OneRow,
     _RowIterate,
     _ScaledIterate,
     _seeded_run,
@@ -241,6 +241,35 @@ class TestRunSasc:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError,
                                                        match="epoch"):
             run_sasc(prob, cfg, x0=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("refused, names", [
+        (lambda bp: run_sasc(bp, SascConfig(alpha0=1.0, omega=1e300, m0=2,
+                                            epochs=3)), "omega = 1e+300"),
+        (lambda bp: SascConfig(alpha0=1e-300, omega=1e300, m0=2, epochs=2),
+         "alpha0 = 1e-300"),
+        (lambda bp: SascConfig(alpha0=1.0, omega=2.0, m0=2,
+                               sample_budget=10 ** 400), "sample_budget"),
+        (lambda bp: run_sasc(dataclasses.replace(bp, norm_bound=1e-200),
+                             _cfg(1.0, 2.0, 2, epochs=3)),
+         "norm_bound = 1e-200"),
+        (lambda bp: run_sasc(dataclasses.replace(bp, norm_bound=1e200),
+                             _cfg(1.0, 2.0, 2, epochs=3)),
+         "norm_bound = 1e+200"),
+        (lambda bp: schedule_inequalities_check(_cfg(1.0, 2.0, 2), 1e-200, 3),
+         "norm_bound = 1e-200"),
+        (lambda bp: rate_constants(
+            _cfg(1.0, 2.0, 2), 1e200,
+            CertificateInputs(x_star=np.ones(1), y_star_norm=1.0),
+            np.zeros(1)), "norm_bound = 1e+200"),
+    ], ids=["omega-power", "alpha-underflow", "budget-overflow",
+            "beta-underflow", "beta-overflow", "inequalities-beta-underflow",
+            "constants-norm-bound-squared"])
+    def test_a_schedule_leaving_the_floats_is_refused(self, refused, names):
+        # finite settings whose schedule overflows or underflows: refused
+        # naming them, where a bare OverflowError was raised before
+        bp = make_bp_problem(gen_basis_pursuit(8, 200, 2, 0.9, seed=0))
+        with pytest.raises(ConfigurationError, match=names.replace("+", r"\+")):
+            refused(bp)
 
     def test_config_validation(self, min_norm_toy):
         problem, _ = min_norm_toy
@@ -905,7 +934,8 @@ class TestRowIterate:
                                                              where):
         # an understated norm_bound makes beta far too small: the penalty
         # step overshoots and x grows until it is no longer finite, which
-        # the one-row iterate sees only once its bound passes _V_BOUND
+        # the one-row iterate's run finds at a checkpoint and locates by
+        # replaying the epoch
         problem, cfg, _ = _bp(0, "l1")
         problem = dataclasses.replace(problem, norm_bound=norm_bound)
         cfg = dataclasses.replace(cfg, alpha0=0.5)
@@ -959,16 +989,12 @@ class TestRowIterate:
         ("half-sq-csr", 4), ("least-squares", 4), ("l1-csr", 1), ("l1-csr", 4),
     ])
     def test_every_row_set_run_is_the_plain_loop_bit_for_bit(
-            self, kind, minibatch, monkeypatch):
+            self, kind, minibatch):
         # the traced copy against the plain step (_inner_step), step by
-        # step: x_bar and every trace column keep their bits, no step calls
-        # a declared h's handle or a zero f's grad_f, and with f and h both
-        # declared x is scanned in full only when an epoch starts
+        # step: x_bar and every trace column keep their bits, and no step
+        # calls a declared h's handle or a zero f's grad_f
         problem, cfg, x_star = _row_set_case(kind)
         cfg = dataclasses.replace(cfg, minibatch=minibatch)
-        scans, rebound = [], _OneRow._rebound
-        monkeypatch.setattr(_OneRow, "_rebound",
-                            lambda it, a: scans.append(1) or rebound(it, a))
         calls = {}
         x_bar, trace = run_sasc(_forwarding_copy(problem, calls), cfg,
                                 cert=CertificateInputs(x_star=x_star))
@@ -981,16 +1007,14 @@ class TestRowIterate:
         st = problem.structure
         assert "prox" not in calls
         assert ("grad_f" in calls) == (st.f != "zero")
-        if st.f != "custom":
-            assert len(scans) == cfg.epochs
         if kind == "plane-tight":
             assert trace.column("feasibility").max() > 0.0
 
     @pytest.mark.parametrize("kind", ["l1", "l1-csr"])
     def test_block_divergence_names_the_plain_loops_epoch_and_step(self,
                                                                    kind):
-        # as for one row: the bound, grown by alpha sum |g_i| max |entry|,
-        # sees x leave the floats at the step where the full check does
+        # as for one row: the replay finds x leaving the floats at the
+        # step where the full check does
         problem, cfg, _ = _row_set_case(kind)
         problem = dataclasses.replace(problem, norm_bound=0.01)
         cfg = dataclasses.replace(cfg, alpha0=0.5, minibatch=4)
@@ -1242,6 +1266,114 @@ def _sym_case2(alpha0, m0, omega, nb, y, sf, r0):
     d2 = (2 * m ** 2 * a0 * w / ((m - 1) * (w - 1))) * (A ** 2 * Y ** 2 + S ** 2)
     d3 = 4 * a0 * m * A ** 2 * w / (w - 1)
     return [float(sympy.N(v, 30)) for v in (d1, d2, d3)]
+
+
+def _ascent(b, m0, epochs=1, **kw):
+    """A concave f with gradient -1e10 x - b e_0, and constraints that never
+    bind (lo = -inf, hi = inf). From x = 0, x_0 grows by 1 + 1e10 alpha per
+    step, so b sets the step where it leaves the floats, and the running
+    sum stays within a few ulps of x until then. Returns (problem, config).
+    """
+    push = np.array([b, 0.0])
+    problem = CompositeProblem(
+        dim=2, grad_f=lambda x, batch: -1e10 * x - push,
+        f_value=lambda x, batch: 0.0,
+        constraints=RowConstraintSet(np.eye(2), -np.inf, np.inf),
+        norm_bound=1.0, structure=ObjectiveStructure(h="zero"))
+    kw.setdefault("checkpoint_every", 10 ** 6)
+    return problem, SascConfig(alpha0=1.0, omega=2.0, m0=m0, epochs=epochs,
+                               seed=0, eval_samples=5, **kw)
+
+
+def _divergence(run, *args, **kw):
+    """(epoch, step) of the DivergenceError that ``run`` raises."""
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+        run(*args, **kw)
+    return exc.value.epoch, exc.value.step
+
+
+class TestDivergenceAtCheckpoints:
+    """No step checks finiteness: _drive finds a non-finite point or mean at
+    a checkpoint or an epoch end, and a replay of the epoch names the step
+    that the plain loop's per-step check names."""
+
+    def test_at_the_last_step_of_an_epoch(self):
+        # epoch 0 takes x_0 to about 1e115; epoch 1 multiplies it by about
+        # 7.07e9 per step, which leaves the floats at its 20th and last step
+        problem, cfg = _ascent(1e25, m0=10, epochs=2)
+        assert _divergence(run_sasc, problem, cfg) == \
+            _divergence(_plain_run, problem, cfg) == (1, 20)
+
+    @pytest.mark.parametrize("every", [1, 10, 1000],
+                             ids=["every-step", "between-checkpoints",
+                                  "past-the-epoch"])
+    def test_between_checkpoints(self, every):
+        # x_0 leaves the floats at step 25 of 40, which a checkpoint every
+        # 10 steps finds at step 30 and one every 1000 at the epoch's end
+        problem, cfg = _ascent(1e69, m0=40, checkpoint_every=every)
+        assert _divergence(run_sasc, problem, cfg) == \
+            _divergence(_plain_run, problem, cfg) == (0, 25)
+
+    def test_a_running_mean_that_overflows_names_its_step(self):
+        # a linear drift moves x_0 by -c0 per step, so x_k = -k c0 stays
+        # finite through step 10 while the running sum k(k+1)/2 c0 leaves
+        # the floats at step 7: the mean the run returns is not finite
+        problem = CompositeProblem(
+            dim=2, constraints=RowConstraintSet(np.eye(2), -np.inf, np.inf),
+            norm_bound=1.0,
+            structure=ObjectiveStructure(f="linear", c=(7.55e306, 0.0),
+                                         h="zero"))
+        cfg = SascConfig(alpha0=1.0, omega=2.0, m0=10, epochs=1,
+                         checkpoint_every=10 ** 6, eval_samples=5)
+        assert _divergence(run_sasc, problem, cfg) == (0, 7)
+
+    @pytest.mark.parametrize("case", ["one-row", "block", "scaled", "ascent"])
+    def test_a_callback_never_sees_a_non_finite_point(self, case):
+        if case == "scaled":
+            problem, cfg = _small_svm()
+            problem = dataclasses.replace(problem, norm_bound=0.01)
+        elif case == "ascent":
+            problem, cfg = _ascent(1e25, m0=10, epochs=2)
+        else:
+            problem, cfg, _ = _bp(0, "l1")
+            problem = dataclasses.replace(problem, norm_bound=0.01)
+            cfg = dataclasses.replace(cfg, alpha0=0.5,
+                                      minibatch=4 if case == "block" else 1)
+        states = []
+        where = _divergence(run_sasc, problem, cfg, callback=states.append)
+        assert where == _divergence(run_sasc, problem, cfg)
+        # the scaled form's v = x / s leaves the floats two steps before x
+        # does, and no point past it reaches the callback
+        assert (states[-1].s, states[-1].k) == \
+            (where[0], where[1] - (3 if case == "scaled" else 1))
+        for state in states:
+            assert np.isfinite(state.x).all()
+            assert np.isfinite(state.running_avg).all()
+
+    @pytest.mark.parametrize("solver", ["one-row", "block", "scaled", "spp",
+                                        "pegasos"])
+    def test_no_runtime_warning_escapes_a_diverging_run(self, solver):
+        bp, cfg, _ = _bp(0, "l1")
+        bp = dataclasses.replace(bp, norm_bound=0.01)
+        cfg = dataclasses.replace(cfg, alpha0=0.5)
+        runs = {
+            "one-row": lambda: run_sasc(bp, cfg),
+            "block": lambda: run_sasc(
+                bp, dataclasses.replace(cfg, minibatch=4)),
+            "scaled": lambda: run_sasc(
+                dataclasses.replace(_small_svm()[0], norm_bound=0.01),
+                _small_svm()[1]),
+            "spp": lambda: run_spp(_ascent(1e63, m0=2)[0], BaselineConfig(
+                "spp", step=1.0, iterations=1000, checkpoint_every=97,
+                eval_samples=5)),
+            "pegasos": lambda: run_pegasos(
+                gen_separable_svm(3, 50, margin=0.5, seed=1), lam=1e-310,
+                iterations=5, checkpoint_every=1),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                runs[solver]()
 
 
 class TestConstants:

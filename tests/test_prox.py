@@ -6,6 +6,8 @@ from sasc.errors import DegenerateConstraintError
 from sasc.prox import (
     BoxSet,
     ProxHandle,
+    _shrink,
+    _soft,
     hyperplane_indicator_prox,
     l1_prox,
     zero_prox,
@@ -88,6 +90,28 @@ class TestSoftThreshold:
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError, match="step"):
             soft_threshold(np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("tau", [0.0, 5e-324, 0.3, 1.0, 1e300])
+    def test_clip_form_is_copysign_of_the_shrunk_magnitude_byte_for_byte(
+            self, tau):
+        # z - clip(z, -tau, tau) with z's sign against the textbook form,
+        # on signed zeros and NaNs, entries at and next to +-tau, both
+        # infinities, subnormals and random values; whole and 0-d
+        rng = np.random.default_rng(7)
+        near = np.nextafter(tau, [np.inf, -np.inf])
+        z = np.concatenate([
+            [0.0, -0.0, tau, -tau, np.inf, -np.inf, np.nan, -np.nan,
+             5e-324, -5e-324], near, -near, 3.0 * rng.standard_normal(500),
+            1e-310 * rng.standard_normal(50)])
+        want = np.copysign(np.maximum(np.abs(z) - tau, 0.0), z)
+        assert _shrink(z, tau).tobytes() == want.tobytes()
+        for v, w in zip(z, want):
+            assert np.float64(_shrink(np.float64(v), tau)).tobytes() == \
+                w.tobytes()
+        # the row steps' form differs only in the sign of a zero result
+        soft = _soft(z, tau)
+        assert np.array_equal(soft, want, equal_nan=True)
+        assert not np.signbit(soft[soft == 0.0]).any()
 
 
 class TestProjectHyperplane:
