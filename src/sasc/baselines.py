@@ -6,9 +6,9 @@ as one epoch, so they share its checkpoint recorder (``core._Recorder``)
 and divergence rule, and are deterministic under a fixed seed. Projected
 SGD and the proximal-point method measure on sasc's kind of held-out set
 (``smoothing._EvalSet``), split from the seed the same way; the SVM solver
-measures on a labeled dataset. On a row set
-the proximal-point method, and always the SVM solver, is a one-row iterate
-on the base of sasc's own (``core._OneRow``).
+measures on a labeled dataset. The proximal-point method steps row sets
+only; it and the SVM solver are one-row iterates on the base of sasc's own
+(``core._OneRow``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, DegenerateConstraintError,
                      UnsupportedProblemError)
 from .problems import _half_sq_norm_problem, _labeled_rows
 from .prox import Array, _shrink
-from .smoothing import RowBatch, RowConstraintSet, _batches, _row_norms
+from .smoothing import RowBatch, RowConstraintSet, _row_norms
 
 _BASELINE_METHODS = ("sgd", "spp", "pegasos")
 
@@ -101,82 +101,31 @@ def run_projected_sgd(problem: CompositeProblem, cfg: BaselineConfig):
     return _run_one_epoch(_SgdIterate(problem, 1), cfg, "sgd")
 
 
-def _project_onto_constraint(z: Array, sample) -> Array:
-    """Exact projection of z onto {x : A(xi) x in b(xi)} for a scalar row.
+class _SppIterate(_OneRow):
+    """SPP on a row set: ``_OneRow``'s draws, two a step, and prox of h; its
+    mean is its last point.
 
-    A zero row constrains nothing when its target holds 0, and raises
-    DegenerateConstraintError naming the sample's index otherwise.
-    """
-    row = sample.row
-    if row.ndim != 1:
-        raise UnsupportedProblemError(
-            "alternating projection needs scalar (single-row) constraints"
-        )
-    sq = float(row @ row)
-    if sq == 0.0:
-        if float(np.asarray(sample.set_proj.project(0.0))) == 0.0:
-            return z
-        raise DegenerateConstraintError(
-            f"spp: constraint sample {sample.index} has zero norm and 0 lies "
-            "outside its target set")
-    val = float(row @ z)
-    target = float(np.asarray(sample.set_proj.project(val)))
-    return z - ((val - target) / sq) * row
-
-
-def _prox_f(problem: CompositeProblem):
-    """(x, batch, alpha) -> the prox of alpha f at x: a declared f's own, or
-    for a custom f a gradient step on ``batch``."""
-    declared = _declared_f(problem.structure, problem.mu)
-    if declared is None:
-        return lambda x, batch, alpha: x - alpha * problem.grad_f(x, batch)
-    return lambda x, batch, alpha: declared.prox(x, alpha)
-
-
-class _SppIterate(_Iterate):
-    """The proximal point and projection of SPP; its mean is its last point.
-
-    Each step draws two samples and counts one; a row set steps as
-    ``_SppRowIterate``.
+    The prox of alpha f is a declared f's own, or for a custom f a gradient
+    step on the step's first draw. The projection is x = z - g row, g the
+    row's multiplier at beta = ||row||^2, which is read once per row per
+    run. The l1 shrink keeps the sign of zero, as the point it returns is
+    its last.
     """
 
-    def __init__(self, problem: CompositeProblem):
-        super().__init__(problem, 1)
-        self.prox_f = _prox_f(problem)
-
-    def draws(self, rng: np.random.Generator, steps: int):
-        return _batches(self.problem.constraints, rng, steps, 2)
-
-    def step(self, pair, alpha: float, beta: float):
-        z = self.problem.prox_h.evaluate(self.prox_f(self.x, pair[:1], alpha),
-                                         alpha)
-        self.x = _project_onto_constraint(z, pair[1])
-        return alpha
-
-    def mean(self, k: int) -> Array:
-        return self.x
-
-
-class _SppRowIterate(_OneRow):
-    """SPP on a row set: ``_OneRow``'s draws, two a step, and prox of h.
-
-    The projection is x = z - g row, g the row's multiplier at
-    beta = ||row||^2, which is read once per row per run. The l1 shrink
-    keeps the sign of zero, as the point it returns is its last.
-    """
-
-    mean = _SppIterate.mean
     shrink = staticmethod(_shrink)
 
     def __init__(self, problem: CompositeProblem):
         super().__init__(problem, per_step=2)
-        self.prox_f = _prox_f(problem)
+        if not self.custom_f:
+            self.prox_f = _declared_f(problem.structure, problem.mu).prox
         self.sq = [None] * self.rows.shape[0]
 
     def step(self, draw, alpha: float, beta: float) -> float:
         """One step on the drawn row."""
         objective, i, lo, hi = draw
-        z = self._prox_h(self.prox_f(self.x, objective, alpha), alpha)
+        x = self.x
+        z = self._prox_h(x - alpha * self.problem.grad_f(x, objective)
+                         if self.custom_f else self.prox_f(x, alpha), alpha)
         row = self.rows[i]
         sq = self.sq[i]
         if sq is None:
@@ -191,30 +140,32 @@ class _SppRowIterate(_OneRow):
         self.x = z - _row_multiplier(row, z, lo, hi, sq) * row
         return alpha
 
+    def mean(self, k: int) -> Array:
+        return self.x
+
 
 def run_spp(problem: CompositeProblem, cfg: BaselineConfig):
     """Stochastic proximal point on the objective + one alternating projection.
 
-    Each iteration draws one realization for the objective and one for the
-    constraint: z = prox applied to the full objective at fixed step mu
-    (the exact prox of f that the problem's structure record declares, or
-    for a custom f a gradient step on the first draw as a batch of one,
-    followed by prox of h), then
-    x = projection of z onto the second draw's constraint set. The fixed
-    step caps the attainable accuracy. Both indices come from the solvers'
-    shared stream (``smoothing._chunks``). On a row set SPP is a one-row
-    iterate (``core._OneRow``), with the per-sample step's bits. A zero row
-    constrains nothing when its target holds 0 and raises
-    DegenerateConstraintError otherwise. Runs as one epoch
-    of ``cfg.iterations`` steps through ``core._drive``, counting one sample
-    per step, and returns the last iterate and its trace; a non-finite
-    iterate raises DivergenceError naming its 1-based step. ``cfg`` must be
-    an "spp" config.
+    The constraints must be a row set: a sampler whose ``support()`` is a
+    ``RowBatch``; any other sampler raises UnsupportedProblemError before a
+    draw. Each iteration draws two rows from the solvers' shared stream
+    (``smoothing._chunks``): z = prox applied to the full objective at fixed
+    step mu (the exact prox of f that the problem's structure record
+    declares, or for a custom f a gradient step on the first row as a batch
+    of one, followed by prox of h), then x = projection of z onto the second
+    row's constraint set. The fixed step caps the attainable accuracy. A
+    zero row constrains nothing when its target holds 0 and raises
+    DegenerateConstraintError otherwise. Runs as one epoch of
+    ``cfg.iterations`` steps of the one-row iterate ``_SppIterate`` through
+    ``core._drive``, counting one sample per step, and returns the last
+    iterate and its trace; a non-finite iterate raises DivergenceError
+    naming its 1-based step. ``cfg`` must be an "spp" config.
     """
-    it = (_SppRowIterate(problem)
-          if isinstance(problem.constraints.support(), RowBatch)
-          else _SppIterate(problem))
-    return _run_one_epoch(it, cfg, "spp")
+    if not isinstance(problem.constraints.support(), RowBatch):
+        raise UnsupportedProblemError(
+            "spp needs a row set: constraints whose support() is a RowBatch")
+    return _run_one_epoch(_SppIterate(problem), cfg, "spp")
 
 
 class _PegasosIterate(_OneRow):

@@ -291,15 +291,20 @@ def _solve(o: dict, n: int, problem, case: Case = Case.GENERAL_CONVEX,
            cert=None, holdout=None):
     """Configure and run the chosen solver; ``problem`` is Pegasos's dataset.
 
-    The sample budget is --budget, else floor(--passes * n). A
-    restricted-strongly-convex schedule needs m0 >= omega / (mu alpha0), so
-    m0 is raised to that least value in a copy of the config, checked again.
+    The sample budget is --budget, else floor(--passes * n), which must be
+    finite. A restricted-strongly-convex schedule needs
+    m0 >= omega / (mu alpha0), so m0 is raised to that least value in a copy
+    of the config, checked again; a least value past the floats is left to
+    that check to refuse.
     """
     solver, samples = o["solver"], o["budget"]
     if samples is None:
         if not 0 < o["passes"] < math.inf:
             raise UsageError(
                 f"--passes must be positive and finite, got {o['passes']}")
+        if o["passes"] * n == math.inf:
+            raise UsageError(f"--passes {o['passes']} times the {n} samples "
+                             "is a budget past the floats")
         samples = int(math.floor(o["passes"] * n))
     if solver == "sasc":
         cfg = _schedule(
@@ -309,8 +314,9 @@ def _solve(o: dict, n: int, problem, case: Case = Case.GENERAL_CONVEX,
             checkpoint_every=o["checkpoint_every"],
             eval_samples=o["validation_samples"])
         if case is Case.RESTRICTED_STRONGLY_CONVEX:
-            cfg = dataclasses.replace(cfg, m0=max(
-                cfg.m0, math.ceil(cfg.omega / (problem.mu * cfg.alpha0))))
+            least = cfg.omega / (problem.mu * cfg.alpha0)
+            if least < math.inf:
+                cfg = dataclasses.replace(cfg, m0=max(cfg.m0, math.ceil(least)))
         return run_sasc(problem, cfg, cert=cert)
     if solver == "pegasos":
         lam = o["lambda"] if o["lambda"] is not None else 1.0 / n
@@ -433,12 +439,12 @@ def _cmd_bounds(o: dict) -> int:
                              y_star_norm=o["y_star_norm"], sigma_f=o["sigma_f"])
     x0 = np.zeros(1)
     consts = rate_constants(cfg, o["norm_bound"], cert, x0)
-    print(" ".join(f"{name.upper()}={value:.12g}"
-                   for name, value in consts._asdict().items()))
     grid = np.unique(np.round(np.geomspace(
         cfg.m0, o["m_max"], num=o["m_count"])).astype(int))
     curves = bound_curves(cfg, o["norm_bound"], cert, x0, grid,
                           lipschitz_g=o["lipschitz_g"])
+    print(" ".join(f"{name.upper()}={value:.12g}"
+                   for name, value in consts._asdict().items()))
     lines = ["M,objective_bound,feasibility_bound"]
     lines += [f"{m},{ob:.17g},{fb:.17g}" for m, (ob, fb) in zip(grid, curves)]
     if o["out"]:
@@ -477,12 +483,6 @@ def cli_main(argv=None) -> int:
         return _HANDLERS[ns.cmd](_merge_options(ns.cmd, ns))
     except (UsageError, ConfigurationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
-        # a finite setting whose schedule (omega^s, alpha0^2, R^2, ...)
-        # leaves the float range; every handler computes it before output
-        print(f"usage error: a setting of {ns.cmd} overflows the "
-              f"schedule's arithmetic: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
@@ -325,7 +325,8 @@ class SascConfig:
                 raise ConfigurationError(
                     "restricted_strongly_convex schedule needs the problem's mu"
                 )
-            needed = self.omega / (problem.mu * self.alpha0)
+            mu_alpha0 = problem.mu * self.alpha0   # 0 if it underflows
+            needed = self.omega / mu_alpha0 if mu_alpha0 else math.inf
             if self.m0 < needed * (1 - 1e-12):
                 raise ConfigurationError(
                     f"m0 = {self.m0} must be >= omega/(mu alpha0) = {needed}"
@@ -858,6 +859,41 @@ def run_sasc(problem: CompositeProblem, cfg: SascConfig,
                   cfg.case is Case.RESTRICTED_STRONGLY_CONVEX, callback)
 
 
+def _within_floats(what: str, settings: Callable[..., dict]):
+    """Refuse a call of the decorated function whose result holds a value
+    that is not finite, or whose arithmetic overflows on the way, with a
+    ConfigurationError naming the call's ``settings``: a dict of the call's
+    arguments, by name, that leaves out those that are None."""
+    def decorate(fn):
+        @wraps(fn)
+        def checked(*args, **kwargs):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = fn(*args, **kwargs)
+                values = out.values() if isinstance(out, dict) else out
+                if np.isfinite(np.array(list(values), dtype=float)).all():
+                    return out
+            except OverflowError:
+                pass
+            named = [f"{k} = {v}" for k, v in settings(*args, **kwargs).items()
+                     if v is not None]
+            raise ConfigurationError(f"{', '.join(named[:-1])} and {named[-1]} "
+                                     f"take the {what} past the floats")
+        return checked
+    return decorate
+
+
+def _bound_settings(cfg: SascConfig, norm_bound: float,
+                    cert: CertificateInputs, x0: Array, M_values=(),
+                    lipschitz_g: Optional[float] = None) -> dict:
+    """The settings that ``rate_constants`` and ``bound_curves`` read."""
+    return {"alpha0": cfg.alpha0, "omega": cfg.omega, "m0": cfg.m0,
+            "norm_bound": norm_bound, "sigma_f": cert.sigma_f,
+            "y_star_norm": cert.y_star_norm, "lipschitz_g": lipschitz_g,
+            "||x_star - x0||": math.hypot(*np.ravel(
+                np.subtract(cert.x_star, x0, dtype=float)))}
+
+
 class Case1Constants(NamedTuple):
     c1: float
     c2: float
@@ -871,13 +907,15 @@ class Case2Constants(NamedTuple):
     d3: float
 
 
+@_within_floats("rate constants", _bound_settings)
 def rate_constants(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
                    x0: Array) -> Case1Constants | Case2Constants:
     """The closed-form constants of the rate bound of the regime ``cfg.case``.
 
     Case1Constants (C1..C4) for the general convex bound, Case2Constants
     (D1..D3) for the restricted strongly convex one. ``cert.x_star`` and
-    ``x0`` give the squared start distance r0^2.
+    ``x0`` give the squared start distance r0^2. A constant past the
+    floats raises a ConfigurationError naming the settings.
     """
     if cfg.m0 < 2:
         raise ConfigurationError(
@@ -905,6 +943,7 @@ def rate_constants(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
     return Case2Constants(d1, d2, d3)
 
 
+@_within_floats("rate bounds", _bound_settings)
 def bound_curves(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
                  x0: Array, M_values, lipschitz_g: Optional[float] = None):
     """Evaluate the rate-bound right-hand sides at each total sample count M.
@@ -913,7 +952,8 @@ def bound_curves(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
     feasibility bound reads ||y*|| from the same ``cert``. Returns a list of
     (objective_bound, feasibility_bound). When ``lipschitz_g`` is given, the
     objective bound carries the smoothing surplus of the Lipschitz-term
-    extension (C4 or D3 scaled by L_g^2).
+    extension (C4 or D3 scaled by L_g^2). A bound past the floats raises a
+    ConfigurationError naming the settings.
     """
     constants = rate_constants(cfg, norm_bound, cert, x0)
     m0, omega = cfg.m0, cfg.omega
@@ -942,6 +982,11 @@ def bound_curves(cfg: SascConfig, norm_bound: float, cert: CertificateInputs,
     return out
 
 
+@_within_floats("schedule inequalities",
+                lambda cfg, norm_bound, s_max, lipschitz_grad=None: {
+                    "alpha0": cfg.alpha0, "omega": cfg.omega, "m0": cfg.m0,
+                    "norm_bound": norm_bound, "s_max": s_max,
+                    "lipschitz_grad": lipschitz_grad})
 def schedule_inequalities_check(cfg: SascConfig, norm_bound: float,
                                 s_max: int,
                                 lipschitz_grad: Optional[float] = None
@@ -954,7 +999,8 @@ def schedule_inequalities_check(cfg: SascConfig, norm_bound: float,
     argument. ``lipschitz_grad`` defaults to 3/(4 alpha0), the largest value
     admitted by the step-size rule. Returns the worst slack of each
     inequality by name (nonnegative means it holds). Report-only: negative
-    slacks are returned, not raised.
+    slacks are returned, not raised; a slack past the floats raises a
+    ConfigurationError naming the settings.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")

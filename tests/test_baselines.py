@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from conftest import dense_rows, full_storage_svm, least_squares_grad_one
 from sasc.baselines import (
     BaselineConfig,
-    _project_onto_constraint,
     run_pegasos,
     run_projected_sgd,
     run_spp,
@@ -123,9 +122,33 @@ class TestProjectedSgd:
             run_projected_sgd(prob, cfg)
 
 
+def _project_onto_constraint(z, sample):
+    """Exact projection of z onto {x : A(xi) x in b(xi)} for a scalar row:
+    the reference that SPP's row step is held to.
+
+    A zero row constrains nothing when its target holds 0, and raises
+    DegenerateConstraintError naming the sample's index otherwise.
+    """
+    row = sample.row
+    if row.ndim != 1:
+        raise UnsupportedProblemError(
+            "alternating projection needs scalar (single-row) constraints"
+        )
+    sq = float(row @ row)
+    if sq == 0.0:
+        if float(np.asarray(sample.set_proj.project(0.0))) == 0.0:
+            return z
+        raise DegenerateConstraintError(
+            f"spp: constraint sample {sample.index} has zero norm and 0 lies "
+            "outside its target set")
+    val = float(row @ z)
+    target = float(np.asarray(sample.set_proj.project(val)))
+    return z - ((val - target) / sq) * row
+
+
 class _ListedSamples:
     """A row set's rows as a finite sampler that is not a row set: its
-    support lists the samples, so SPP steps them one by one."""
+    support lists the samples, which SPP refuses."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -138,6 +161,38 @@ class _ListedSamples:
 
     def support(self):
         return [self.rows.sample(i) for i in range(len(self.rows))]
+
+
+class _UnlistedSamples(_ListedSamples):
+    """The rows as a sampler that lists no support, as an infinite one."""
+
+    def support(self):
+        return None
+
+
+class _MatrixSamples:
+    """One matrix-valued constraint sample, {x : I x = 0}."""
+
+    sample = ConstraintSample(np.eye(2), BoxSet(np.zeros(2), np.zeros(2)), 0)
+
+    def draw(self, rng):
+        return self.sample
+
+    def draw_batch(self, rng, k):
+        return [self.sample] * k
+
+    def support(self):
+        return [self.sample]
+
+    def distances(self, x, indices=None):
+        return None
+
+
+def _zero_row_problem(lo, hi):
+    """min 0 over the rows (0, 0) and (1, 0) with targets [lo, hi]."""
+    return CompositeProblem(
+        dim=2, constraints=RowConstraintSet([[0.0, 0.0], [1.0, 0.0]], lo, hi),
+        norm_bound=1.0, structure=ObjectiveStructure(f="zero", h="zero"))
 
 
 class TestSpp:
@@ -183,11 +238,7 @@ class TestSpp:
         assert trace.records[-1].feasibility == 0.0
 
     def test_a_zero_row_that_holds_0_constrains_nothing(self):
-        rows = RowConstraintSet([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0],
-                                [0.0, 1.0])
-        prob = CompositeProblem(
-            dim=2, constraints=rows, norm_bound=1.0,
-            structure=ObjectiveStructure(f="zero", h="zero"))
+        prob = _zero_row_problem([0.0, 1.0], [0.0, 1.0])
         cfg = BaselineConfig("spp", step=1e-2, iterations=20, seed=0,
                              checkpoint_every=20, eval_samples=2)
         x, trace = run_spp(prob, cfg)
@@ -199,47 +250,39 @@ class TestSpp:
                                           np.zeros(0), 2), -1.0, 1.0)
         x, _ = run_spp(dataclasses.replace(prob, constraints=empty), cfg)
         assert x.tolist() == [0.0, 0.0]
-        # the same rows listed as samples, on the per-sample path
-        x, trace = run_spp(dataclasses.replace(
-            prob, constraints=_ListedSamples(rows)), cfg)
-        assert x.tolist() == [1.0, 0.0]
-        assert trace.records[-1].feasibility == 0.0
+        # the same rows listed as samples are not a row set
+        with pytest.raises(UnsupportedProblemError, match="row set"):
+            run_spp(dataclasses.replace(
+                prob, constraints=_ListedSamples(prob.constraints)), cfg)
 
     def test_a_zero_row_that_excludes_0_is_refused(self):
-        rows = RowConstraintSet([[0.0, 0.0], [1.0, 0.0]], 1.0, 1.0)
-        prob = CompositeProblem(
-            dim=2, constraints=rows, norm_bound=1.0,
-            structure=ObjectiveStructure(f="zero", h="zero"))
+        prob = _zero_row_problem(1.0, 1.0)
         cfg = BaselineConfig("spp", step=1e-2, iterations=20, seed=0,
                              checkpoint_every=20, eval_samples=2)
         with pytest.raises(DegenerateConstraintError, match="row 0"):
             run_spp(prob, cfg)
-        listed = dataclasses.replace(prob, constraints=_ListedSamples(rows))
-        with pytest.raises(DegenerateConstraintError, match="sample 0"):
+        listed = dataclasses.replace(
+            prob, constraints=_ListedSamples(prob.constraints))
+        with pytest.raises(UnsupportedProblemError, match="row set"):
             run_spp(listed, cfg)
 
-    def test_matrix_constraints_unsupported(self):
-        class MatrixSampler:
-            def draw(self, rng):
-                return ConstraintSample(np.eye(2),
-                                        BoxSet(np.zeros(2), np.zeros(2)), 0)
-
-            def draw_batch(self, rng, k):
-                return [self.draw(rng) for _ in range(k)]
-
-            def support(self):
-                return [self.draw(None)]
-
-            def distances(self, x, indices=None):
-                return None
-
-        prob = CompositeProblem(
-            dim=2, grad_f=lambda x, xi=None: 0.0,
-            f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
-            constraints=MatrixSampler(), norm_bound=1.0)
-        cfg = BaselineConfig("spp", step=1e-2, iterations=1, seed=0)
-        with pytest.raises(UnsupportedProblemError):
+    @pytest.mark.parametrize("sampler", [
+        _ListedSamples, _UnlistedSamples, lambda rows: _MatrixSamples(),
+    ], ids=["listed", "no-support", "matrix-rows"])
+    def test_a_sampler_that_is_not_a_row_set_is_refused_before_drawing(
+            self, sampler):
+        prob = _zero_row_problem([0.0, 1.0], [0.0, 1.0])
+        constraints = sampler(prob.constraints)
+        prob = dataclasses.replace(prob, constraints=constraints)
+        calls = []
+        constraints.draw = constraints.draw_batch = (
+            lambda *args: calls.append(args))
+        cfg = BaselineConfig("spp", step=1e-2, iterations=20, seed=0,
+                             checkpoint_every=20, eval_samples=2)
+        with pytest.raises(UnsupportedProblemError,
+                           match="support\\(\\) is a RowBatch"):
             run_spp(prob, cfg)
+        assert calls == []
 
     def test_fixed_step_caps_accuracy(self):
         # the l1 prox keeps pulling, so feasibility plateaus at a mu-dependent

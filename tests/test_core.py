@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -261,15 +262,38 @@ class TestRunSasc:
             _cfg(1.0, 2.0, 2), 1e200,
             CertificateInputs(x_star=np.ones(1), y_star_norm=1.0),
             np.zeros(1)), "norm_bound = 1e+200"),
+        # the rate functions refuse a constant, bound or slack they form
+        # past the floats: by an OverflowError (a ** 2) or as inf (r0^2)
+        (lambda bp: schedule_inequalities_check(_cfg(1e300, 2.0, 2), 1.0, 5),
+         "alpha0 = 1e+300"),
+        (lambda bp: rate_constants(_cfg(1e300, 2.0, 2), 1.0, CertificateInputs(
+            x_star=np.ones(1)), np.zeros(1)), "alpha0 = 1e+300"),
+        (lambda bp: rate_constants(_cfg(1.0, 2.0, 2), 1.0, CertificateInputs(
+            x_star=np.ones(1), sigma_f=1e200), np.zeros(1)),
+         "sigma_f = 1e+200"),
+        (lambda bp: rate_constants(_cfg(1.0, 2.0, 2), 1.0, CertificateInputs(
+            x_star=np.ones(1), y_star_norm=1e200), np.zeros(1)),
+         "y_star_norm = 1e+200"),
+        (lambda bp: rate_constants(_cfg(1.0, 2.0, 2), 1.0, CertificateInputs(
+            x_star=np.full(2, 1e200)), np.zeros(2)),
+         "||x_star - x0|| = 1.41421356"),
+        (lambda bp: bound_curves(_cfg(1.0, 2.0, 2), 1.0, CertificateInputs(
+            x_star=np.ones(1)), np.zeros(1), [2, 10], lipschitz_g=1e200),
+         "lipschitz_g = 1e+200"),
     ], ids=["omega-power", "alpha-underflow", "budget-overflow",
             "beta-underflow", "beta-overflow", "inequalities-beta-underflow",
-            "constants-norm-bound-squared"])
+            "constants-norm-bound-squared", "inequalities-alpha0-squared",
+            "constants-alpha0-squared",
+            "constants-sigma-f-squared", "constants-y-star-norm-squared",
+            "constants-start-distance-squared", "bounds-lipschitz-g-squared"])
     def test_a_schedule_leaving_the_floats_is_refused(self, refused, names):
         # finite settings whose schedule overflows or underflows: refused
-        # naming them, where a bare OverflowError was raised before
+        # naming them, with no bare OverflowError and no RuntimeWarning
         bp = make_bp_problem(gen_basis_pursuit(8, 200, 2, 0.9, seed=0))
-        with pytest.raises(ConfigurationError, match=names.replace("+", r"\+")):
-            refused(bp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=re.escape(names)):
+                refused(bp)
 
     def test_config_validation(self, min_norm_toy):
         problem, _ = min_norm_toy
@@ -289,6 +313,10 @@ class TestRunSasc:
                          case=Case.RESTRICTED_STRONGLY_CONVEX)
         with pytest.raises(ConfigurationError, match="omega/\\(mu alpha0\\)"):
             cfg.validate(problem)
+        # mu alpha0 underflows to 0: the least m0 reads inf
+        with pytest.raises(ConfigurationError, match="alpha0\\) = inf"):
+            dataclasses.replace(cfg, alpha0=1e-200).validate(
+                dataclasses.replace(problem, mu=1e-200))
 
     @pytest.mark.parametrize("refused, name", [
         (lambda p: _cfg(0.5, 2.0, 4, minibatch=0).validate(p), "minibatch"),
@@ -1580,3 +1608,15 @@ class TestScheduleInequalities:
     def test_smax_validation(self):
         with pytest.raises(ValueError):
             schedule_inequalities_check(_cfg(1.0, 2.0, 2), 1.0, 0)
+
+    @pytest.mark.parametrize("case", list(Case))
+    @pytest.mark.parametrize("L, worst", [
+        (0.0, 1.25), (None, 0.0), (3.0 / (2.0 * 0.3), -1.25)],
+        ids=["zero", "default", "twice-the-default"])
+    def test_smoothness_rule_reads_lipschitz_grad(self, case, L, worst):
+        # beta_s = 4 alpha_s ||A||^2 makes the slack 3/(8 alpha_s) - L/2,
+        # least at s = 0: 1.25 - L/2 at alpha0 = 0.3; the default L is
+        # 3/(4 alpha0), where the rule holds with equality
+        slacks = schedule_inequalities_check(_cfg(0.3, 2.0, 4, case=case),
+                                             2.0, 5, lipschitz_grad=L)
+        assert slacks["smoothness_rule"] == pytest.approx(worst, abs=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -620,7 +622,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, names", [
         (["check", "--alpha0", "1e300", "--smax", "5", "--residual-draws",
-          "5"], "a setting of check overflows the schedule's arithmetic"),
+          "5"], "alpha0 = 1e+300"),
         (["check", "--norm-bound", "1e-200", "--smax", "3",
           "--residual-draws", "5"], "norm_bound = 1e-200"),
         (["bounds", "--norm-bound", "1e200"], "norm_bound = 1e+200"),
@@ -628,17 +630,37 @@ class TestCli:
           "--omega", "1e300", "--epochs", "3"], "omega = 1e+300"),
         (["portfolio", "--omega", "1e200", "--epochs", "3"],
          "omega = 1e+200"),
+        (["bounds", "--y-star-norm", "1e200"], "y_star_norm = 1e+200"),
+        (["bounds", "--sigma-f", "1e200"], "sigma_f = 1e+200"),
+        (["bounds", "--alpha0", "1e300"], "alpha0 = 1e+300"),
+        (["bounds", "--lipschitz-g", "1e200"], "lipschitz_g = 1e+200"),
+        (["bounds", "--x0-dist", "1e200"], "||x_star - x0|| = 1e+200"),
+        (["bp", "--d", "8", "--n", "200", "--sparsity", "2",
+          "--passes", "1e308"], "--passes 1e+308"),
+        (["portfolio", "--passes", "1e308"], "--passes 1e+308"),
+        (["svm", "--alpha0", "1e-320", "--budget", "100"],
+         "omega/(mu alpha0) = inf"),
     ], ids=["check-alpha0-squared", "check-beta-underflow",
             "bounds-norm-bound-squared", "bp-omega-power",
-            "portfolio-omega-power"])
+            "portfolio-omega-power", "bounds-y-star-norm-squared",
+            "bounds-sigma-f-squared", "bounds-alpha0-squared",
+            "bounds-lipschitz-g-squared", "bounds-start-distance-squared",
+            "bp-passes-budget", "portfolio-passes-budget",
+            "svm-least-m0"])
     def test_finite_setting_that_overflows_is_usage_error(self, argv, names,
                                                           tmp_path, capsys):
         # finite and in range, but the schedule's arithmetic leaves floats:
-        # SascConfig refuses the schedule naming the setting, and the CLI
-        # reports what the schedule's functions raise beyond it
+        # the setting is refused, and named, where the value is formed
         out = tmp_path / "o.csv"
         out_args = [] if argv[0] == "check" else ["--out", str(out)]
-        assert cli_main(argv + out_args) == 1
+        if argv[0] == "svm":
+            from sasc.problems import gen_separable_svm
+            data = tmp_path / "train.libsvm"
+            serialize_libsvm(gen_separable_svm(4, 60, margin=1.0, seed=5), data)
+            out_args += ["--data", str(data)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(argv + out_args) == 1
         printed = capsys.readouterr()
         assert printed.out == ""
         assert printed.err.startswith("usage error: ") and names in printed.err
