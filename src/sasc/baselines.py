@@ -108,8 +108,10 @@ class _SppIterate(_OneRow):
     The prox of alpha f is a declared f's own, or for a custom f a gradient
     step on the step's first draw. The projection is x = z - g row, g the
     row's multiplier at beta = ||row||^2, which is read once per row per
-    run. The l1 shrink keeps the sign of zero, as the point it returns is
-    its last.
+    run; a row that z satisfies (g = 0) projects z to itself, with no
+    vector work, where z - 0 row would turn a -0.0 entry facing a negative
+    row entry into +0.0. The l1 shrink keeps the sign of zero, as the
+    point it returns is its last.
     """
 
     shrink = staticmethod(_shrink)
@@ -137,7 +139,8 @@ class _SppIterate(_OneRow):
                         "outside its target set")
                 sq = math.inf
             self.sq[i] = sq
-        self.x = z - _row_multiplier(row, z, lo, hi, sq) * row
+        g = _row_multiplier(row, z, lo, hi, sq)
+        self.x = z - g * row if g else z    # a satisfied row keeps z
         return alpha
 
     def mean(self, k: int) -> Array:

@@ -432,8 +432,10 @@ def _cmd_check(o: dict) -> int:
 
 def _cmd_bounds(o: dict) -> int:
     cfg = _schedule(o, _CASES[o["case"]], epochs=1)
-    if o["m_max"] < cfg.m0:
-        raise UsageError("--m-max must be at least m0")
+    # np.geomspace and its int cast hold every integer up to 2**53 exactly
+    if not cfg.m0 <= o["m_max"] <= 2 ** 53:
+        raise UsageError(f"--m-max must be at least m0 = {cfg.m0} and at "
+                         f"most 2**53, got {o['m_max']}")
     # CertificateInputs checks --y-star-norm and --sigma-f
     cert = CertificateInputs(x_star=np.array([o["x0_dist"]]), p_star=0.0,
                              y_star_norm=o["y_star_norm"], sigma_f=o["sigma_f"])

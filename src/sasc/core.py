@@ -22,7 +22,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, wraps
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -38,6 +38,7 @@ from .smoothing import (
     _chunks,
     _CsrRows,
     _EvalSet,
+    _SLICE,
 )
 
 
@@ -385,8 +386,8 @@ class ConvergenceTrace:
         return len(self.records)
 
     def column(self, name: str) -> Array:
-        vals = [getattr(r, name) for r in self.records]
-        return np.array([np.nan if v is None else v for v in vals], dtype=float)
+        """The named field of every record; an unset dist_to_ref is NaN."""
+        return np.array([getattr(r, name) for r in self.records], dtype=float)
 
 
 def _check_range(cfg: SascConfig, norm_bound: Optional[float] = None,
@@ -477,10 +478,9 @@ class _Recorder:
     """The trace of one run, shared by the solver and its baselines.
 
     A checkpoint is due once the sample count reaches or passes ``due``, the
-    next multiple of ``every``, so the per-step test is one integer
-    comparison. ``finish`` records the run's last sample once if it fell
-    between checkpoints. ``evaluate(x)`` returns (objective, feasibility);
-    the wall time is read after it, from the recorder's creation.
+    next multiple of ``every``, so the step loop counts the steps to it.
+    ``evaluate(x)`` returns (objective, feasibility); the wall time is read
+    after it, from the recorder's creation.
     """
 
     def __init__(self, every: int, evaluate: Callable[[Array], tuple],
@@ -495,19 +495,14 @@ class _Recorder:
     def record(self, x: Array, samples: int, epoch: int, alpha: float,
                beta: float = 0.0) -> None:
         objective, feasibility = self.evaluate(x)
-        dist = None if self.x_ref is None else float(np.linalg.norm(x - self.x_ref))
+        r = None if self.x_ref is None else x - self.x_ref
+        # np.linalg.norm's arithmetic, without its Python layer
+        dist = None if r is None else math.sqrt(r.dot(r))
         self.trace.append(TraceRecord(
             samples=samples, epoch=epoch, objective=objective,
             feasibility=feasibility, beta=beta, alpha=alpha, dist_to_ref=dist,
             wall_time=time.perf_counter() - self.t0))
         self.due = (samples // self.every + 1) * self.every
-
-    def finish(self, x: Array, samples: int, epoch: int, alpha: float,
-               beta: float = 0.0) -> ConvergenceTrace:
-        records = self.trace.records
-        if not records or records[-1].samples < samples:
-            self.record(x, samples, epoch, alpha, beta)
-        return self.trace
 
 
 def _seeded_run(problem: CompositeProblem, cfg, x_ref: Optional[Array] = None):
@@ -566,9 +561,6 @@ class _Iterate:
 # well before it underflows, and while S v and c (both of order |x| S / s)
 # stay within a few hundred ulps of the sum they stand for.
 _FOLD_BELOW = 1e-3
-# Most steps whose draws ``_OneRow.draws`` turns into Python scalars at
-# once: a chunk's whole conversion would stall the step that starts it.
-_SLICE = 256
 
 
 class _OneRow(_Iterate):
@@ -586,7 +578,10 @@ class _OneRow(_Iterate):
     finds it at the next checkpoint or epoch end and replays the epoch to
     name its step. ``entries(i)`` reads one row's stored entries, dense or
     CSR. The rows are those of the problem's row set, read through its
-    support.
+    support. A row that the point it is drawn at satisfies is inactive
+    (g = 0): the one-row steps form no penalty term for it, and no step
+    writes into an array it did not create, such as the previous x or the
+    read-only c that a linear f's ``grad_f`` returns.
     """
 
     columns = ("idx", "lo", "hi")
@@ -627,13 +622,14 @@ class _OneRow(_Iterate):
 
     def _prox_h(self, z: Array, alpha: float) -> Array:
         """The prox of alpha h at z, with no handle call for a declared h; the
-        plane shifts z, the step's own buffer, in place."""
+        plane shifts z in place when it is the step's own buffer, never when
+        it is the iterate x itself (the zero f's prox of SPP returns x)."""
         if self.h == "l1":
             return self.shrink(z, alpha * self.weight)
         if self.h == "hyperplane":
-            z -= ((float(self.normal.dot(z)) - self.offset) / self.normal_sq
-                  * self.normal)
-            return z
+            shift = ((float(self.normal.dot(z)) - self.offset) / self.normal_sq
+                     * self.normal)
+            return z - shift if z is self.x else operator.isub(z, shift)
         if self.h == "custom":
             return self.problem.prox_h.evaluate(z, alpha)
         return z
@@ -648,8 +644,11 @@ class _RowIterate(_OneRow):
     its bits. One dense row per step is read as Python scalars
     (``_OneRow.draws``, ``_row_multiplier``); for bp its step is the row
     dot, g row, *= alpha, x - d, the shrink's two ufuncs and the running
-    sum. A block of ``samples`` rows, or a CSR row, is a RowBatch from
-    ``smoothing._batches`` with ``_block_multiplier``'s g. The shrink's
+    sum. An inactive row forms no g row: d is grad_f's alone, in an array
+    of the step's own, and x - alpha d is a copy of x for a zero f. A
+    block of ``samples`` rows, or a CSR row, is a RowBatch from
+    ``smoothing._batches`` with ``_block_multiplier``'s g; a dense block's
+    rows are a view of one gather per slice of steps. The shrink's
     zero is +0.0 (``prox._soft``), and a zero f adds no 0.0, so a zero
     entry of x may lose its sign, never one of x_bar. Finiteness is found
     at checkpoints (``_OneRow``).
@@ -672,7 +671,8 @@ class _RowIterate(_OneRow):
         else:
             batch, i, lo, hi = draw
             row = self.rows[i]
-            d = _row_multiplier(row, x, lo, hi, beta) * row
+            g = _row_multiplier(row, x, lo, hi, beta)
+            d = g * row if g else 0.0   # an inactive row forms no g row
         if self.grad_f is not None:
             d += self.grad_f(x, batch)
         d *= alpha
@@ -766,8 +766,12 @@ def _drive(it, rng, rec, epochs, x, restart_from_mean=False, callback=None):
     Each epoch (alpha, beta, m) starts ``it`` from x and takes m steps on
     ``it.draws(rng, m)``, each counting ``it.samples`` samples. A step
     returns the step size it took, which a due checkpoint records with beta
-    on ``it.mean(k)``. The next epoch starts from the epoch's mean if
-    ``restart_from_mean``, else from its last point.
+    on ``it.mean(k)``, as is the run's last step if no checkpoint fell due
+    there. The next epoch starts from the epoch's mean if
+    ``restart_from_mean``, else from its last point. The steps run from
+    stop to stop, as one tight loop with no per-step count or test: a stop
+    is the step at which the next checkpoint falls due, the epoch's end,
+    or, with a callback, every step.
 
     No step checks finiteness. No step turns a non-finite entry finite
     again, and the running sum keeps one too, so only the vectors formed
@@ -780,26 +784,32 @@ def _drive(it, rng, rec, epochs, x, restart_from_mean=False, callback=None):
     warnings off, so a run that leaves the floats raises the
     DivergenceError alone.
     """
-    seen, samples = 0, it.samples
+    seen, samples, step = 0, it.samples, it.step
+    end = samples * sum(m for _, _, m in epochs)
     with np.errstate(all="ignore"):
         for s, (alpha, beta, m) in enumerate(epochs):
             epoch = (it, rng, s, alpha, beta, m, x.copy(),
                      rng.bit_generator.state)
             it.start(x)
-            for k, draw in enumerate(it.draws(rng, m), start=1):
-                taken = it.step(draw, alpha, beta)
-                seen += samples
+            draws, k = it.draws(rng, m), 0
+            while k < m:
+                # ceil((due - seen) / samples) steps reach the checkpoint
+                n = 1 if callback is not None else min(
+                    m - k, -((seen - rec.due) // samples))
+                for draw in islice(draws, n):
+                    taken = step(draw, alpha, beta)
+                k, seen = k + n, seen + n * samples
                 if callback is not None:
                     point, mean = _finite(epoch, k, it.point(), it.mean(k))
                     callback(ScheduleState(s, k, alpha, beta, m, point, mean,
                                            seen))
-                if seen >= rec.due:
+                if seen >= rec.due or seen == end:
                     mean, = _finite(epoch, k, it.mean(k))
                     rec.record(mean, seen, s, taken, beta)
             x_bar, last = _finite(epoch, m, it.mean(m), it.point())
             x = x_bar if restart_from_mean else last
     # every epochs list holds one epoch at least, so its values exist
-    return x_bar, rec.finish(x_bar, seen, s, taken, beta)
+    return x_bar, rec.trace
 
 
 def _finite(epoch, k, *arrays):

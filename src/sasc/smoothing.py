@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateConstraintError
-from .prox import Array, BoxSet, ProxHandle, SetProjector
+from .prox import Array, BoxSet, ProxHandle, SetProjector, _clip_array
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,8 @@ class RowBatch(Sequence):
 
         Gathered from ``owner.rows`` on first use and then kept, so every
         reader of the batch shares one copy; the support is built with the
-        owner's own block and copies nothing.
+        owner's own block and copies nothing, and ``_batches`` builds a
+        step's batch of dense rows with a view of its slice's gather.
         """
         if self._rows is None:
             self._rows = self.owner.rows.take(self.idx, axis=0)
@@ -260,7 +261,9 @@ class RowConstraintSet(ConstraintSampler):
         if batch is None:
             batch = self.support()
         z = batch.rows @ x
-        return np.maximum(np.maximum(batch.lo - z, z - batch.hi), 0.0)
+        # |z - clip(z, lo, hi)|: the same bits as max(lo - z, z - hi, 0)
+        z -= _clip_array(z, batch.lo, batch.hi)
+        return np.abs(z, out=z)
 
     @staticmethod
     def normalized(rows, lo, hi) -> "RowConstraintSet":
@@ -295,6 +298,11 @@ class RowConstraintSet(ConstraintSampler):
 # Most constraint indices drawn from a row set's stream at once: one
 # generator call per chunk, and memory that does not grow with the run.
 _CHUNK = 4096
+# Most draws read from a chunk at once: the one-row steps' scalars
+# (``core._OneRow.draws``) and the dense rows that ``_batches`` gathers
+# (256 rows of 50 entries are 100 KB). A whole chunk's work would stall the
+# step that starts it.
+_SLICE = 256
 
 
 def _chunks(sampler: ConstraintSampler, rng: np.random.Generator,
@@ -326,15 +334,23 @@ def _batches(sampler: ConstraintSampler, rng: np.random.Generator,
     """Yield ``steps`` batches of ``per_step`` draws each, in stream order.
 
     Each step's RowBatch is built straight from views of its chunk's
-    ``idx``, ``lo`` and ``hi``, with no ``RowBatch.__getitem__`` dispatch;
-    any other chunk is one step's batch already.
+    ``idx``, ``lo`` and ``hi``, with no ``RowBatch.__getitem__`` dispatch.
+    Dense rows are gathered by one ``take`` per slice of whole steps, at
+    most ``_SLICE`` rows unless one step holds more, and each step's rows
+    are a view of its slice; CSR rows are gathered by the step that reads
+    them. Any other chunk is one step's batch already.
     """
+    per_slice = per_step * max(1, _SLICE // per_step)
     for chunk in _chunks(sampler, rng, steps, per_step):
         if isinstance(chunk, RowBatch):
             owner, idx, lo, hi = chunk.owner, chunk.idx, chunk.lo, chunk.hi
+            dense = not isinstance(owner.rows, _CsrRows)
             for j in range(0, len(idx), per_step):
+                if dense and j % per_slice == 0:
+                    rows, at = owner.rows.take(idx[j:j + per_slice], axis=0), j
                 e = j + per_step
-                yield RowBatch(owner, idx[j:e], lo[j:e], hi[j:e])
+                yield RowBatch(owner, idx[j:e], lo[j:e], hi[j:e],
+                               rows[j - at:e - at] if dense else None)
         else:
             yield chunk
 
@@ -433,7 +449,8 @@ class _EvalSet:
         d = vectorized(x, self.samples) if vectorized is not None else None
         if d is None:
             d = np.array([s.set_proj.distance(s.apply(x)) for s in self.samples])
-        return float(np.mean(d ** 2))
+        # np.mean's arithmetic, without its Python layer
+        return float(np.add.reduce(d * d) / len(d))
 
     def feasibility(self, x: Array) -> float:
         """Root-mean-square constraint distance over the set."""

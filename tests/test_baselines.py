@@ -362,19 +362,24 @@ def _forwarded_bp():
 
 
 class TestSppIndexStream:
-    # 5000 iterations draw 10,000 indices: three chunks of the stream
+    # 5000 iterations draw 10,000 indices: three chunks of the stream. The
+    # portfolio's slabs hold every projected point at epsilon 0.2, so each
+    # step keeps z; at 0.002, 1,868 of the 5000 steps do and the others
+    # project
     @pytest.mark.parametrize("build,step", [
         (lambda: (make_bp_problem(gen_basis_pursuit(20, 500, 3, 0.9, seed=4)),
                   None), 1e-3),
         (lambda: (make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3),
                                          0.2), None), 1e-2),
+        (lambda: (make_portfolio_problem(gen_synthetic_returns(60, 8, seed=3),
+                                         0.002), None), 1e-2),
         (lambda: _least_squares(gen_basis_pursuit(8, 40, 2, 0.5, seed=1)),
          0.1),
         (_bp_zero_h, 1e-3),
         (lambda: (full_storage_svm(8)[0], None), 1e-2),
         (_forwarded_bp, 1e-3),
-    ], ids=["bp", "portfolio", "least-squares", "zero-h", "csr-rows",
-            "forwarding-sampler"])
+    ], ids=["bp", "portfolio", "portfolio-tight", "least-squares", "zero-h",
+            "csr-rows", "forwarding-sampler"])
     def test_bit_identical_to_per_sample_loop(self, build, step):
         problem, grad_one = build()
         cfg = BaselineConfig("spp", step=step, iterations=5000, seed=7,
@@ -567,10 +572,14 @@ class TestPegasos:
 
     @staticmethod
     def _reference(rows, labels, lam, iterations, seed, holdout, every):
-        """One scalar draw per step on per-row arrays: the update as written."""
+        """One scalar draw per step on per-row arrays: the update as written.
+
+        Returns x, and at each checkpoint the held-out error and the step
+        size eta of the step before it.
+        """
         rng = np.random.default_rng(seed)
         x = np.zeros(holdout.dim)
-        errs = []
+        errs, etas = [], []
         for t in range(1, iterations + 1):
             i = int(rng.integers(len(rows)))
             idx, vals = rows[i]
@@ -586,7 +595,8 @@ class TestPegasos:
                     k, v = holdout.row(j)
                     m.append(holdout.labels[j] * float(v @ x[k]))
                 errs.append(float(np.mean(np.array(m) <= 0.0)))
-        return x, errs
+                etas.append(eta)
+        return x, errs, etas
 
     @pytest.mark.parametrize("sparsify", [False, True])
     def test_bit_identical_to_scalar_draw_loop(self, sparsify):
@@ -603,12 +613,14 @@ class TestPegasos:
             assert np.any(np.diff(train.indptr) == 0)
         rows = [tuple(a.copy() for a in train.row(i)) for i in range(len(train))]
         lam = 1.0 / len(train)
-        x_ref, errs_ref = self._reference(rows, train.labels, lam, 10_000, 23,
-                                          test, 500)
+        x_ref, errs_ref, etas_ref = self._reference(
+            rows, train.labels, lam, 10_000, 23, test, 500)
         x, trace = run_pegasos(train, lam, 10_000, seed=23, eval_dataset=test,
                                checkpoint_every=500)
         assert np.array_equal(x, x_ref)
         assert trace.column("feasibility").tolist() == errs_ref
+        # the alpha column is the step size of the step before each record
+        assert trace.column("alpha").tolist() == etas_ref
 
     def test_huge_finite_steps_keep_bits(self):
         # eta_1 = 1/lam = 1e152 moves x far past 1e150 at the first step
@@ -616,8 +628,8 @@ class TestPegasos:
         # scalar loop's bits
         train = gen_separable_svm(6, 80, margin=0.3, seed=31)
         rows = [tuple(a.copy() for a in train.row(i)) for i in range(len(train))]
-        x_ref, errs_ref = self._reference(rows, train.labels, 1e-152, 600, 32,
-                                          train, 100)
+        x_ref, errs_ref, etas_ref = self._reference(
+            rows, train.labels, 1e-152, 600, 32, train, 100)
         x, trace = run_pegasos(train, 1e-152, 600, seed=32,
                                checkpoint_every=100)
         assert np.isfinite(x_ref).all()
@@ -625,6 +637,7 @@ class TestPegasos:
         assert np.abs(first).max() > 1e150
         assert np.array_equal(x, x_ref)
         assert trace.column("feasibility").tolist() == errs_ref
+        assert trace.column("alpha").tolist() == etas_ref
 
     def test_training_set_without_entries_is_refused(self):
         empty = LabeledSparseDataset.from_rows([[], []], [[], []],

@@ -8,7 +8,9 @@ import sympy
 from numpy.testing import assert_allclose
 
 from conftest import least_squares_grad_one
-from sasc.baselines import BaselineConfig, run_pegasos, run_spp
+import sasc.baselines
+import sasc.core
+from sasc.baselines import BaselineConfig, _SppIterate, run_pegasos, run_spp
 from sasc.core import (
     _FOLD_BELOW,
     Case,
@@ -18,6 +20,7 @@ from sasc.core import (
     _inner_step,
     _iterate,
     _Iterate,
+    _row_multiplier,
     _RowIterate,
     _ScaledIterate,
     _seeded_run,
@@ -433,7 +436,11 @@ def _plain_run(problem, cfg, x_ref=None, listed=None):
         x_bar = total / m
         if cfg.case is RSC:
             x = x_bar
-    return x_bar, rec.finish(x_bar, seen, s, alpha, beta)
+    # the last sample, once, if it fell between checkpoints
+    records = rec.trace.records
+    if not records or records[-1].samples < seen:
+        rec.record(x_bar, seen, s, alpha, beta)
+    return x_bar, rec.trace
 
 
 def _small_bp():
@@ -1011,24 +1018,40 @@ class TestRowIterate:
         assert "grad_f" not in calls and "prox" not in calls
         assert_allclose(x_sparse, run_sasc(problem, cfg)[0], rtol=1e-12)
 
-    @pytest.mark.parametrize("kind, minibatch", [
-        *[(kind, b) for kind in ("zero", "l1", "plane-tight")
-          for b in (1, 4, 16)],
-        ("half-sq-csr", 4), ("least-squares", 4), ("l1-csr", 1), ("l1-csr", 4),
+    @pytest.mark.parametrize("kind, minibatch, every", [
+        *[pytest.param(kind, b, None, id=f"{kind}-{b}") for kind, b in (
+            *((kind, b) for kind in ("zero", "l1", "plane-tight")
+              for b in (1, 4, 16)),
+            ("half-sq-csr", 4), ("least-squares", 4), ("l1-csr", 1),
+            ("l1-csr", 4),
+            # dense rows are gathered 255 at a time at B = 3, and one step's
+            # 300 at B = 300
+            ("l1", 3), ("plane-tight", 300))],
+        # a record after every step; every 37 samples, which a batch of 4
+        # or 16 passes between multiples; and every 700 or 5,000 samples,
+        # past the 200-step first epoch, so that the loop's run of steps
+        # to the next checkpoint stops at epoch ends first
+        *[pytest.param(kind, b, every, id=f"{kind}-{b}-every-{every}")
+          for kind, b, every in (
+              ("plane-tight", 1, 1), ("l1", 4, 1), ("plane-tight", 16, 37),
+              ("l1-csr", 4, 37), ("zero", 4, 37), ("plane-tight", 1, 700),
+              ("l1", 16, 5000))],
     ])
     def test_every_row_set_run_is_the_plain_loop_bit_for_bit(
-            self, kind, minibatch):
+            self, kind, minibatch, every):
         # the traced copy against the plain step (_inner_step), step by
         # step: x_bar and every trace column keep their bits, and no step
         # calls a declared h's handle or a zero f's grad_f
         problem, cfg, x_star = _row_set_case(kind)
-        cfg = dataclasses.replace(cfg, minibatch=minibatch)
+        cfg = dataclasses.replace(cfg, minibatch=minibatch,
+                                  checkpoint_every=every or cfg.checkpoint_every)
         calls = {}
         x_bar, trace = run_sasc(_forwarding_copy(problem, calls), cfg,
                                 cert=CertificateInputs(x_star=x_star))
         want_x, want = _plain_run(problem, cfg, x_star)
         assert x_bar.tobytes() == want_x.tobytes()
-        assert len(trace) == len(want) > 4 * cfg.epochs
+        assert len(trace) == len(want) > (4 * cfg.epochs if every is None
+                                          else 4)
         for name in _TRACE_COLUMNS:
             assert trace.column(name).tobytes() == \
                 want.column(name).tobytes(), name
@@ -1037,6 +1060,45 @@ class TestRowIterate:
         assert ("grad_f" in calls) == (st.f != "zero")
         if kind == "plane-tight":
             assert trace.column("feasibility").max() > 0.0
+
+    @pytest.mark.parametrize("iterate", [_RowIterate, _SppIterate],
+                             ids=["sasc", "spp"])
+    @pytest.mark.parametrize("f, h", [("linear", "hyperplane"),
+                                      ("zero", "hyperplane"), ("zero", "zero")])
+    def test_a_step_writes_into_no_array_it_did_not_create(
+            self, iterate, f, h, monkeypatch):
+        # sasc's one-row step and SPP's on the portfolio's slabs, from a
+        # start that some slabs hold and others do not: each
+        # iterate is made read-only once stepped, as the linear f's c is,
+        # so a step that skips its penalty term and then writes into either
+        # raises
+        problem = make_portfolio_problem(gen_synthetic_returns(60, 8, seed=0),
+                                         0.002)
+        st = problem.structure
+        problem = dataclasses.replace(problem, structure=ObjectiveStructure(
+            f=f, c=st.c if f == "linear" else None, h=h,
+            **({"normal": st.normal, "offset": st.offset}
+               if h == "hyperplane" else {})))
+        multipliers = []
+
+        def recorded(*args):
+            multipliers.append(_row_multiplier(*args))
+            return multipliers[-1]
+
+        for module in (sasc.core, sasc.baselines):
+            monkeypatch.setattr(module, "_row_multiplier", recorded)
+        it = iterate(problem)
+        x = np.random.default_rng(0).standard_normal(problem.dim)
+        x.flags.writeable = False
+        it.start(x)
+        alpha, beta, _ = schedule_params(SascConfig(alpha0=1.0, omega=2.0,
+                                                    m0=1, epochs=1), 0,
+                                         problem.norm_bound)
+        for draw in it.draws(np.random.default_rng(1), 2000):
+            it.step(draw, alpha, beta)
+            it.x.flags.writeable = False
+        assert 0 < multipliers.count(0.0) < len(multipliers) == 2000
+        assert np.isfinite(it.x).all() and not np.array_equal(it.x, x)
 
     @pytest.mark.parametrize("kind", ["l1", "l1-csr"])
     def test_block_divergence_names_the_plain_loops_epoch_and_step(self,

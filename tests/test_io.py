@@ -640,13 +640,19 @@ class TestCli:
         (["portfolio", "--passes", "1e308"], "--passes 1e+308"),
         (["svm", "--alpha0", "1e-320", "--budget", "100"],
          "omega/(mu alpha0) = inf"),
+        # past numpy's int64, whose cast wrapped to a negative M; and an
+        # int that numpy holds as an object, which np.geomspace refused
+        # with a TypeError
+        (["bounds", "--m-max", "10000000000000000000"], "--m-max"),
+        (["bounds", "--m-max", "1" + "0" * 26], "--m-max"),
     ], ids=["check-alpha0-squared", "check-beta-underflow",
             "bounds-norm-bound-squared", "bp-omega-power",
             "portfolio-omega-power", "bounds-y-star-norm-squared",
             "bounds-sigma-f-squared", "bounds-alpha0-squared",
             "bounds-lipschitz-g-squared", "bounds-start-distance-squared",
             "bp-passes-budget", "portfolio-passes-budget",
-            "svm-least-m0"])
+            "svm-least-m0", "bounds-m-max-past-int64",
+            "bounds-m-max-past-floats"])
     def test_finite_setting_that_overflows_is_usage_error(self, argv, names,
                                                           tmp_path, capsys):
         # finite and in range, but the schedule's arithmetic leaves floats:
