@@ -9,23 +9,24 @@ instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, ObjectiveStructure, _dim, _inner_step
+from .core import CompositeProblem, ObjectiveStructure, _dim
 from .errors import (
     ConfigurationError,
     DivergenceError,
     NoConvergenceError,
     UnsupportedProblemError,
 )
-from .prox import Array
+from .prox import Array, BoxSet
 from .smoothing import (
     CertificateInputs,
+    RowBatch,
     RowConstraintSet,
     _CsrRows,
-    _EvalSet,
     _row_norms,
 )
 
@@ -342,50 +343,91 @@ def reference_solution(problem: CompositeProblem, tolerance: float):
     Runs exact proximal-gradient steps on the population smoothed objective,
     halving the smoothness parameter whenever the decrease stalls, until the
     population feasibility and the outer objective change both drop below
-    ``tolerance``. Each step is the plain step (``core._inner_step``) on the
-    whole support taken as one batch, and the objective and feasibility come
-    from one held-out set over the whole support; the loop and its
-    smoothness schedule are separate from ``run_sasc``'s. Only small
-    finite-support instances are accepted. ``tolerance`` must be positive
-    and finite. A non-finite objective raises DivergenceError naming the
-    iteration.
+    ``tolerance``; the loop and its smoothness schedule are separate from
+    ``run_sasc``'s. The support is held as one row block R with endpoints
+    lo and hi: a row set's own, or, for a listed support, its vector rows
+    and its ``BoxSet`` ends stacked once. Each iteration forms one residual
+    r = z - clip(z, lo, hi) at z = R x and reads it twice: the population
+    feasibility is sqrt(mean r^2), and the next step is the plain step on
+    the whole support, prox_{alpha h}(x - alpha d) with
+    d = grad_f(x, support) + (r / (beta n)) R, in ``core._inner_step``'s
+    arithmetic. ``grad_f`` and ``f_value`` receive the support as the
+    sampler hands it out.
+
+    Only nonempty finite supports of at most 200 rows in at most 50
+    dimensions are accepted; a listed support must hold vector rows with
+    ``BoxSet`` targets. Other supports raise UnsupportedProblemError.
+    ``tolerance`` must be positive and finite. A non-finite objective
+    raises DivergenceError naming the iteration; a tolerance that the
+    floats cannot reach, once the step size underflows to 0, raises
+    NoConvergenceError naming it and the feasibility reached.
     """
     if not 0 < tolerance < np.inf:
         raise ConfigurationError("reference tolerance must be positive and "
                                  f"finite, got {tolerance}")
     sup = problem.constraints.support()
-    if sup is None:
-        raise UnsupportedProblemError("reference needs a finite constraint support")
+    if sup is None or len(sup) == 0:
+        raise UnsupportedProblemError("reference needs a nonempty finite "
+                                      "constraint support")
     n = len(sup)
     if n > 200 or problem.dim > 50:
         raise UnsupportedProblemError(
             f"reference oracle is capped at n <= 200, d <= 50 "
             f"(got n = {n}, d = {problem.dim})")
-    max_norm_sq = max(s.norm() for s in sup) ** 2
-    population = _EvalSet(problem.constraints, n, None, problem)
+    R, lo, hi = _stacked(sup)
+    max_norm_sq = float(_row_norms(R).max()) ** 2
+    grad_f, f_value = problem.grad_f, problem.f_value
+    prox, h_value = problem.prox_h.evaluate, problem.prox_h.objective_value
+
     x = np.zeros(problem.dim)
+    z = R @ x
+    r = z - np.minimum(np.maximum(z, lo), hi)
+    msd = float(np.add.reduce(r * r) / n)
     beta = 1.0
     inner_tol = max(tolerance * 1e-2, 1e-15)
     iters = 0
     prev_outer = np.inf
     while True:
         alpha = 1.0 / (problem.lipschitz_grad + max_norm_sq / beta)
+        if alpha == 0.0:    # no step moves x, and beta would reach 0
+            raise NoConvergenceError(
+                f"reference solver cannot reach tolerance {tolerance}: the "
+                f"step size underflowed at feasibility {math.sqrt(msd):.6g}")
         prev_phi = np.inf
         while True:
-            x = _inner_step(x, sup, alpha, beta, problem)
+            d = grad_f(x, sup) + (r / (beta * n)) @ R
+            x = prox(x - alpha * d, alpha)
             iters += 1
             if iters >= _REFERENCE_MAX_ITERATIONS:
                 raise NoConvergenceError("reference solver hit the "
                                          f"{_REFERENCE_MAX_ITERATIONS} iteration cap")
-            msd = population.mean_sq_distance(x)
-            phi = population.objective(x) + msd / (2.0 * beta)
-            if not np.isfinite(phi):
+            z = R @ x
+            r = z - np.minimum(np.maximum(z, lo), hi)
+            # the held-out set's mean of dist^2; squaring drops r's sign of zero
+            msd = float(np.add.reduce(r * r) / n)
+            p_now = float(f_value(x, sup)) + float(h_value(x))
+            phi = p_now + msd / (2.0 * beta)
+            if not math.isfinite(phi):
                 raise DivergenceError(epoch=0, step=iters)
             if prev_phi - phi <= inner_tol:
                 break
             prev_phi = phi
-        p_now = population.objective(x)
-        if np.sqrt(msd) <= tolerance and abs(prev_outer - p_now) <= tolerance:
+        if math.sqrt(msd) <= tolerance and abs(prev_outer - p_now) <= tolerance:
             return x, p_now
         prev_outer = p_now
         beta *= 0.5
+
+
+def _stacked(sup):
+    """(R, lo, hi) of a finite support: a RowBatch's own block and ends, or
+    a listed support's vector rows and ``BoxSet`` ends stacked once."""
+    if isinstance(sup, RowBatch):
+        return sup.rows, sup.lo, sup.hi
+    if not all(isinstance(s.set_proj, BoxSet) and np.ndim(s.row) == 1
+               and np.ndim(s.set_proj.lo) == np.ndim(s.set_proj.hi) == 0
+               for s in sup):
+        raise UnsupportedProblemError(
+            "reference needs vector rows with BoxSet targets")
+    return (np.array([s.row for s in sup], dtype=float),
+            np.array([s.set_proj.lo for s in sup], dtype=float),
+            np.array([s.set_proj.hi for s in sup], dtype=float))

@@ -308,6 +308,24 @@ class TestCli:
         trace = read_trace_csv(out)
         assert all(r.dist_to_ref is not None for r in trace.records)
 
+    def test_unreachable_reference_tolerance_is_one_error_line(self, tmp_path,
+                                                              capsys):
+        # a tolerance below what the floats reach ends as a run-time
+        # failure, not as a ZeroDivisionError once beta underflows to 0
+        rng = np.random.default_rng(19)
+        returns = 1.0 + 0.01 * rng.standard_normal((30, 3))
+        returns[:, 0] += 0.02
+        data = tmp_path / "returns.csv"
+        np.savetxt(data, returns, fmt="%.17g", delimiter=",")
+        rc = cli_main(["portfolio", "--data", str(data), "--epsilon", "0.02",
+                       "--reference", "--reference-tol", "1e-30",
+                       "--budget", "400", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: reference solver cannot reach "
+                              "tolerance 1e-30")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_svm_requires_data(self, capsys):
         assert cli_main(["svm", "--solver", "pegasos",
                          "--out", "unused.csv"]) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.optimize import linprog
 
 from conftest import bp_dual_certificate, dense_rows, full_storage_svm
 from sasc.baselines import BaselineConfig, run_spp
-from sasc.core import Case, SascConfig, _declared_f, run_sasc
+from sasc.core import Case, SascConfig, _declared_f, _inner_step, run_sasc
 from sasc.errors import (
     ConfigurationError,
     DegenerateConstraintError,
@@ -29,10 +30,13 @@ from sasc.problems import (
     make_svm_problem,
     reference_solution,
 )
+from sasc.prox import BoxSet, SetProjector
 from sasc.smoothing import (
+    ConstraintSample,
     ConstraintSampler,
     RowConstraintSet,
     _CsrRows,
+    _EvalSet,
     feasibility_metric,
     moreau_grad,
     saddle_point_residuals,
@@ -704,6 +708,83 @@ def _lp_returns():
     return returns
 
 
+def _listed(problem):
+    """The problem with its row set's constraints handed out as a list of
+    samples, with no vectorized distances."""
+    rows = problem.constraints
+
+    class Samples(ConstraintSampler):
+        def draw(self, rng):
+            return rows.draw(rng)
+
+        def support(self):
+            return [rows.sample(i) for i in range(len(rows))]
+
+    return dataclasses.replace(problem, constraints=Samples())
+
+
+def _plain_reference(problem, tolerance):
+    """reference_solution's loop built from the package's plain parts,
+    the tests' oracle for it.
+
+    Each iteration takes the plain step (``_inner_step``) on the whole
+    support, then measures the new point on a held-out set over that
+    support (``_EvalSet``), which forms the row products a second time.
+    """
+    import sasc.problems
+    sup = problem.constraints.support()
+    n = len(sup)
+    max_norm_sq = max(s.norm() for s in sup) ** 2
+    population = _EvalSet(problem.constraints, n, None, problem)
+    x = np.zeros(problem.dim)
+    beta = 1.0
+    inner_tol = max(tolerance * 1e-2, 1e-15)
+    iters = 0
+    prev_outer = np.inf
+    while True:
+        alpha = 1.0 / (problem.lipschitz_grad + max_norm_sq / beta)
+        prev_phi = np.inf
+        while True:
+            x = _inner_step(x, sup, alpha, beta, problem)
+            iters += 1
+            if iters >= sasc.problems._REFERENCE_MAX_ITERATIONS:
+                raise NoConvergenceError("iteration cap")
+            msd = population.mean_sq_distance(x)
+            phi = population.objective(x) + msd / (2.0 * beta)
+            if not np.isfinite(phi):
+                raise DivergenceError(epoch=0, step=iters)
+            if prev_phi - phi <= inner_tol:
+                break
+            prev_phi = phi
+        p_now = population.objective(x)
+        if np.sqrt(msd) <= tolerance and abs(prev_outer - p_now) <= tolerance:
+            return x, p_now
+        prev_outer = p_now
+        beta *= 0.5
+
+
+def _svm_slice():
+    """The hard-margin problem on 50 rows of a separable set, as CSR rows."""
+    ds = gen_separable_svm(6, 200, margin=0.8, seed=14)
+    small = LabeledSparseDataset.from_dense(dense_rows(ds)[:50], ds.labels[:50])
+    return make_svm_problem(small)
+
+
+# (builder, tolerance) of each instance the oracle is held to
+# _plain_reference on: every row storage and both support kinds
+_ORACLE_CASES = {
+    "min-norm": (lambda: make_min_norm_hyperplane_problem()[0], 1e-8),
+    "lp-portfolio": (lambda: make_portfolio_problem(_lp_returns(), 0.02), 1e-7),
+    "portfolio-200x10": (lambda: make_portfolio_problem(
+        gen_synthetic_returns(200, 10, seed=20260810), 0.2), 1e-6),
+    "bp-6x40": (lambda: make_bp_problem(
+        gen_basis_pursuit(6, 40, 2, 0.9, seed=18)), 1e-6),
+    "svm-csr-50": (_svm_slice, 1e-6),
+    "listed-portfolio": (lambda: _listed(make_portfolio_problem(
+        _lp_returns(), 0.02)), 1e-7),
+}
+
+
 class TestReferenceSolution:
     def test_analytic_instance(self):
         problem, cert = make_min_norm_hyperplane_problem()
@@ -751,40 +832,47 @@ class TestReferenceSolution:
     ], ids=["min-norm", "portfolio"])
     def test_generic_sampler_matches_row_set(self, build, tolerance):
         # the same constraints handed out as plain samples, with no
-        # vectorized distances: the per-sample branches of the step and of
-        # the held-out set give the row set's point
+        # vectorized distances: the stacked listed support gives the row
+        # set's point
         problem = build()
-        rows = problem.constraints
-
-        class Samples(ConstraintSampler):
-            def draw(self, rng):
-                return rows.draw(rng)
-
-            def support(self):
-                return [rows.sample(i) for i in range(len(rows))]
-
-        generic = dataclasses.replace(problem, constraints=Samples())
+        generic = _listed(problem)
         x_rows, p_rows = reference_solution(problem, tolerance)
         x_samples, p_samples = reference_solution(generic, tolerance)
         assert x_samples.tobytes() == x_rows.tobytes()
         assert p_samples == p_rows
 
     def test_requires_finite_small_support(self):
-        class Infinite:
+        class Listed:
+            def __init__(self, support):
+                self.listed = support
+
             def draw(self, rng):
                 raise NotImplementedError
 
             def support(self):
-                return None
+                return self.listed
+
+        class Ball(SetProjector):
+            def project(self, z):
+                return z / max(1.0, abs(z))
 
         from sasc.core import CompositeProblem
         from sasc.prox import zero_prox
-        prob = CompositeProblem(
-            dim=2, grad_f=lambda x, xi=None: np.zeros(2),
-            f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
-            constraints=Infinite(), norm_bound=1.0)
-        with pytest.raises(UnsupportedProblemError):
-            reference_solution(prob, 1e-6)
+        row = np.array([1.0, 0.0])
+        supports = {
+            "infinite": None,
+            "empty": [],
+            "matrix row": [ConstraintSample(np.eye(2), BoxSet(0.0, 1.0), 0)],
+            "not a box": [ConstraintSample(row, BoxSet(0.0, 1.0), 0),
+                          ConstraintSample(row, Ball(), 1)],
+        }
+        for support in supports.values():
+            prob = CompositeProblem(
+                dim=2, grad_f=lambda x, xi=None: np.zeros(2),
+                f_value=lambda x, xi=None: 0.0, prox_h=zero_prox(),
+                constraints=Listed(support), norm_bound=1.0)
+            with pytest.raises(UnsupportedProblemError):
+                reference_solution(prob, 1e-6)
 
     def test_iteration_cap(self, monkeypatch):
         problem, _ = make_min_norm_hyperplane_problem()
@@ -799,6 +887,67 @@ class TestReferenceSolution:
         with pytest.raises(DivergenceError) as err:
             reference_solution(broken, 1e-8)
         assert err.value.step == 1
+
+    def test_unreachable_tolerance_is_no_convergence(self):
+        # beta halves until max_norm_sq / beta overflows and the step size
+        # is 0, which moves no x; beta would next reach 0
+        problem = make_portfolio_problem(_lp_returns(), epsilon=0.02)
+        with pytest.raises(NoConvergenceError,
+                           match=r"tolerance 1e-30: .* feasibility"):
+            reference_solution(problem, 1e-30)
+
+    @pytest.mark.parametrize("case", list(_ORACLE_CASES))
+    def test_matches_the_plain_loop_bit_for_bit(self, case):
+        # one residual per iteration, read by both the step and the
+        # feasibility, gives the plain parts' point and value exactly
+        build, tolerance = _ORACLE_CASES[case]
+        x, p = reference_solution(build(), tolerance)
+        x_plain, p_plain = _plain_reference(build(), tolerance)
+        assert x.tobytes() == x_plain.tobytes()
+        assert p == p_plain
+
+    @pytest.mark.parametrize("case", ["lp-portfolio", "bp-6x40"])
+    def test_pinned_points(self, case):
+        # x's sha256 and p as literals, so that reference_solution and
+        # _plain_reference cannot drift together
+        sha, p_pinned = {
+            "lp-portfolio": ("f977795e49a49d209f53930ae320f627"
+                             "091084ace6064a7d508313062061f708",
+                             -1.0197588768919799),
+            "bp-6x40": ("ccc278a7e1391a305b967c643a2e75f3"
+                        "83885866888362fdfbfe4debb2a8788b",
+                        1.3214062781011573),
+        }[case]
+        build, tolerance = _ORACLE_CASES[case]
+        x, p = reference_solution(build(), tolerance)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == sha
+        assert p == p_pinned
+
+    def test_one_row_product_per_iteration(self, monkeypatch):
+        # on CSR rows, R @ x is __matmul__ and g @ R is __rmatmul__; the
+        # cap stops the run at its 10th step, before that step's product
+        counts = {"R @ x": 0, "g @ R": 0}
+        matmul, rmatmul = _CsrRows.__matmul__, _CsrRows.__rmatmul__
+
+        def counted_matmul(rows, x):
+            counts["R @ x"] += 1
+            return matmul(rows, x)
+
+        def counted_rmatmul(rows, g):
+            counts["g @ R"] += 1
+            return rmatmul(rows, g)
+
+        monkeypatch.setattr(_CsrRows, "__matmul__", counted_matmul)
+        monkeypatch.setattr(_CsrRows, "__rmatmul__", counted_rmatmul)
+        monkeypatch.setattr("sasc.problems._REFERENCE_MAX_ITERATIONS", 10)
+        for oracle, products in ((reference_solution, 10),
+                                 (_plain_reference, 19)):
+            counts.update({"R @ x": 0, "g @ R": 0})
+            with pytest.raises(NoConvergenceError):
+                oracle(_svm_slice(), 1e-6)
+            # x0's product and one after each of the 9 finished steps;
+            # _plain_reference forms each of those again to step from it
+            assert counts == {"R @ x": products, "g @ R": 10}
 
 
 class TestSyntheticReturns:
